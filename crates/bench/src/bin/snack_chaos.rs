@@ -2,10 +2,10 @@
 //!
 //! Throws seeded randomized fault schedules (permanent RCU/link/CPM
 //! deaths mixed with transient drop/corrupt windows) at every kernel,
-//! runs each cell in **all five stepping modes**, and asserts the
+//! runs each cell in **all three stepping modes**, and asserts the
 //! robustness invariants on every run: termination with a typed verdict,
 //! bit-exact outputs on completion, transient-loss recovery, consistent
-//! degradation reports, and five-mode bit-identity. Prints the per-cell
+//! degradation reports, and three-mode bit-identity. Prints the per-cell
 //! table and writes `BENCH_chaos.json` (override with `--json <path>`);
 //! the simulation output is bit-identical for any `--threads` value.
 //!
@@ -73,7 +73,7 @@ fn main() {
     };
 
     println!(
-        "chaos grid: {} cells x 5 stepping modes on {} thread(s){}",
+        "chaos grid: {} cells x 3 stepping modes on {} thread(s){}",
         spec.cells.len(),
         spec.threads,
         if smoke { " [smoke]" } else { "" },

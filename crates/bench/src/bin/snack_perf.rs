@@ -3,9 +3,10 @@
 //! Times `Network::step` at idle / low / saturation injection, a
 //! think-heavy closed-loop platform scenario, and full
 //! `Platform::run_kernel` for three compiler kernels, each under the
-//! dense reference loop, the activity-driven scheduler (default) and the
-//! event-driven time-wheel, and writes `BENCH_perf.json`
-//! (`snacknoc-perf-v2`) — the perf trajectory's committed baseline. The
+//! dense reference loop and serial stepping (the default: active sets
+//! plus clock jumps), times sharded stepping against serial stepping on
+//! saturated meshes, and writes `BENCH_perf.json`
+//! (`snacknoc-perf-v3`) — the perf trajectory's committed baseline. The
 //! dense numbers in the same file *are* the baseline future PRs compare
 //! against.
 //!
@@ -72,14 +73,11 @@ fn main() {
     println!("json: {json_path}");
 
     if let Some(speedup) = report.idle_speedup() {
-        println!("idle-speedup: {speedup:.2}x (active-set over dense baseline)");
-    }
-    if let Some(speedup) = report.idle_event_speedup() {
-        println!("idle-event-speedup: {speedup:.2}x (event-driven over dense baseline)");
+        println!("idle-speedup: {speedup:.2}x (serial over dense baseline)");
     }
     if let Some((name, workers, speedup)) = report.best_shard_speedup() {
         println!(
-            "shard-speedup: {speedup:.2}x ({name} at {workers} worker(s) over serial active, \
+            "shard-speedup: {speedup:.2}x ({name} at {workers} worker(s) over serial, \
              {} host thread(s))",
             host_threads(),
         );

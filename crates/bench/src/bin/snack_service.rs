@@ -2,7 +2,7 @@
 //!
 //! Drives the `snacknoc-service` SLO scenario (six open-loop tenants,
 //! two per QoS class, on a two-CPM DAPPER mesh) across load levels, each
-//! level in **all five stepping modes**, and reports per-class/per-tenant
+//! level in **all three stepping modes**, and reports per-class/per-tenant
 //! p50/p90/p99 latency, throughput, Jain fairness and typed admission
 //! rejections. Writes `BENCH_service.json` (override with
 //! `--json <path>`); the simulation output is bit-identical for any
@@ -17,7 +17,7 @@
 //! knee), seed 5, threads = available parallelism.
 //!
 //! `--smoke` runs a reduced three-level sweep and exits non-zero unless
-//! every level is violation-free and five-mode bit-identical, the
+//! every level is violation-free and three-mode bit-identical, the
 //! Guaranteed class's p99 stays below BestEffort's at peak load, and the
 //! peak level rejects at least one submission — CI uses this via
 //! `scripts/verify.sh`.
@@ -65,7 +65,7 @@ fn main() {
     let spec = ServiceGridSpec::new(&loads, seed).with_threads(threads);
 
     println!(
-        "service sweep: {} load level(s) x 5 stepping modes x 3 QoS classes on {} thread(s){}",
+        "service sweep: {} load level(s) x 3 stepping modes x 3 QoS classes on {} thread(s){}",
         spec.loads.len(),
         spec.threads,
         if smoke { " [smoke]" } else { "" },

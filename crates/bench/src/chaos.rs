@@ -1,5 +1,5 @@
 //! Deterministic chaos harness: randomized permanent+transient fault
-//! schedules × kernels × **all five stepping modes**, with invariants
+//! schedules × kernels × **all three stepping modes**, with invariants
 //! asserted on every run.
 //!
 //! The graceful-degradation companion to [`crate::faults`]: where the
@@ -17,7 +17,7 @@
 //!    retry recovered every watchdog-detected loss;
 //! 4. **reports are consistent** — degradation reports agree with the
 //!    schedule and with the run's own cycle accounting;
-//! 5. **mode-invariant** — all five stepping modes produce the identical
+//! 5. **mode-invariant** — all three stepping modes produce the identical
 //!    outcome (common-random-number schedules make this a paired
 //!    comparison).
 //!
@@ -160,7 +160,7 @@ impl ChaosCell {
 }
 
 /// Everything one stepping mode's run could legally vary in — compared
-/// for exact equality across the five modes.
+/// for exact equality across the three modes.
 #[derive(Clone, Debug, PartialEq)]
 struct ModeOutcome {
     outcome: String,
@@ -175,18 +175,12 @@ struct ModeOutcome {
     dropped_packets: u64,
 }
 
-/// Applies stepping mode 0 (dense), 1 (active), 2 (event), 3 (sharded
-/// ×2) or 4 (event + sharded ×2).
+/// Applies stepping mode 0 (dense), 1 (serial) or 2 (sharded ×2).
 fn apply_mode(p: &mut SnackPlatform, mode: u8) {
     match mode {
         0 => p.set_dense_stepping(true),
         1 => {}
-        2 => p.set_event_stepping(true),
-        3 => p.set_sharding(2).expect("two shards fit the preset mesh"),
-        _ => {
-            p.set_event_stepping(true);
-            p.set_sharding(2).expect("two shards fit the preset mesh");
-        }
+        _ => p.set_sharding(2).expect("two shards fit the preset mesh"),
     }
 }
 
@@ -249,7 +243,7 @@ fn run_mode(cell: &ChaosCell, mode: u8) -> (ModeOutcome, ChaosSchedule, Vec<Fixe
     )
 }
 
-/// The merged outcome of one chaos cell across all five stepping modes.
+/// The merged outcome of one chaos cell across all three stepping modes.
 #[derive(Clone, Debug)]
 pub struct ChaosCellResult {
     /// Cell display name (`kernel-size/s<seed>`).
@@ -279,20 +273,20 @@ pub struct ChaosCellResult {
     pub detected: u64,
     /// Detected tokens that subsequently retired normally.
     pub recovered: u64,
-    /// Whether all five stepping modes produced the identical outcome.
+    /// Whether all three stepping modes produced the identical outcome.
     pub modes_agree: bool,
     /// Invariant violations found (empty on a healthy run).
     pub violations: Vec<String>,
 }
 
-/// Runs one chaos cell in all five stepping modes and checks every
+/// Runs one chaos cell in all three stepping modes and checks every
 /// invariant. Violations are *recorded*, not panicked — the harness
 /// reports them so CI can fail with the full picture.
 pub fn run_chaos_cell(cell: &ChaosCell) -> ChaosCellResult {
     let (base, sched, reference) = run_mode(cell, 0);
     let mut violations = Vec::new();
     let mut modes_agree = true;
-    for mode in 1u8..=4 {
+    for mode in 1u8..=2 {
         let (other, _, _) = run_mode(cell, mode);
         if other != base {
             modes_agree = false;
@@ -413,7 +407,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosResults {
 impl ChaosResults {
     /// Zero invariant violations across the grid (every run terminated,
     /// verified, recovered its transients, reported consistently, and was
-    /// bit-identical in all five stepping modes).
+    /// bit-identical in all three stepping modes).
     pub fn all_invariants_hold(&self) -> bool {
         self.cells.iter().all(|c| c.violations.is_empty())
     }
@@ -517,7 +511,7 @@ impl ChaosResults {
         print_table(
             &[
                 "cell", "outcome", "cycles", "verified", "dead", "remap/fo", "recovered",
-                "5-mode", "viol",
+                "3-mode", "viol",
             ],
             &rows,
         );

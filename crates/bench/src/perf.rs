@@ -1,22 +1,21 @@
-//! Hot-loop performance measurements: dense vs activity-driven vs
-//! event-driven stepping (`BENCH_perf.json`, the repo's perf trajectory).
+//! Hot-loop performance measurements: the dense reference loop vs serial
+//! stepping (`BENCH_perf.json`, the repo's perf trajectory).
 //!
 //! Three families of measurements:
 //!
 //! * **`Network::step` scenarios** — a bare network driven by a
 //!   pre-generated uniform-random injection schedule at idle / low /
 //!   saturation rates, timed under the dense reference loop
-//!   ([`Network::set_dense_stepping`]), the activity-driven scheduler
-//!   (the default) and the event-driven time-wheel
-//!   ([`Network::set_event_stepping`], DESIGN.md §12). The schedule is
-//!   generated once per scenario, so all modes replay byte-identical
+//!   ([`Network::set_dense_stepping`]) and serial stepping (the default:
+//!   active sets plus clock jumps, DESIGN.md §11–§12). The schedule is
+//!   generated once per scenario, so both modes replay byte-identical
 //!   injections and must report byte-identical simulation statistics
 //!   ([`StepTiming::stats_identical`]).
 //! * **Closed-loop platform scenario** — a think-heavy closed-loop CMP
 //!   workload on the full `SnackPlatform` run loop, the regime where
-//!   event-driven jumps compress real dead time between request bursts.
+//!   clock jumps compress real dead time between request bursts.
 //! * **`Platform::run_kernel` timings** — full compiler kernels run to
-//!   completion under every mode, with outputs and statistics compared.
+//!   completion under both modes, with outputs and statistics compared.
 //!
 //! Wall-clock numbers (median/p90 ns) are machine-dependent and are *not*
 //! covered by any determinism guarantee; the simulation fingerprints are.
@@ -110,7 +109,7 @@ pub fn smoke_step_scenarios() -> Vec<StepScenario> {
 type Injection = (u64, usize, usize, u8);
 
 /// Pre-generates the uniform-random injection schedule for `s`, sorted by
-/// cycle. Generated once per scenario so the active and dense runs replay
+/// cycle. Generated once per scenario so the serial and dense runs replay
 /// identical traffic.
 #[must_use]
 pub fn build_schedule(s: &StepScenario, cfg: &NocConfig) -> Vec<Injection> {
@@ -182,40 +181,68 @@ pub fn stats_fingerprint(injected: u64, delivered: u64, pending: u64, stats: &Ne
     out
 }
 
-/// Stepping mode selector: `0` = dense reference loop, `1` = activity-
-/// driven (the default), `2` = event-driven time-wheel.
-fn apply_net_mode(net: &mut Network<u64>, mode: u8) {
-    match mode {
-        0 => net.set_dense_stepping(true),
-        1 => {}
-        2 => net.set_event_stepping(true),
-        _ => unreachable!("modes are 0..=2"),
+/// Dense-vs-serial timings of one scenario.
+struct ModeTimings<E> {
+    dense: BenchStats,
+    serial: BenchStats,
+    identical: bool,
+    /// What the dense warmup run reported beside its fingerprint.
+    extra: E,
+}
+
+/// Runs `once(mode)` — mode `0` the dense reference loop, `1` serial
+/// stepping — which returns wall ns, a simulation fingerprint and a
+/// scenario-specific extra. One untimed warmup per mode (dense is the
+/// reference fingerprint), then `samples` timed iterations alternating
+/// the modes to decorrelate them from machine noise; every fingerprint
+/// must equal the reference.
+fn time_modes<E>(
+    label: &str,
+    samples: u32,
+    once: impl Fn(u8) -> (u64, String, E),
+) -> ModeTimings<E> {
+    let (_, reference, extra) = once(0);
+    let mut identical = once(1).1 == reference;
+    let mut ns: [Vec<u64>; 2] = Default::default();
+    for _ in 0..samples {
+        for mode in 0..2u8 {
+            let (t, fp, _) = once(mode);
+            identical &= fp == reference;
+            ns[usize::from(mode)].push(t);
+        }
+    }
+    ModeTimings {
+        dense: summarize(&format!("{label}/dense"), &ns[0]),
+        serial: summarize(&format!("{label}/serial"), &ns[1]),
+        identical,
+        extra,
     }
 }
 
-/// Runs `s` once in the given mode, replaying `schedule`. Returns the
-/// wall time of the stepping loop (ns), the injected flit count, and the
-/// simulation fingerprint.
+/// Runs `s` once, replaying `schedule`, under the dense reference loop
+/// (mode `0`) or serial stepping (mode `1`). Returns the wall time of the
+/// stepping loop (ns), the simulation fingerprint and the injected flit
+/// count.
 ///
-/// Dense and active modes drive the canonical per-cycle loop (inject,
-/// step, drain — the PR-5 baseline driver). Event mode drives the same
-/// schedule through [`Network::step_until`] segments between injection
-/// cycles, which is where the time-wheel earns its jumps; the drain
-/// cadence differs but draining is stats-neutral, so the fingerprints
-/// must still match byte-for-byte.
+/// Dense mode drives the canonical per-cycle loop (inject, step, drain —
+/// the original baseline loop). Serial mode drives the same schedule
+/// through [`Network::step_until`] segments between injection cycles,
+/// which is where clock jumps pay; the drain cadence differs but
+/// draining is stats-neutral, so the fingerprints must still match
+/// byte-for-byte.
 fn run_step_once(
     s: &StepScenario,
     cfg: &NocConfig,
     schedule: &[Injection],
     mode: u8,
-) -> (u64, u64, String) {
+) -> (u64, String, u64) {
     let mut net: Network<u64> = Network::new(cfg.clone()).expect("valid perf config");
-    apply_net_mode(&mut net, mode);
+    net.set_dense_stepping(mode == 0);
     let mut cursor = 0usize;
     let mut drained: Vec<_> = Vec::new();
     let nodes: Vec<NodeId> = net.mesh().nodes().collect();
     let t0 = Instant::now();
-    if mode == 2 {
+    if mode == 1 {
         while cursor < schedule.len() {
             let at = schedule[cursor].0;
             net.step_until(at);
@@ -272,7 +299,7 @@ fn run_step_once(
     let stats = net.finalize_stats();
     let flits = stats.injected_flits;
     let fp = stats_fingerprint(injected, delivered, pending, stats);
-    (ns, flits, fp)
+    (ns, fp, flits)
 }
 
 /// Timing + bit-identity result for one `Network::step` scenario.
@@ -286,21 +313,19 @@ pub struct StepTiming {
     pub injected_packets: u64,
     /// Flits injected per iteration (same for both modes).
     pub injected_flits: u64,
-    /// Activity-driven timings.
-    pub active: BenchStats,
+    /// Serial-stepping timings (the default mode).
+    pub serial: BenchStats,
     /// Dense reference-loop timings (the baseline).
     pub dense: BenchStats,
-    /// Event-driven time-wheel timings.
-    pub event: BenchStats,
-    /// Whether all modes reported byte-identical simulation statistics.
+    /// Whether both modes reported byte-identical simulation statistics.
     pub stats_identical: bool,
 }
 
 impl StepTiming {
-    /// Simulated cycles per wall-clock second, activity-driven.
+    /// Simulated cycles per wall-clock second, serial stepping.
     #[must_use]
-    pub fn active_cycles_per_sec(&self) -> f64 {
-        self.sim_cycles as f64 * 1e9 / self.active.median_ns.max(1) as f64
+    pub fn serial_cycles_per_sec(&self) -> f64 {
+        self.sim_cycles as f64 * 1e9 / self.serial.median_ns.max(1) as f64
     }
 
     /// Simulated cycles per wall-clock second, dense baseline.
@@ -309,36 +334,23 @@ impl StepTiming {
         self.sim_cycles as f64 * 1e9 / self.dense.median_ns.max(1) as f64
     }
 
-    /// Simulated cycles per wall-clock second, event-driven.
-    #[must_use]
-    pub fn event_cycles_per_sec(&self) -> f64 {
-        self.sim_cycles as f64 * 1e9 / self.event.median_ns.max(1) as f64
-    }
-
-    /// Injected flits simulated per wall-clock second under the default
-    /// (activity-driven) stepper — the loaded-path throughput figure the
-    /// PR-10 data-layout work targets. Zero on idle scenarios.
+    /// Injected flits simulated per wall-clock second under serial
+    /// stepping — the loaded-path throughput figure the hot-path data
+    /// layout (DESIGN.md §16) targets. Zero on idle scenarios.
     #[must_use]
     pub fn flits_per_sec(&self) -> f64 {
-        self.injected_flits as f64 * 1e9 / self.active.median_ns.max(1) as f64
+        self.injected_flits as f64 * 1e9 / self.serial.median_ns.max(1) as f64
     }
 
-    /// Active-set speedup over the dense baseline (median-based).
+    /// Serial speedup over the dense baseline (median-based).
     #[must_use]
     pub fn speedup(&self) -> f64 {
-        self.dense.median_ns as f64 / self.active.median_ns.max(1) as f64
-    }
-
-    /// Event-driven speedup over the dense baseline (median-based).
-    #[must_use]
-    pub fn event_speedup(&self) -> f64 {
-        self.dense.median_ns as f64 / self.event.median_ns.max(1) as f64
+        self.dense.median_ns as f64 / self.serial.median_ns.max(1) as f64
     }
 }
 
-/// Times `s` under both modes (`samples` iterations each, interleaved
-/// mode order to decorrelate from machine noise) and checks that every
-/// iteration of either mode produced the same simulation fingerprint.
+/// Times `s` under both modes (`samples` iterations each, interleaved)
+/// and checks that every iteration produced the dense fingerprint.
 ///
 /// # Panics
 ///
@@ -347,32 +359,17 @@ impl StepTiming {
 pub fn time_step_scenario(s: &StepScenario, samples: u32) -> StepTiming {
     let cfg = NocConfig::default().with_mesh(s.cols as u16, s.rows as u16);
     let schedule = build_schedule(s, &cfg);
-    // One untimed warmup per mode; dense is the reference fingerprint.
-    let (_, flits, fp_dense) = run_step_once(s, &cfg, &schedule, 0);
-    let (_, _, fp_active) = run_step_once(s, &cfg, &schedule, 1);
-    let (_, _, fp_event) = run_step_once(s, &cfg, &schedule, 2);
-    let mut identical = fp_active == fp_dense && fp_event == fp_dense;
-    let mut dense_ns = Vec::with_capacity(samples as usize);
-    let mut active_ns = Vec::with_capacity(samples as usize);
-    let mut event_ns = Vec::with_capacity(samples as usize);
-    for _ in 0..samples {
-        let (d, _, fd) = run_step_once(s, &cfg, &schedule, 0);
-        let (a, _, fa) = run_step_once(s, &cfg, &schedule, 1);
-        let (e, _, fe) = run_step_once(s, &cfg, &schedule, 2);
-        identical &= fd == fp_dense && fa == fp_dense && fe == fp_dense;
-        dense_ns.push(d);
-        active_ns.push(a);
-        event_ns.push(e);
-    }
     let label = s.label();
+    let t = time_modes(&format!("step/{label}"), samples, |mode| {
+        run_step_once(s, &cfg, &schedule, mode)
+    });
     StepTiming {
         sim_cycles: s.cycles,
         injected_packets: schedule.len() as u64,
-        injected_flits: flits,
-        active: summarize(&format!("step/{label}/active"), &active_ns),
-        dense: summarize(&format!("step/{label}/dense"), &dense_ns),
-        event: summarize(&format!("step/{label}/event"), &event_ns),
-        stats_identical: identical,
+        injected_flits: t.extra,
+        serial: t.serial,
+        dense: t.dense,
+        stats_identical: t.identical,
         name: label,
     }
 }
@@ -477,7 +474,7 @@ pub fn build_burst(s: &ShardScenario, cfg: &NocConfig) -> Vec<(usize, usize, u8)
 }
 
 /// Runs `s` once with `shards` worker shards (`0` = the serial
-/// activity-driven baseline), returning the wall time of the batched
+/// stepping baseline), returning the wall time of the batched
 /// stepping call (ns) and the simulation fingerprint.
 fn run_shard_once(
     s: &ShardScenario,
@@ -522,7 +519,7 @@ pub struct ShardTiming {
     pub sim_cycles: u64,
     /// Packets in the pre-loaded burst.
     pub injected_packets: u64,
-    /// Serial activity-driven baseline timings (shared across the
+    /// Serial-stepping baseline timings (shared across the
     /// scenario's rows).
     pub serial: BenchStats,
     /// Sharded timings at this worker count.
@@ -533,7 +530,7 @@ pub struct ShardTiming {
 }
 
 impl ShardTiming {
-    /// Sharded speedup over the serial activity-driven baseline
+    /// Sharded speedup over the serial-stepping baseline
     /// (median-based). Below 1.0 on hosts without spare hardware
     /// threads — the determinism contract is machine-independent, the
     /// speedup is not.
@@ -603,32 +600,24 @@ pub struct KernelTiming {
     pub sim_cycles: u64,
     /// Whether outputs matched the reference interpreter.
     pub verified: bool,
-    /// Activity-driven timings.
-    pub active: BenchStats,
+    /// Serial-stepping timings (the default mode).
+    pub serial: BenchStats,
     /// Dense reference-loop timings (the baseline).
     pub dense: BenchStats,
-    /// Event-driven time-wheel timings.
-    pub event: BenchStats,
-    /// Whether all modes agreed on cycles, outputs and statistics.
+    /// Whether both modes agreed on cycles, outputs and statistics.
     pub stats_identical: bool,
 }
 
 impl KernelTiming {
-    /// Active-set speedup over the dense baseline (median-based).
+    /// Serial speedup over the dense baseline (median-based).
     #[must_use]
     pub fn speedup(&self) -> f64 {
-        self.dense.median_ns as f64 / self.active.median_ns.max(1) as f64
-    }
-
-    /// Event-driven speedup over the dense baseline (median-based).
-    #[must_use]
-    pub fn event_speedup(&self) -> f64 {
-        self.dense.median_ns as f64 / self.event.median_ns.max(1) as f64
+        self.dense.median_ns as f64 / self.serial.median_ns.max(1) as f64
     }
 }
 
 /// Compiles `kernel` at `size` once, then times `Platform::run_kernel`
-/// to completion under all three stepping modes.
+/// to completion under both stepping modes.
 ///
 /// # Panics
 ///
@@ -649,14 +638,10 @@ pub fn time_kernel(
     compiled.validate().expect("compiled kernel is well-formed");
     let cap = 200 * compiled.len() as u64 + 1_000_000;
     let reference = built.context.interpret(built.root).expect("interpretable");
-    let run_once = |mode: u8| -> (u64, u64, bool, String) {
+    let name = format!("{kernel}/{size}");
+    let t = time_modes(&format!("kernel/{name}"), samples, |mode| {
         let mut platform = SnackPlatform::new(cfg.clone()).expect("valid platform config");
-        match mode {
-            0 => platform.set_dense_stepping(true),
-            1 => {}
-            2 => platform.set_event_stepping(true),
-            _ => unreachable!("modes are 0..=2"),
-        }
+        platform.set_dense_stepping(mode == 0);
         let t0 = Instant::now();
         let run = platform
             .run_kernel(&compiled, cap)
@@ -674,45 +659,27 @@ pub fn time_kernel(
             rcu.stalled_cycles,
             stats_fingerprint(injected, delivered, 0, platform.finalize_stats()),
         );
-        (ns, run.cycles, run.outputs == reference, fp)
-    };
-    // Warmup + reference fingerprints (dense is the oracle).
-    let (_, cycles, verified, fp_dense) = run_once(0);
-    let (_, _, _, fp_active) = run_once(1);
-    let (_, _, _, fp_event) = run_once(2);
-    let mut identical = fp_active == fp_dense && fp_event == fp_dense;
-    let mut dense_ns = Vec::with_capacity(samples as usize);
-    let mut active_ns = Vec::with_capacity(samples as usize);
-    let mut event_ns = Vec::with_capacity(samples as usize);
-    for _ in 0..samples {
-        let (d, _, _, fd) = run_once(0);
-        let (a, _, _, fa) = run_once(1);
-        let (e, _, _, fe) = run_once(2);
-        identical &= fd == fp_dense && fa == fp_dense && fe == fp_dense;
-        dense_ns.push(d);
-        active_ns.push(a);
-        event_ns.push(e);
-    }
-    let name = format!("{kernel}/{size}");
+        (ns, fp, (run.cycles, run.outputs == reference))
+    });
+    let (cycles, verified) = t.extra;
     KernelTiming {
         sim_cycles: cycles,
         verified,
-        active: summarize(&format!("kernel/{name}/active"), &active_ns),
-        dense: summarize(&format!("kernel/{name}/dense"), &dense_ns),
-        event: summarize(&format!("kernel/{name}/event"), &event_ns),
-        stats_identical: identical,
+        serial: t.serial,
+        dense: t.dense,
+        stats_identical: t.identical,
         name,
     }
 }
 
 /// Times a think-heavy closed-loop CMP workload on the full
-/// [`SnackPlatform`] run loop under all three stepping modes.
+/// [`SnackPlatform`] run loop under both stepping modes.
 ///
 /// Each core issues a handful of requests separated by long exponential
 /// think gaps (mean `think_time` cycles), so most of the simulated window
-/// is genuinely dead time between bursts — the regime the event-driven
-/// time-wheel (DESIGN.md §12) is built for. Reported as an extra
-/// [`StepTiming`] row named `closed-loop/COLSxROWS`.
+/// is genuinely dead time between bursts — the regime clock jumps
+/// (DESIGN.md §12) are built for. Reported as an extra [`StepTiming`]
+/// row named `closed-loop/COLSxROWS`.
 ///
 /// # Panics
 ///
@@ -727,14 +694,9 @@ pub fn time_closed_loop(cycles: u64, samples: u32) -> StepTiming {
         phases: vec![Phase::smooth(4, 6_000.0)],
         outstanding: 1,
     };
-    let run_once = |mode: u8| -> (u64, u64, u64, String) {
+    let t = time_modes("step/closed-loop/8x8", samples, |mode| {
         let mut p = SnackPlatform::new(cfg.clone()).expect("valid platform config");
-        match mode {
-            0 => p.set_dense_stepping(true),
-            1 => {}
-            2 => p.set_event_stepping(true),
-            _ => unreachable!("modes are 0..=2"),
-        }
+        p.set_dense_stepping(mode == 0);
         p.attach_workload(&profile, 29);
         let t0 = Instant::now();
         p.run(cycles);
@@ -749,33 +711,17 @@ pub fn time_closed_loop(cycles: u64, samples: u32) -> StepTiming {
             "done={done} runtime={runtime:?} {}",
             stats_fingerprint(injected, delivered, 0, stats),
         );
-        (ns, injected, flits, fp)
-    };
-    let (_, injected, flits, fp_dense) = run_once(0);
-    let (_, _, _, fp_active) = run_once(1);
-    let (_, _, _, fp_event) = run_once(2);
-    let mut identical = fp_active == fp_dense && fp_event == fp_dense;
-    let mut dense_ns = Vec::with_capacity(samples as usize);
-    let mut active_ns = Vec::with_capacity(samples as usize);
-    let mut event_ns = Vec::with_capacity(samples as usize);
-    for _ in 0..samples {
-        let (d, _, _, fd) = run_once(0);
-        let (a, _, _, fa) = run_once(1);
-        let (e, _, _, fe) = run_once(2);
-        identical &= fd == fp_dense && fa == fp_dense && fe == fp_dense;
-        dense_ns.push(d);
-        active_ns.push(a);
-        event_ns.push(e);
-    }
+        (ns, fp, (injected, flits))
+    });
+    let (injected, flits) = t.extra;
     StepTiming {
         name: "closed-loop/8x8".to_string(),
         sim_cycles: cycles,
         injected_packets: injected,
         injected_flits: flits,
-        active: summarize("step/closed-loop/8x8/active", &active_ns),
-        dense: summarize("step/closed-loop/8x8/dense", &dense_ns),
-        event: summarize("step/closed-loop/8x8/event", &event_ns),
-        stats_identical: identical,
+        serial: t.serial,
+        dense: t.dense,
+        stats_identical: t.identical,
     }
 }
 
@@ -812,29 +758,25 @@ impl PerfReport {
             .map(|s| (s.name.clone(), s.workers, s.shard_speedup()))
     }
 
-    /// The idle-mesh speedup (active vs dense), if an `idle` scenario ran.
+    /// The idle-mesh speedup (serial vs dense), if an `idle` scenario ran.
     #[must_use]
     pub fn idle_speedup(&self) -> Option<f64> {
         self.step.iter().find(|s| s.name.starts_with("idle")).map(StepTiming::speedup)
     }
 
-    /// The idle-mesh speedup (event vs dense), if an `idle` scenario ran.
-    #[must_use]
-    pub fn idle_event_speedup(&self) -> Option<f64> {
-        self.step.iter().find(|s| s.name.starts_with("idle")).map(StepTiming::event_speedup)
-    }
-
-    /// Writes the `snacknoc-perf-v2` JSON document (v2 added per-row
-    /// `flits_per_sec` and the `saturation/32x32` scaling row; see
-    /// DESIGN.md §16). Wall-clock fields are machine-dependent; the
-    /// `stats_identical` fields are the determinism contract.
+    /// Writes the `snacknoc-perf-v3` JSON document (v2 added per-row
+    /// `flits_per_sec` and the `saturation/32x32` scaling row, DESIGN.md
+    /// §16; v3 folded the `active_*` and `event_*` columns into
+    /// `serial_*`, DESIGN.md §12). Wall-clock fields are
+    /// machine-dependent; the `stats_identical` fields are the
+    /// determinism contract.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_json(&self, mut w: impl Write) -> io::Result<()> {
         writeln!(w, "{{")?;
-        writeln!(w, "  \"schema\": \"snacknoc-perf-v2\",")?;
+        writeln!(w, "  \"schema\": \"snacknoc-perf-v3\",")?;
         writeln!(w, "  \"host_threads\": {},", host_threads())?;
         writeln!(w, "  \"step\": [")?;
         for (i, s) in self.step.iter().enumerate() {
@@ -843,29 +785,23 @@ impl PerfReport {
                 w,
                 "    {{\"name\": \"{}\", \"sim_cycles\": {}, \"injected_packets\": {}, \
                  \"injected_flits\": {}, \
-                 \"active_median_ns\": {}, \"active_p90_ns\": {}, \
+                 \"serial_median_ns\": {}, \"serial_p90_ns\": {}, \
                  \"dense_median_ns\": {}, \"dense_p90_ns\": {}, \
-                 \"event_median_ns\": {}, \"event_p90_ns\": {}, \
-                 \"active_cycles_per_sec\": {:.1}, \"dense_cycles_per_sec\": {:.1}, \
-                 \"event_cycles_per_sec\": {:.1}, \"flits_per_sec\": {:.1}, \
-                 \"speedup\": {:.3}, \"event_speedup\": {:.3}, \
+                 \"serial_cycles_per_sec\": {:.1}, \"dense_cycles_per_sec\": {:.1}, \
+                 \"flits_per_sec\": {:.1}, \"speedup\": {:.3}, \
                  \"stats_identical\": {}}}{comma}",
                 crate::sweep::json_escape(&s.name),
                 s.sim_cycles,
                 s.injected_packets,
                 s.injected_flits,
-                s.active.median_ns,
-                s.active.p90_ns,
+                s.serial.median_ns,
+                s.serial.p90_ns,
                 s.dense.median_ns,
                 s.dense.p90_ns,
-                s.event.median_ns,
-                s.event.p90_ns,
-                s.active_cycles_per_sec(),
+                s.serial_cycles_per_sec(),
                 s.dense_cycles_per_sec(),
-                s.event_cycles_per_sec(),
                 s.flits_per_sec(),
                 s.speedup(),
-                s.event_speedup(),
                 s.stats_identical,
             )?;
         }
@@ -899,22 +835,17 @@ impl PerfReport {
             writeln!(
                 w,
                 "    {{\"name\": \"{}\", \"sim_cycles\": {}, \"verified\": {}, \
-                 \"active_median_ns\": {}, \"active_p90_ns\": {}, \
+                 \"serial_median_ns\": {}, \"serial_p90_ns\": {}, \
                  \"dense_median_ns\": {}, \"dense_p90_ns\": {}, \
-                 \"event_median_ns\": {}, \"event_p90_ns\": {}, \
-                 \"speedup\": {:.3}, \"event_speedup\": {:.3}, \
-                 \"stats_identical\": {}}}{comma}",
+                 \"speedup\": {:.3}, \"stats_identical\": {}}}{comma}",
                 crate::sweep::json_escape(&k.name),
                 k.sim_cycles,
                 k.verified,
-                k.active.median_ns,
-                k.active.p90_ns,
+                k.serial.median_ns,
+                k.serial.p90_ns,
                 k.dense.median_ns,
                 k.dense.p90_ns,
-                k.event.median_ns,
-                k.event.p90_ns,
                 k.speedup(),
-                k.event_speedup(),
                 k.stats_identical,
             )?;
         }
@@ -932,11 +863,9 @@ impl PerfReport {
                     s.name.clone(),
                     s.sim_cycles.to_string(),
                     format!("{:.2e}", s.dense_cycles_per_sec()),
-                    format!("{:.2e}", s.active_cycles_per_sec()),
-                    format!("{:.2e}", s.event_cycles_per_sec()),
+                    format!("{:.2e}", s.serial_cycles_per_sec()),
                     format!("{:.2e}", s.flits_per_sec()),
                     format!("{:.2}x", s.speedup()),
-                    format!("{:.2}x", s.event_speedup()),
                     if s.stats_identical { "yes".into() } else { "NO".into() },
                 ]
             })
@@ -946,11 +875,9 @@ impl PerfReport {
                 "step scenario",
                 "cycles",
                 "dense cyc/s",
-                "active cyc/s",
-                "event cyc/s",
+                "serial cyc/s",
                 "flits/s",
-                "active speedup",
-                "event speedup",
+                "speedup",
                 "bit-identical",
             ],
             &step_rows,
@@ -992,25 +919,14 @@ impl PerfReport {
                     k.name.clone(),
                     k.sim_cycles.to_string(),
                     crate::harness::fmt_ns(k.dense.median_ns),
-                    crate::harness::fmt_ns(k.active.median_ns),
-                    crate::harness::fmt_ns(k.event.median_ns),
+                    crate::harness::fmt_ns(k.serial.median_ns),
                     format!("{:.2}x", k.speedup()),
-                    format!("{:.2}x", k.event_speedup()),
                     if k.stats_identical && k.verified { "yes".into() } else { "NO".into() },
                 ]
             })
             .collect();
         print_table(
-            &[
-                "kernel",
-                "sim cycles",
-                "dense median",
-                "active median",
-                "event median",
-                "active speedup",
-                "event speedup",
-                "bit-identical",
-            ],
+            &["kernel", "sim cycles", "dense median", "serial median", "speedup", "bit-identical"],
             &kernel_rows,
         );
     }
@@ -1061,7 +977,7 @@ mod tests {
     fn kernel_timing_is_bit_identical_and_verified() {
         let k = time_kernel(Kernel::Mac, 12, 7, 1);
         assert!(k.verified, "outputs match the interpreter");
-        assert!(k.stats_identical, "active vs dense kernel run diverged");
+        assert!(k.stats_identical, "serial vs dense kernel run diverged");
         assert!(k.sim_cycles > 0);
     }
 
@@ -1085,18 +1001,15 @@ mod tests {
         report.write_json(&mut buf).expect("vec write");
         let json = String::from_utf8(buf).expect("utf-8");
         for field in [
-            "\"schema\": \"snacknoc-perf-v2\"",
+            "\"schema\": \"snacknoc-perf-v3\"",
             "\"host_threads\"",
             "\"injected_flits\"",
             "\"flits_per_sec\"",
-            "\"active_cycles_per_sec\"",
+            "\"serial_cycles_per_sec\"",
             "\"dense_cycles_per_sec\"",
-            "\"event_cycles_per_sec\"",
             "\"dense_median_ns\"",
-            "\"event_median_ns\"",
-            "\"event_p90_ns\"",
+            "\"serial_p90_ns\"",
             "\"speedup\"",
-            "\"event_speedup\"",
             "\"shard\": [",
             "\"workers\": 1",
             "\"workers\": 2",
@@ -1108,7 +1021,6 @@ mod tests {
         }
         assert!(report.all_identical());
         assert!(report.idle_speedup().is_some());
-        assert!(report.idle_event_speedup().is_some());
         let (name, workers, speedup) = report.best_shard_speedup().expect("shard rows present");
         assert_eq!(name, "shard/4x4");
         assert!(workers == 1 || workers == 2);

@@ -12,7 +12,7 @@ use crate::token::{CompiledKernel, DataToken, Instruction, DATA_TOKEN_BYTES, INS
 use crate::rcu::{Emission, Rcu, RcuStats};
 use snacknoc_noc::{
     ConfigError, FaultCounters, FaultPlan, FaultPlanError, LinkFaultKind, Mesh, NetStats, Network,
-    NocConfig, NodeId, PacketSpec, StallReport, TimeWheel, TrafficClass,
+    NocConfig, NodeId, Packet, PacketSpec, StallReport, TrafficClass,
 };
 use snacknoc_trace::{EventKind, TracerHandle};
 use snacknoc_workloads::coherence::{AccessPattern, CohMessage, CoherentEngine};
@@ -391,26 +391,6 @@ enum AttemptEnd {
     Deadline,
 }
 
-/// Why the event-driven scheduler wants the platform awake at a given
-/// cycle. The calendar queue keys on the cycle; the source tags exist for
-/// debugging (which component bounded a jump) and to keep intra-cycle
-/// entries distinguishable.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum WakeSource {
-    /// The CMP workload engine has a due response or an expired think timer.
-    Engine,
-    /// CPM `i` has a fetch completion, queued issue work, or a watchdog
-    /// sweep deadline.
-    Cpm(usize),
-    /// RCU `i` leaves its execution-latency horizon.
-    Rcu(usize),
-    /// A fault-plan RCU-stall window opens (stalled RCUs accrue
-    /// `stalled_cycles` every cycle, so the window start is a state edge).
-    StallWindow,
-    /// The network's own calendar (fault-plan link-window edges).
-    Net,
-}
-
 /// The CMP workload sharing the platform's NoC.
 #[derive(Debug)]
 enum Workload {
@@ -467,19 +447,15 @@ pub struct SnackPlatform {
     /// allocation for the whole platform instead of one `Vec` per RCU
     /// per cycle.
     emit_scratch: Vec<Emission>,
-    /// Debug mode: tick every RCU densely each cycle (and forward dense
-    /// stepping to the network). Must be bit-identical to active-set
-    /// scheduling; `tests/determinism.rs` holds that proof.
+    /// Reused buffer for the phase-model engine's per-cycle injections.
+    cmp_specs: Vec<PacketSpec<CmpMessage>>,
+    /// Reused buffer the delivery dispatch drains each node into.
+    delivered: Vec<Packet<SnackPayload>>,
+    /// Reference mode: tick every RCU densely each cycle, never jump the
+    /// clock, and forward dense stepping to the network. Must be
+    /// bit-identical to serial stepping; `tests/determinism.rs` holds
+    /// that proof.
     dense: bool,
-    /// Event-driven time-wheel mode: when the whole platform is provably
-    /// quiescent, jump the clock to the earliest scheduled wake instead of
-    /// stepping cycle by cycle. Bit-identical to both other modes;
-    /// mutually exclusive with `dense`.
-    event: bool,
-    /// The calendar queue of component wakes, rebuilt at each jump
-    /// attempt (components are polled, not persistently subscribed — a
-    /// poll is cheap and immune to stale-entry bugs).
-    wheel: TimeWheel<WakeSource>,
     /// The virtual network carrying SnackNoC tokens: the last vnet, so the
     /// CMP workload owns the lower ones (2 for the phase model's
     /// request/response pair, 3 for the MESI protocol classes).
@@ -561,9 +537,9 @@ impl SnackPlatform {
             rcu_scratch: Vec::with_capacity(n),
             rcu_flag: vec![false; n],
             emit_scratch: Vec::new(),
+            cmp_specs: Vec::new(),
+            delivered: Vec::new(),
             dense: false,
-            event: false,
-            wheel: TimeWheel::new(),
             pcfg: PlatformConfig::default(),
             net,
         })
@@ -666,16 +642,18 @@ impl SnackPlatform {
         self.rcu_flag.iter_mut().for_each(|f| *f = false);
     }
 
-    /// Switches between activity-driven scheduling (the default) and the
-    /// dense reference loop that visits every component every cycle, in
-    /// both the platform's RCU phase and the underlying network (see
-    /// [`snacknoc_noc::Network::set_dense_stepping`]). The two modes are
-    /// bit-identical by construction; dense mode exists as the oracle for
-    /// that proof and for perf baselines.
+    /// Switches between serial stepping (the default) and the dense
+    /// reference loop that visits every component every cycle and never
+    /// jumps the clock, in both the platform's RCU phase and the
+    /// underlying network (see
+    /// [`snacknoc_noc::Network::set_dense_stepping`]). Serial stepping
+    /// visits only active components and, whenever the whole platform is
+    /// provably quiescent, jumps the clock to the earliest component wake
+    /// (DESIGN.md §12). The two modes are bit-identical by construction;
+    /// dense mode exists as the oracle for that proof and for perf
+    /// baselines.
     pub fn set_dense_stepping(&mut self, dense: bool) {
         self.dense = dense;
-        self.event = false;
-        self.net.set_event_stepping(false);
         self.net.set_dense_stepping(dense);
     }
 
@@ -684,33 +662,13 @@ impl SnackPlatform {
         self.dense
     }
 
-    /// Switches event-driven time-wheel stepping on or off (and forwards
-    /// the mode to the underlying network). In event mode the run loops
-    /// skip provably-dead cycles by jumping the clock to the earliest
-    /// component wake; per-cycle behaviour is otherwise the active-set
-    /// scheduler's. Bit-identical to dense and active stepping —
-    /// `tests/determinism.rs` and `tests/properties.rs` hold that proof.
-    /// Turning event mode on turns dense mode off and vice versa.
-    pub fn set_event_stepping(&mut self, on: bool) {
-        self.event = on;
-        if on {
-            self.dense = false;
-        }
-        self.net.set_event_stepping(on);
-    }
-
-    /// Whether event-driven time-wheel stepping is in force.
-    pub fn event_stepping(&self) -> bool {
-        self.event
-    }
-
     /// Partitions the underlying mesh into `shards` horizontal bands
     /// stepped by worker threads with deterministic boundary-flit
     /// exchange (forwards to [`snacknoc_noc::Network::set_sharding`];
-    /// `0` restores serial stepping). Sharding composes with active and
-    /// event stepping — the platform only jumps the clock when *all*
-    /// shards report quiescent — and is bit-identical to both, which
-    /// `tests/determinism.rs` holds as part of the four-mode matrix.
+    /// `0` restores serial stepping). The platform still jumps the clock,
+    /// once *all* shards report quiescent, and sharded stepping is
+    /// bit-identical to serial and dense stepping, which
+    /// `tests/determinism.rs` holds as part of the three-mode matrix.
     /// Turning dense mode on folds the shards back into the serial path.
     pub fn set_sharding(&mut self, shards: usize) -> Result<(), snacknoc_noc::ShardError> {
         if shards > 0 {
@@ -917,13 +875,13 @@ impl SnackPlatform {
         self.cpms.iter().map(|c| c.stats.kernels_completed).sum()
     }
 
-    /// Advances the platform by one step — or, in event mode, by one
-    /// clock jump capped at `cap` — and returns the new cycle. This is
-    /// the service loop's advance primitive: the service passes its next
-    /// scheduled event (pending arrival, abort deadline, horizon) as the
-    /// cap, so a jump never skips a cycle on which the service must act,
-    /// and every stepping mode observes service events at identical
-    /// cycles.
+    /// Advances the platform by one clock jump capped at `cap` when it is
+    /// quiescent (and not in dense mode), else by one step, and returns
+    /// the new cycle. This is the service loop's advance primitive: the
+    /// service passes its next scheduled event (pending arrival, abort
+    /// deadline, horizon) as the cap, so a jump never skips a cycle on
+    /// which the service must act, and every stepping mode observes
+    /// service events at identical cycles.
     pub fn step_or_jump(&mut self, cap: u64) -> u64 {
         if !self.maybe_jump(cap) {
             self.step();
@@ -1024,7 +982,8 @@ impl SnackPlatform {
         match &mut self.engine {
             None => {}
             Some(Workload::Phase(engine)) => {
-                for spec in engine.tick(now) {
+                engine.tick(now, &mut self.cmp_specs);
+                for spec in self.cmp_specs.drain(..) {
                     let mapped = PacketSpec::new(
                         spec.src,
                         spec.dst,
@@ -1214,11 +1173,24 @@ impl SnackPlatform {
         }
         // The network cycle.
         self.net.step();
-        // Deliveries.
+        // Deliveries, in node order, on cycles that ejected anything.
+        if self.net.has_ejected() {
+            self.dispatch_deliveries(dead_active);
+        }
+    }
+
+    /// Hands every packet the network ejected this cycle to its consumer,
+    /// node by node in index order, through the reused `delivered` buffer.
+    fn dispatch_deliveries(&mut self, dead_active: bool) {
         let now = self.net.cycle();
+        let mut delivered = std::mem::take(&mut self.delivered);
         for i in 0..self.nodes.len() {
+            if !self.net.has_ejected() {
+                break;
+            }
             let node = self.nodes[i];
-            for pkt in self.net.drain_ejected(node) {
+            self.net.drain_ejected_into(node, &mut delivered);
+            for pkt in delivered.drain(..) {
                 let corrupted = pkt.corrupted;
                 match pkt.payload {
                     SnackPayload::Cmp(msg) => {
@@ -1304,6 +1276,7 @@ impl SnackPlatform {
                 }
             }
         }
+        self.delivered = delivered;
     }
 
     /// Ticks RCU `i` through the reused emission scratch buffer and
@@ -1340,11 +1313,17 @@ impl SnackPlatform {
         self.emit_scratch = emissions;
     }
 
-    /// Attempts an event-driven clock jump: if the platform is provably
-    /// quiescent at the current cycle, every component schedules its next
-    /// wake into the calendar queue and the clock jumps to the earliest
-    /// one (capped at `cap`). Returns whether a jump happened; `false`
-    /// means the caller must take a real [`SnackPlatform::step`].
+    /// Attempts a clock jump: if the platform is provably quiescent at the
+    /// current cycle, every component reports its next wake and the clock
+    /// jumps to the earliest one (capped at `cap`). Returns whether a jump
+    /// happened; `false` means the caller must take a real
+    /// [`SnackPlatform::step`]. Dense mode never jumps.
+    ///
+    /// Cost: while the network holds any work the attempt is a handful of
+    /// O(1) worklist checks. A quiescent network adds one poll of the
+    /// workload engine (O(1) for the phase model), of each CPM, and of
+    /// each RCU on the active worklist — an RCU off it is idle and has
+    /// no wake.
     ///
     /// Soundness: a jump from `now` to `to` is taken only when every
     /// skipped [`SnackPlatform::step`] in `now..to` would have been a
@@ -1358,16 +1337,13 @@ impl SnackPlatform {
     /// only observable effect — idle statistics accounting — is replayed
     /// in bulk by [`snacknoc_noc::Network::advance_idle_to`].
     fn maybe_jump(&mut self, cap: u64) -> bool {
-        if !self.event {
-            return false;
-        }
         let now = self.net.cycle();
-        if cap <= now || !self.net.is_quiescent() {
+        if self.dense || cap <= now || !self.net.is_quiescent() {
             return false;
         }
-        debug_assert!(self.wheel.is_empty(), "wake wheel must be drained between jumps");
-        // Poll every component for its next wake. Any wake at (or before)
-        // `now` means the next step is not a no-op: abort the jump.
+        // Fold every component's next wake into `to`. Any wake at (or
+        // before) `now` means the next step is not a no-op: no jump.
+        let mut to = cap;
         let engine_wake = match &self.engine {
             None => None,
             Some(Workload::Phase(e)) => e.next_event_cycle(),
@@ -1377,7 +1353,7 @@ impl SnackPlatform {
             if w <= now {
                 return false;
             }
-            self.wheel.schedule(w, WakeSource::Engine);
+            to = to.min(w);
         }
         let dead_active = self.any_dead_nodes();
         for c in 0..self.cpms.len() {
@@ -1388,11 +1364,8 @@ impl SnackPlatform {
             }
             let congestion = self.net.useful_free_output_vcs(self.cpms[c].node());
             match self.cpms[c].next_wake(now, congestion) {
-                Some(w) if w <= now => {
-                    self.wheel.clear();
-                    return false;
-                }
-                Some(w) => self.wheel.schedule(w, WakeSource::Cpm(c)),
+                Some(w) if w <= now => return false,
+                Some(w) => to = to.min(w),
                 None => {}
             }
         }
@@ -1401,42 +1374,39 @@ impl SnackPlatform {
                 if plan.any_rcu_stalled(now) {
                     // Stalled RCUs are charged `stalled_cycles` every
                     // cycle of the window: stepping is mandatory.
-                    self.wheel.clear();
                     return false;
                 }
                 if let Some(s) = plan.next_rcu_stall_start_after(now) {
-                    self.wheel.schedule(s, WakeSource::StallWindow);
+                    to = to.min(s);
                 }
             }
         }
-        for (i, r) in self.rcus.iter().enumerate() {
+        debug_assert!(
+            self.rcus.iter().enumerate().all(|(i, r)| r.is_idle() || self.rcu_flag[i]),
+            "every busy RCU is on the worklist"
+        );
+        for &i in &self.rcu_active {
             // Dead RCUs never tick, so their frozen pending work must not
             // pin the clock (it would otherwise report a wake at `now`
             // forever and forbid every jump).
-            if dead_active
-                && self.net.fault_plan().is_some_and(|p| p.rcu_dead(self.nodes[i], now))
-            {
+            if dead_active && self.node_dead(self.nodes[i], now) {
                 continue;
             }
-            match r.next_wake(now) {
-                Some(w) if w <= now => {
-                    self.wheel.clear();
-                    return false;
-                }
-                Some(w) => self.wheel.schedule(w, WakeSource::Rcu(i)),
+            match self.rcus[i].next_wake(now) {
+                Some(w) if w <= now => return false,
+                Some(w) => to = to.min(w),
                 None => {}
             }
         }
         if let Some(w) = self.net.next_wake() {
-            self.wheel.schedule(w, WakeSource::Net);
+            to = to.min(w);
         }
-        let to = self.wheel.next_cycle().map_or(cap, |w| w.min(cap));
-        self.wheel.clear();
         self.net.advance_idle_to(to);
         true
     }
 
-    /// Steps (or, in event mode, jumps) until the clock reaches `target`.
+    /// Steps until the clock reaches `target`, jumping across provably
+    /// dead stretches unless in dense mode.
     pub fn step_until(&mut self, target: u64) {
         while self.net.cycle() < target {
             if !self.maybe_jump(target) {
@@ -1445,8 +1415,8 @@ impl SnackPlatform {
         }
     }
 
-    /// Runs `cycles` steps (event mode: jumps across provably-dead
-    /// stretches, landing on exactly the same cycle and statistics).
+    /// Runs `cycles` cycles (jumping across provably dead stretches,
+    /// landing on exactly the same cycle and statistics as stepping).
     pub fn run(&mut self, cycles: u64) {
         self.step_until(self.net.cycle() + cycles);
     }
@@ -1652,12 +1622,12 @@ impl SnackPlatform {
         }
     }
 
-    /// Steps (or, in event mode, jumps) until the kernel resident on CPM
-    /// `home` finishes, stalls for a full no-progress window, or reaches
-    /// the overall `deadline`. The stall cycle is
+    /// Steps (and jumps) until the kernel resident on CPM `home`
+    /// finishes, stalls for a full no-progress window, or reaches the
+    /// overall `deadline`. The stall cycle is
     /// `last_change + no_progress_window` exactly, in every stepping mode:
-    /// event-mode jumps are capped there, so the hang detector observes
-    /// the same cycle it would have fired at under dense stepping.
+    /// clock jumps are capped there, so the hang detector observes the
+    /// same cycle it would have fired at under dense stepping.
     fn run_attempt(&mut self, home: usize, deadline: u64) -> AttemptEnd {
         let window = self.pcfg.no_progress_window;
         let mut last_sig = self.progress_signature();
@@ -1763,9 +1733,9 @@ impl SnackPlatform {
                     self.submit_kernel(k).expect("cpm idle");
                 }
             }
-            // Event mode: jump across workload think-time gaps (a fresh
-            // submission parks a wake at `now` via the CPM's fetch path,
-            // so a jump never skips kernel work).
+            // Jump across workload think-time gaps (a fresh submission
+            // parks a wake at `now` via the CPM's fetch path, so a jump
+            // never skips kernel work).
             if !self.maybe_jump(deadline) {
                 self.step();
             }
@@ -2451,20 +2421,23 @@ mod tests {
         assert_eq!(run_a.outputs, run_b.outputs);
     }
 
-    /// Applies stepping mode 0 (dense), 1 (active, the default),
-    /// 2 (event), 3 (sharded ×2) or 4 (event + sharded ×2) to a fresh
-    /// platform.
+    /// Applies stepping mode 0 (dense), 1 (serial, the default) or
+    /// 2 (sharded ×2) to a fresh platform.
     fn set_mode(p: &mut SnackPlatform, mode: u8) {
         match mode {
             0 => p.set_dense_stepping(true),
             1 => {}
-            2 => p.set_event_stepping(true),
-            3 => p.set_sharding(2).expect("two shards fit the test mesh"),
-            _ => {
-                p.set_event_stepping(true);
-                p.set_sharding(2).expect("two shards fit the test mesh");
-            }
+            _ => p.set_sharding(2).expect("two shards fit the test mesh"),
         }
+    }
+
+    /// Runs `run` in every stepping mode, asserts serial and sharded
+    /// stepping reproduce the dense oracle, and returns the dense result.
+    fn modes_match_dense<T: PartialEq + fmt::Debug>(run: impl Fn(u8) -> T) -> T {
+        let dense = run(0);
+        assert_eq!(dense, run(1), "serial mode diverged from dense");
+        assert_eq!(dense, run(2), "sharded mode diverged from dense");
+        dense
     }
 
     /// A comparable snapshot of everything a stepping mode could perturb.
@@ -2488,19 +2461,19 @@ mod tests {
         )
     }
 
-    /// Satellite 1: an event-mode jump that lands exactly on the
-    /// no-progress deadline must time out at the *same cycle* as the
-    /// dense reference, with identical statistics — the watchdog fires
-    /// neither early (spuriously, mid-jump) nor late (jumped over).
+    /// A clock jump that lands exactly on the no-progress deadline must
+    /// time out at the *same cycle* as the dense reference, with
+    /// identical statistics — the watchdog fires neither early
+    /// (spuriously, mid-jump) nor late (jumped over).
     #[test]
-    fn event_mode_watchdog_fires_at_the_exact_dense_timeout_cycle() {
+    fn clock_jump_watchdog_fires_at_the_exact_dense_timeout_cycle() {
         let run = |mode: u8| {
             let mut p = platform();
             set_mode(&mut p, mode);
             let k = cross_pe_kernel(&p.mesh().clone());
             // Drop *everything*, protected classes included: the kernel
             // can never progress and the platform goes fully quiescent,
-            // so event mode's only path to the timeout is an idle jump
+            // so serial stepping's only path to the timeout is an idle jump
             // that lands exactly on `last_change + NO_PROGRESS_WINDOW`.
             let plan = FaultPlan::seeded(3)
                 .with_drop_rate(1.0)
@@ -2516,13 +2489,7 @@ mod tests {
                 other => panic!("expected KernelTimeout, got {other:?}"),
             }
         };
-        let dense = run(0);
-        let active = run(1);
-        let event = run(2);
-        assert_eq!(dense, active, "active mode diverged from dense");
-        assert_eq!(dense, event, "event mode diverged from dense");
-        assert_eq!(dense, run(3), "sharded mode diverged from dense");
-        assert_eq!(dense, run(4), "event+sharded mode diverged from dense");
+        let dense = modes_match_dense(run);
         assert!(
             dense.0 >= SnackPlatform::NO_PROGRESS_WINDOW
                 && dense.0 < SnackPlatform::NO_PROGRESS_WINDOW + 1_000,
@@ -2531,12 +2498,12 @@ mod tests {
         );
     }
 
-    /// Satellite 1: recovery-watchdog sweep deadlines are wheel events —
-    /// jumping across the post-blackout quiet period must reach each
-    /// sweep at exactly the dense cycle, declaring exactly the same
-    /// losses and replaying exactly the same tokens.
+    /// Recovery-watchdog sweep deadlines are component wakes — jumping
+    /// across the post-blackout quiet period must reach each sweep at
+    /// exactly the dense cycle, declaring exactly the same losses and
+    /// replaying exactly the same tokens.
     #[test]
-    fn event_mode_recovery_matches_dense_across_watchdog_deadlines() {
+    fn clock_jump_recovery_matches_dense_across_watchdog_deadlines() {
         let run = |mode: u8| {
             let mut p = platform();
             set_mode(&mut p, mode);
@@ -2547,20 +2514,15 @@ mod tests {
             let run = p.run_kernel(&k, 100_000).expect("kernel survives the outage");
             (run.cycles, run.outputs.clone(), mode_fingerprint(&mut p))
         };
-        let dense = run(0);
-        assert_eq!(dense, run(1), "active mode diverged from dense");
-        assert_eq!(dense, run(2), "event mode diverged from dense");
-        assert_eq!(dense, run(3), "sharded mode diverged from dense");
-        assert_eq!(dense, run(4), "event+sharded mode diverged from dense");
+        modes_match_dense(run);
     }
 
-    /// Satellite 1: a fault-free event-mode run with recovery armed must
-    /// never declare a loss — idle jumps crossing sweep deadlines are
-    /// observationally identical to stepping through them.
+    /// A fault-free run with recovery armed must never declare a loss —
+    /// idle jumps crossing sweep deadlines are observationally identical
+    /// to stepping through them.
     #[test]
     fn idle_jumps_do_not_trip_the_recovery_watchdog_spuriously() {
         let mut p = platform();
-        p.set_event_stepping(true);
         p.enable_recovery(RecoveryConfig::aggressive());
         let k = cross_pe_kernel(&p.mesh().clone());
         let run = p.run_kernel(&k, 100_000).expect("finishes");
@@ -2574,10 +2536,21 @@ mod tests {
         assert_eq!(p.recovery_stats().detected, 0);
     }
 
-    /// Event mode must produce the identical multiprogram result —
+    /// Leaving dense mode restores clock jumping: an idle platform then
+    /// crosses a million cycles in a single `step_or_jump`.
+    #[test]
+    fn leaving_dense_mode_restores_clock_jumps() {
+        let mut p = platform();
+        p.set_dense_stepping(true);
+        assert_eq!(p.step_or_jump(1_000_000), 1, "dense mode takes one step");
+        p.set_dense_stepping(false);
+        assert_eq!(p.step_or_jump(1_000_000), 1_000_000, "serial mode jumps to the cap");
+    }
+
+    /// Serial stepping must produce the identical multiprogram result —
     /// think-time gaps between workload bursts are where the jumps land.
     #[test]
-    fn event_mode_multiprogram_is_bit_identical() {
+    fn clock_jump_multiprogram_is_bit_identical() {
         let run = |mode: u8| {
             let mut p = platform();
             set_mode(&mut p, mode);
@@ -2594,11 +2567,7 @@ mod tests {
                 mode_fingerprint(&mut p),
             )
         };
-        let dense = run(0);
-        assert_eq!(dense, run(1), "active mode diverged from dense");
-        assert_eq!(dense, run(2), "event mode diverged from dense");
-        assert_eq!(dense, run(3), "sharded mode diverged from dense");
-        assert_eq!(dense, run(4), "event+sharded mode diverged from dense");
+        modes_match_dense(run);
     }
 
     #[test]
@@ -2624,11 +2593,7 @@ mod tests {
             assert_eq!(d.total_cycles(), run.cycles);
             (run.cycles, run.outputs.clone(), d, mode_fingerprint(&mut p))
         };
-        let dense = run(0);
-        assert_eq!(dense, run(1), "active mode diverged from dense");
-        assert_eq!(dense, run(2), "event mode diverged from dense");
-        assert_eq!(dense, run(3), "sharded mode diverged from dense");
-        assert_eq!(dense, run(4), "event+sharded mode diverged from dense");
+        modes_match_dense(run);
     }
 
     #[test]
@@ -2658,11 +2623,7 @@ mod tests {
             assert_eq!(d.final_attempt_cycles, run.cycles);
             (run.cycles, run.outputs.clone(), d, mode_fingerprint(&mut p))
         };
-        let dense = run(0);
-        assert_eq!(dense, run(1), "active mode diverged from dense");
-        assert_eq!(dense, run(2), "event mode diverged from dense");
-        assert_eq!(dense, run(3), "sharded mode diverged from dense");
-        assert_eq!(dense, run(4), "event+sharded mode diverged from dense");
+        modes_match_dense(run);
     }
 
     #[test]
@@ -2686,11 +2647,7 @@ mod tests {
             assert_eq!(d.dead_rcus, 1);
             (run.cycles, run.outputs.clone(), d, mode_fingerprint(&mut p))
         };
-        let dense = run(0);
-        assert_eq!(dense, run(1), "active mode diverged from dense");
-        assert_eq!(dense, run(2), "event mode diverged from dense");
-        assert_eq!(dense, run(3), "sharded mode diverged from dense");
-        assert_eq!(dense, run(4), "event+sharded mode diverged from dense");
+        modes_match_dense(run);
     }
 
     #[test]

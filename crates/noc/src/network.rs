@@ -122,6 +122,9 @@ pub struct Network<P> {
     pending_credits: Vec<CreditMsg>,
     reassembly: HashMap<PacketId, Partial>,
     ejected: Vec<Vec<Packet<P>>>,
+    /// Packets in `ejected` not yet drained, so [`Network::has_ejected`]
+    /// need not scan every node.
+    ejected_count: usize,
     /// Dedup flags for the router worklist: `work[r]` ⟺ `r ∈ active`.
     work: Vec<bool>,
     /// The router worklist. Between cycles it holds exactly the routers
@@ -152,16 +155,11 @@ pub struct Network<P> {
     /// Phase-4 scratch for router departures.
     departures_scratch: Vec<Departure>,
     /// Dense (reference) stepping: every phase walks every component, as
-    /// the pre-activity-driven simulator did. Bit-identical to the
-    /// active-set schedule — `tests/determinism.rs` proves it — and kept
-    /// as the debug baseline the `snack-perf` speedups are measured
-    /// against.
+    /// the pre-activity-driven simulator did, and the clock never jumps.
+    /// Bit-identical to the serial schedule — `tests/determinism.rs`
+    /// proves it — and kept as the oracle and the baseline the
+    /// `snack-perf` speedups are measured against.
     dense: bool,
-    /// Event-driven stepping: when every worklist is empty,
-    /// [`Network::step_until`] jumps the clock straight to the next
-    /// scheduled wake event (or the target) instead of iterating dead
-    /// cycles. Bit-identical to both other modes; see DESIGN.md §12.
-    event: bool,
     /// Calendar queue of future wake cycles. Worklist-driven components
     /// wake "now" by construction; the wheel holds only timed events —
     /// currently the fault-plan window edges, scheduled once at
@@ -298,6 +296,7 @@ impl<P> Network<P> {
             pending_credits: Vec::new(),
             reassembly: HashMap::new(),
             ejected: (0..n).map(|_| Vec::new()).collect(),
+            ejected_count: 0,
             work: vec![false; n],
             active: Vec::with_capacity(n),
             active_scratch: Vec::with_capacity(n),
@@ -311,7 +310,6 @@ impl<P> Network<P> {
             credits_scratch: Vec::new(),
             departures_scratch: Vec::new(),
             dense: false,
-            event: false,
             wheel: TimeWheel::new(),
             cycle: 0,
             next_packet_id: 0,
@@ -353,7 +351,7 @@ impl<P> Network<P> {
         let link_of = &self.link_of;
         let state =
             FaultState::compile(plan, |node, dir| link_of[node.index()][dir.index()])?;
-        // Every window edge becomes a wake event: an event-mode jump stops
+        // Every window edge becomes a wake event: a clock jump stops
         // at each edge instead of silently crossing a window that opens
         // and closes inside the jumped interval.
         self.wheel.clear();
@@ -533,19 +531,35 @@ impl<P> Network<P> {
 
     /// Takes all packets delivered to `node` since the last drain.
     pub fn drain_ejected(&mut self, node: NodeId) -> Vec<Packet<P>> {
-        std::mem::take(&mut self.ejected[node.index()])
+        let packets = std::mem::take(&mut self.ejected[node.index()]);
+        self.ejected_count -= packets.len();
+        packets
     }
 
     /// Moves all packets delivered to `node` into `out`, preserving the
     /// internal buffer's capacity — the allocation-free counterpart of
     /// [`Network::drain_ejected`] for steady-state delivery loops.
     pub fn drain_ejected_into(&mut self, node: NodeId, out: &mut Vec<Packet<P>>) {
-        out.append(&mut self.ejected[node.index()]);
+        let queue = &mut self.ejected[node.index()];
+        self.ejected_count -= queue.len();
+        out.append(queue);
     }
 
-    /// Whether any node currently has undrained delivered packets.
+    /// Whether any node currently has undrained delivered packets. O(1):
+    /// maintained incrementally at ejection and drain.
     pub fn has_ejected(&self) -> bool {
-        self.ejected.iter().any(|q| !q.is_empty())
+        debug_assert_eq!(
+            self.ejected_count,
+            self.ejected.iter().map(Vec::len).sum::<usize>(),
+            "incremental ejected-packet counter out of sync"
+        );
+        self.ejected_count > 0
+    }
+
+    /// Records `packet` as delivered at `node`, awaiting a drain.
+    fn push_ejected(&mut self, node: usize, packet: Packet<P>) {
+        self.ejected[node].push(packet);
+        self.ejected_count += 1;
     }
 
     /// Packets injected but not yet fully delivered, excluding packets
@@ -588,17 +602,19 @@ impl<P> Network<P> {
         self.ni_backlog_total
     }
 
-    /// Switches between the activity-driven scheduler (the default) and
-    /// the dense reference loop that walks every router, link and NI each
-    /// cycle. Both modes are bit-identical — dense stepping exists as the
-    /// verification baseline (`tests/determinism.rs`,
-    /// `tests/properties.rs`) and as the denominator for the `snack-perf`
-    /// speedup report. Safe to flip between cycles: both modes keep the
-    /// worklists consistent.
+    /// Switches between serial stepping (the default) and the dense
+    /// reference loop that walks every router, link and NI each cycle and
+    /// never jumps the clock. Serial stepping visits only the components
+    /// on its worklists and, whenever the network is provably quiescent,
+    /// lets [`Network::step_until`] and [`Network::run`] jump the clock
+    /// straight to the next wake event (DESIGN.md §12). Both modes are
+    /// bit-identical — dense stepping exists as the verification oracle
+    /// (`tests/determinism.rs`, `tests/properties.rs`) and as the
+    /// denominator for the `snack-perf` speedup report. Safe to flip
+    /// between cycles: both modes keep the worklists consistent.
     pub fn set_dense_stepping(&mut self, dense: bool) {
         self.dense = dense;
         if dense {
-            self.event = false;
             // Dense stepping walks the serial worklists; fold any sharded
             // state back into them first.
             sharded::unshard(self);
@@ -608,24 +624,6 @@ impl<P> Network<P> {
     /// Whether the dense reference loop is active.
     pub fn dense_stepping(&self) -> bool {
         self.dense
-    }
-
-    /// Enables or disables event-driven stepping (DESIGN.md §12): per-cycle
-    /// stepping stays the active-set schedule, but whenever the network is
-    /// provably quiescent, [`Network::step_until`] and [`Network::run`]
-    /// jump the clock directly to the next wake event instead of iterating
-    /// dead cycles. Bit-identical to the active and dense modes; enabling
-    /// it turns dense stepping off.
-    pub fn set_event_stepping(&mut self, on: bool) {
-        self.event = on;
-        if on {
-            self.dense = false;
-        }
-    }
-
-    /// Whether event-driven stepping is enabled.
-    pub fn event_stepping(&self) -> bool {
-        self.event
     }
 
     /// Whether a [`Network::step`] right now would be a provable no-op
@@ -673,12 +671,12 @@ impl<P> Network<P> {
     }
 
     /// Advances the clock to exactly `target`, stepping active cycles one
-    /// at a time and — in event mode — jumping over provably-dead
-    /// stretches (landing on every scheduled wake event in between). In
-    /// active/dense mode this is plain per-cycle stepping to `target`.
+    /// at a time and jumping over provably-dead stretches (landing on
+    /// every scheduled wake event in between). In dense mode this is
+    /// plain per-cycle stepping to `target`.
     pub fn step_until(&mut self, target: u64) {
         while self.cycle < target {
-            if self.event && self.is_quiescent() {
+            if !self.dense && self.is_quiescent() {
                 let to = self.next_wake().map_or(target, |w| w.min(target));
                 if to > self.cycle {
                     self.advance_idle_to(to);
@@ -687,9 +685,9 @@ impl<P> Network<P> {
             }
             if self.sharding.is_some() {
                 // Amortize the thread-scope setup over the whole stretch.
-                // In event mode the batch returns early once every shard
-                // is provably quiescent, handing control back to the
-                // clock-jump branch above.
+                // The batch returns early once every shard is provably
+                // quiescent, handing control back to the clock-jump
+                // branch above.
                 sharded::step_batch(self, target - self.cycle);
                 continue;
             }
@@ -888,7 +886,7 @@ impl<P> Network<P> {
         self.stats.end_cycle(cycle);
     }
 
-    /// Runs `cycles` steps (jumping dead stretches in event mode).
+    /// Runs `cycles` steps (jumping dead stretches unless dense).
     pub fn run(&mut self, cycles: u64) {
         self.step_until(self.cycle + cycles);
     }
@@ -1194,7 +1192,7 @@ impl<P> Network<P> {
             });
             self.stats.record_delivery(packet.class, partial.flits, packet.latency());
             self.delivered_packets += 1;
-            self.ejected[node].push(packet);
+            self.push_ejected(node, packet);
         }
     }
 
@@ -1245,9 +1243,9 @@ impl<P> Network<P> {
     /// `tests/determinism.rs` and `tests/properties.rs` prove it against
     /// the dense oracle.
     ///
-    /// Sharding composes with event stepping (the clock still jumps dead
-    /// stretches, once *all* shards are quiescent) and turns dense
-    /// stepping off; enabling dense stepping folds the shards back.
+    /// The clock still jumps dead stretches, once *all* shards are
+    /// quiescent. Sharding turns dense stepping off; enabling dense
+    /// stepping folds the shards back.
     /// Sharded stepping records no tracer events (install
     /// [`TracerHandle::Nop`] semantics apply regardless of the handle).
     ///
@@ -1946,13 +1944,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_event_stepping_jumps_dead_cycles_identically() {
+    fn sharded_stepping_jumps_dead_cycles_identically() {
         let run = |shards: usize| {
             let mut n = net(NocConfig::binochs().with_sample_window(100));
-            n.set_event_stepping(true);
             if shards > 0 {
                 n.set_sharding(shards).unwrap();
-                assert!(n.event_stepping(), "sharding composes with event mode");
             }
             let src = n.mesh().node_at(0, 0);
             let dst = n.mesh().node_at(3, 3);
@@ -1966,9 +1962,9 @@ mod tests {
             run_fingerprint(&mut n)
         };
         let serial = run(0);
-        assert_eq!(serial.0, 50_000, "event mode lands exactly on the target");
+        assert_eq!(serial.0, 50_000, "the jump lands exactly on the target");
         for shards in [1, 2, 4] {
-            assert_eq!(run(shards), serial, "{shards}-shard event run identical");
+            assert_eq!(run(shards), serial, "{shards}-shard jumping run identical");
         }
     }
 

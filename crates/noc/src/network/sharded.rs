@@ -26,8 +26,8 @@
 //! ## Cycle structure and determinism
 //!
 //! Each simulated cycle runs the same five phases as the serial loop,
-//! separated by three barriers (a fourth only in event mode, for the
-//! all-shards-quiescent vote):
+//! separated by three barriers, plus a fourth for the all-shards-quiescent
+//! vote that hands a dead stretch to the clock jump:
 //!
 //! ```text
 //! Ph1 credits (own, then mail in sender order)        | barrier
@@ -35,7 +35,7 @@
 //! Ph3 NI injection (own nodes ascending)              | barrier
 //! Ph4 retire mail, then routers (own ascending)
 //! Ph5 occupancy samples + window rolls                | barrier
-//! [event mode: quiescence vote]                       | barrier
+//! quiescence vote                                     | barrier
 //! ```
 //!
 //! Bit-identity with the serial modes holds because every cross-shard
@@ -187,7 +187,7 @@ pub(super) struct Sharding {
     lanes: Vec<Lane>,
     /// `mail[from * tiles + to]` = the directed cell between two shards.
     mail: Vec<Mutex<MailCell>>,
-    /// Per-shard has-work flags for the event-mode quiescence vote.
+    /// Per-shard has-work flags for the quiescence vote.
     busy: Vec<AtomicBool>,
 }
 
@@ -414,7 +414,7 @@ fn resolve_pool_work<P>(net: &mut Network<P>, lane: &mut Lane) {
         };
         net.stats.record_delivery(packet.class, e.flits, packet.latency());
         net.delivered_packets += 1;
-        net.ejected[e.node].push(packet);
+        net.push_ejected(e.node, packet);
     }
     for r in lane.freed.drain(..) {
         net.pool.release(r);
@@ -437,7 +437,6 @@ struct SharedCtx<'a> {
     start_cycle: u64,
     max_cycles: u64,
     use_down: bool,
-    event: bool,
     per_router_capacity: f64,
     window: u64,
     start_in_window: u64,
@@ -871,8 +870,8 @@ impl WorkerCtx<'_> {
         self.lane.stats.occupancy.record_zeros(zeros);
     }
 
-    /// Event-mode quiescence vote input: own worklists plus every inbound
-    /// mailbox cell (all peers' sends completed before the vote barrier).
+    /// Quiescence vote input: own worklists plus every inbound mailbox
+    /// cell (all peers' sends completed before the vote barrier).
     fn has_work(&self, sh: &SharedCtx<'_>) -> bool {
         if self.lane.has_own_work() {
             return true;
@@ -882,9 +881,9 @@ impl WorkerCtx<'_> {
 }
 
 /// One worker thread's batch loop: `max_cycles` barrier-synchronized
-/// cycles, breaking early (event mode only) once every shard votes
-/// quiescent. All workers observe identical votes, so they break at the
-/// same cycle; worker 0 publishes the count.
+/// cycles, breaking early once every shard votes quiescent. All workers
+/// observe identical votes, so they break at the same cycle; worker 0
+/// publishes the count.
 fn worker(mut ctx: WorkerCtx<'_>, sh: &SharedCtx<'_>) {
     let cap = sh.cfg.buffers_per_vc as usize;
     let mut tracer = TracerHandle::Nop;
@@ -914,13 +913,11 @@ fn worker(mut ctx: WorkerCtx<'_>, sh: &SharedCtx<'_>) {
             in_window = 0;
         }
         sh.barrier.wait();
-        if sh.event {
-            sh.busy[ctx.tile].store(ctx.has_work(sh), Ordering::SeqCst);
-            sh.barrier.wait();
-            if sh.busy.iter().all(|b| !b.load(Ordering::SeqCst)) {
-                done = i + 1;
-                break;
-            }
+        sh.busy[ctx.tile].store(ctx.has_work(sh), Ordering::SeqCst);
+        sh.barrier.wait();
+        if sh.busy.iter().all(|b| !b.load(Ordering::SeqCst)) {
+            done = i + 1;
+            break;
         }
     }
     if ctx.tile == 0 {
@@ -931,8 +928,8 @@ fn worker(mut ctx: WorkerCtx<'_>, sh: &SharedCtx<'_>) {
 /// Steps the network up to `max_cycles` cycles with one scoped worker
 /// thread per shard, then folds the per-shard stats deltas back into the
 /// network totals in shard-index order. Returns the cycles actually
-/// stepped (fewer than `max_cycles` only in event mode, when every shard
-/// went quiescent — the caller's clock-jump logic takes over).
+/// stepped (fewer than `max_cycles` only when every shard went
+/// quiescent — the caller's clock-jump logic takes over).
 pub(super) fn step_batch<P>(net: &mut Network<P>, max_cycles: u64) -> u64 {
     if max_cycles == 0 {
         return 0;
@@ -973,7 +970,6 @@ pub(super) fn step_batch<P>(net: &mut Network<P>, max_cycles: u64) -> u64 {
             start_cycle,
             max_cycles,
             use_down,
-            event: net.event,
             per_router_capacity,
             window,
             start_in_window,

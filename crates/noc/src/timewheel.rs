@@ -1,11 +1,10 @@
-//! A deterministic calendar queue for event-driven stepping.
+//! A deterministic calendar queue for clock jumps.
 //!
-//! The simulator's event mode (DESIGN.md §12) advances the clock directly
-//! to the next cycle at which *anything* can happen instead of iterating
-//! dead cycles. Timed wake-ups — fault-plan window edges, CPM watchdog
-//! sweeps, DRAM fetch completions, RCU busy horizons, run-loop deadlines —
-//! are scheduled here; worklist-driven components (routers, links, NI
-//! queues) wake "now" by construction and never enter the wheel.
+//! Serial stepping (DESIGN.md §12) advances the clock directly to the
+//! next cycle at which *anything* can happen instead of iterating dead
+//! cycles. The network schedules its timed wake-ups — fault-plan window
+//! edges — here; worklist-driven components (routers, links, NI queues)
+//! wake "now" by construction and never enter the wheel.
 //!
 //! Determinism rules:
 //!

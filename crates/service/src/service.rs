@@ -13,40 +13,29 @@ use snacknoc_workloads::BenchmarkProfile;
 use std::collections::VecDeque;
 use std::fmt;
 
-/// Stepping-mode selector: the five modes of the determinism suite. The
+/// Stepping-mode selector: the three modes of the determinism suite. The
 /// service report is bit-identical across all of them for any valid spec.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Stepping {
-    /// Reference dense loop: every router stepped every cycle.
+    /// Reference dense loop: every router stepped every cycle, no jumps.
     Dense,
-    /// Active-set scheduler (the platform default).
-    Active,
-    /// Event-driven time-wheel with clock jumps across idle gaps.
-    Event,
-    /// Sharded mesh stepping (two shards).
+    /// Active-set scheduler with clock jumps across idle gaps (the
+    /// platform default).
+    Serial,
+    /// Sharded mesh stepping (two shards), with clock jumps.
     Sharded,
-    /// Event-driven stepping on a sharded mesh.
-    EventSharded,
 }
 
 impl Stepping {
-    /// All five modes, in the determinism suite's order.
-    pub const ALL: [Stepping; 5] = [
-        Stepping::Dense,
-        Stepping::Active,
-        Stepping::Event,
-        Stepping::Sharded,
-        Stepping::EventSharded,
-    ];
+    /// All three modes, in the determinism suite's order.
+    pub const ALL: [Stepping; 3] = [Stepping::Dense, Stepping::Serial, Stepping::Sharded];
 
     /// Short stable name (used in reports and JSON).
     pub fn name(self) -> &'static str {
         match self {
             Stepping::Dense => "dense",
-            Stepping::Active => "active",
-            Stepping::Event => "event",
+            Stepping::Serial => "serial",
             Stepping::Sharded => "sharded",
-            Stepping::EventSharded => "event+sharded",
         }
     }
 
@@ -54,13 +43,8 @@ impl Stepping {
     pub fn apply(self, p: &mut SnackPlatform) {
         match self {
             Stepping::Dense => p.set_dense_stepping(true),
-            Stepping::Active => {}
-            Stepping::Event => p.set_event_stepping(true),
+            Stepping::Serial => {}
             Stepping::Sharded => {
-                p.set_sharding(2).expect("two shards fit every preset mesh");
-            }
-            Stepping::EventSharded => {
-                p.set_event_stepping(true);
                 p.set_sharding(2).expect("two shards fit every preset mesh");
             }
         }
@@ -120,7 +104,7 @@ impl ServiceSpec {
             horizon: 40_000,
             drain: 20_000,
             platform: PlatformConfig::default(),
-            stepping: Stepping::Active,
+            stepping: Stepping::Serial,
             seed,
             workload: None,
             fault_plan: None,
@@ -428,11 +412,11 @@ struct Job {
 /// collect completions (CPM index order) → abort kernels past the
 /// per-kernel cycle cap → admit arrivals due at or before `now` (tenant
 /// index order) → dispatch queued jobs onto idle live CPMs (aged class
-/// priority, FIFO within class) → advance the platform one step, or in
-/// event mode one clock jump capped at the next service event. Every
-/// decision is keyed on mode-invariant quantities (completion cycles are
-/// derived from the CPM's writeback cycle, not the observation cycle), so
-/// the report is bit-identical across all five stepping modes.
+/// priority, FIFO within class) → advance the platform one step, or
+/// one clock jump capped at the next service event. Every decision is
+/// keyed on mode-invariant quantities (completion cycles are derived from
+/// the CPM's writeback cycle, not the observation cycle), so the report is
+/// bit-identical across all three stepping modes.
 ///
 /// # Errors
 ///
@@ -853,7 +837,7 @@ mod tests {
     }
 
     #[test]
-    fn five_stepping_modes_are_bit_identical_on_the_demo() {
+    fn stepping_modes_are_bit_identical_on_the_demo() {
         let base = three_class_demo(23);
         let mut prints = Vec::new();
         for mode in Stepping::ALL {

@@ -2,10 +2,10 @@
 //! producing packet injections and consuming deliveries.
 //!
 //! The engine is network-agnostic: callers pump it with [`TrafficEngine::tick`]
-//! (returns the packets to inject this cycle) and [`TrafficEngine::deliver`]
-//! (hand over every ejected communication packet). This lets the same engine
-//! drive a plain NoC (Figs. 1–3) or share the NoC with the SnackNoC platform
-//! (Figs. 11–13) without owning the network.
+//! (appends the packets to inject this cycle to a caller-owned buffer) and
+//! [`TrafficEngine::deliver`] (hand over every ejected communication packet).
+//! This lets the same engine drive a plain NoC (Figs. 1–3) or share the NoC
+//! with the SnackNoC platform (Figs. 11–13) without owning the network.
 
 use crate::message::{CmpMessage, VNET_REQUEST, VNET_RESPONSE};
 use crate::profile::{BenchmarkProfile, DestModel};
@@ -22,9 +22,8 @@ const BURST_RUN: u64 = 8;
 /// Interval compression inside a burst.
 const BURST_SPEEDUP: f64 = 4.0;
 
-
-
-/// Marks a slot whose request is still in flight.
+/// Marks a slot whose request is still in flight. Being `u64::MAX`, it
+/// also reads as "never ready" in a minimum over ready times.
 const IN_FLIGHT: u64 = u64::MAX;
 
 /// Per-core issue state.
@@ -82,6 +81,12 @@ pub struct TrafficEngine {
     total_issued: u64,
     total_completed: u64,
     finished_at: Option<u64>,
+    /// The earliest ready time over every slot of every core still in
+    /// its phase program ([`IN_FLIGHT`] when there is none): no core can
+    /// issue before it. A response lowers it in [`TrafficEngine::deliver`];
+    /// a `tick` that reaches it issues and recomputes it. Must equal
+    /// `scan_next_ready()`.
+    next_ready: u64,
 }
 
 impl TrafficEngine {
@@ -107,7 +112,7 @@ impl TrafficEngine {
                 next_req_id: 0,
             })
             .collect();
-        TrafficEngine {
+        let mut engine = TrafficEngine {
             mem_controllers: mesh.corner_nodes(),
             profile,
             mesh,
@@ -118,7 +123,10 @@ impl TrafficEngine {
             total_issued: 0,
             total_completed: 0,
             finished_at: None,
-        }
+            next_ready: IN_FLIGHT,
+        };
+        engine.next_ready = engine.scan_next_ready();
+        engine
     }
 
     /// Whether every core has issued and received all its requests.
@@ -147,10 +155,11 @@ impl TrafficEngine {
         self.profile.requests_per_core() * self.mesh.node_count() as u64
     }
 
-    /// Produces the packets to inject at `cycle`: due service responses and
-    /// new core requests (at most one new request per core per cycle).
-    pub fn tick(&mut self, cycle: u64) -> Vec<PacketSpec<CmpMessage>> {
-        let mut out = Vec::new();
+    /// Appends the packets to inject at `cycle` to `out`: due service
+    /// responses and new core requests (at most one new request per core
+    /// per cycle). Before the earliest ready slot, this costs one heap peek
+    /// and one comparison however many cores there are.
+    pub fn tick(&mut self, cycle: u64, out: &mut Vec<PacketSpec<CmpMessage>>) {
         // Due responses leave their service node.
         while let Some(Reverse(r)) = self.responses.peek() {
             if r.due > cycle {
@@ -166,13 +175,19 @@ impl TrafficEngine {
                 r.msg,
             ));
         }
-        // New requests.
+        if cycle < self.next_ready {
+            debug_assert_eq!(self.next_ready, self.scan_next_ready(), "cached next-ready cycle");
+            return;
+        }
+        // New requests; the same pass recomputes the earliest ready slot.
+        let mut next = IN_FLIGHT;
         for c in 0..self.cores.len() {
             if let Some(spec) = self.try_issue(c, cycle) {
                 out.push(spec);
             }
+            next = next.min(self.core_next_ready(c));
         }
-        out
+        self.next_ready = next;
     }
 
     /// The earliest cycle at which [`TrafficEngine::tick`] can produce a
@@ -183,24 +198,25 @@ impl TrafficEngine {
     /// response is due and no slot's think timer has expired, and neither
     /// changes without the passage of time or a delivery.
     pub fn next_event_cycle(&self) -> Option<u64> {
-        let mut next: Option<u64> = None;
-        let mut merge = |cycle: u64| {
-            next = Some(next.map_or(cycle, |n: u64| n.min(cycle)));
-        };
-        if let Some(Reverse(r)) = self.responses.peek() {
-            merge(r.due);
+        debug_assert_eq!(self.next_ready, self.scan_next_ready(), "cached next-ready cycle");
+        let due = self.responses.peek().map_or(IN_FLIGHT, |Reverse(r)| r.due);
+        let next = due.min(self.next_ready);
+        (next != IN_FLIGHT).then_some(next)
+    }
+
+    /// The earliest ready slot of core `c`, or [`IN_FLIGHT`] when the core
+    /// has finished its phase program or every slot is in flight.
+    fn core_next_ready(&self, c: usize) -> u64 {
+        let core = &self.cores[c];
+        if core.phase >= self.profile.phases.len() {
+            return IN_FLIGHT;
         }
-        for core in &self.cores {
-            if core.phase >= self.profile.phases.len() {
-                continue;
-            }
-            for &ready in &core.slots {
-                if ready != IN_FLIGHT {
-                    merge(ready);
-                }
-            }
-        }
-        next
+        core.slots.iter().copied().min().unwrap_or(IN_FLIGHT)
+    }
+
+    /// The cached `next_ready`, recomputed from scratch.
+    fn scan_next_ready(&self) -> u64 {
+        (0..self.cores.len()).map(|c| self.core_next_ready(c)).min().unwrap_or(IN_FLIGHT)
     }
 
     /// Hands the engine a delivered communication message.
@@ -234,9 +250,13 @@ impl TrafficEngine {
             };
             let slot = (req_id & 0xff) as usize;
             let think = self.sample_think(c, req_id >> 8);
+            let in_program = self.cores[c].phase < self.profile.phases.len();
             let core = &mut self.cores[c];
             debug_assert_eq!(core.slots[slot], IN_FLIGHT, "response without outstanding request");
             core.slots[slot] = cycle + think;
+            if in_program {
+                self.next_ready = self.next_ready.min(cycle + think);
+            }
             core.completed += 1;
             self.total_completed += 1;
             if self.total_completed == self.total_requests() && self.finished_at.is_none() {
@@ -364,10 +384,11 @@ mod tests {
         let mesh = Mesh::new(4, 4);
         let mut eng = TrafficEngine::new(tiny_profile(), mesh, 1);
         let mut cycle = 0;
+        let mut specs = Vec::new();
         while !eng.done() && cycle < 100_000 {
             cycle += 1;
-            let specs = eng.tick(cycle);
-            for s in specs {
+            eng.tick(cycle, &mut specs);
+            for s in specs.drain(..) {
                 eng.deliver(cycle, s.dst, s.payload);
             }
         }
@@ -388,8 +409,10 @@ mod tests {
         let mut eng = TrafficEngine::new(profile, mesh, 3);
         // Never deliver responses: issues must stall at the window.
         let mut total = 0;
+        let mut specs = Vec::new();
         for cycle in 1..1_000 {
-            let specs = eng.tick(cycle);
+            specs.clear();
+            eng.tick(cycle, &mut specs);
             total += specs.iter().filter(|s| s.payload.is_request()).count();
             // Requests delivered to the service node generate responses we
             // deliberately drop (they stay in the heap unread).
@@ -404,8 +427,10 @@ mod tests {
         let run = |seed| {
             let mut eng = TrafficEngine::new(tiny_profile(), mesh, seed);
             let mut log = Vec::new();
+            let mut specs = Vec::new();
             for cycle in 1..500 {
-                for s in eng.tick(cycle) {
+                eng.tick(cycle, &mut specs);
+                for s in specs.drain(..) {
                     log.push((cycle, s.src.index(), s.dst.index()));
                     eng.deliver(cycle, s.dst, s.payload);
                 }
@@ -426,8 +451,10 @@ mod tests {
         };
         let mut eng = TrafficEngine::new(profile, mesh, 11);
         let corners = mesh.corner_nodes();
+        let mut specs = Vec::new();
         for cycle in 1..5_000 {
-            for s in eng.tick(cycle) {
+            eng.tick(cycle, &mut specs);
+            for s in specs.drain(..) {
                 if s.payload.is_request() {
                     assert!(corners.contains(&s.dst));
                 }
@@ -445,11 +472,72 @@ mod tests {
         let l2 = mesh.node_at(1, 1);
         eng.deliver(100, l2, CmpMessage::ReadReq { core, req_id: 0 });
         // Response must not appear before the L2 service latency elapses.
-        let early = eng.tick(100 + L2_SERVICE_LATENCY - 1);
+        let mut early = Vec::new();
+        eng.tick(100 + L2_SERVICE_LATENCY - 1, &mut early);
         assert!(early.iter().all(|s| s.payload.is_request()));
-        let due = eng.tick(100 + L2_SERVICE_LATENCY);
+        let mut due = Vec::new();
+        eng.tick(100 + L2_SERVICE_LATENCY, &mut due);
         assert!(due
             .iter()
             .any(|s| matches!(s.payload, CmpMessage::ReadResp { .. }) && s.src == l2));
+    }
+
+    /// The wake the engine reports, recomputed naively from every pending
+    /// response and every slot of every core still in its phase program.
+    fn naive_next_event(eng: &TrafficEngine) -> Option<u64> {
+        let mut wakes: Vec<u64> = eng.responses.iter().map(|Reverse(r)| r.due).collect();
+        for core in &eng.cores {
+            if core.phase < eng.profile.phases.len() {
+                wakes.extend(core.slots.iter().copied().filter(|&t| t != IN_FLIGHT));
+            }
+        }
+        wakes.into_iter().min()
+    }
+
+    /// The cached next-ready cycle behind `next_event_cycle` matches a
+    /// naive recomputation on every cycle of a multi-phase, multi-slot
+    /// run: across phase changes, on the cycle the last phase ends (after
+    /// which finished cores must stop counting), and until the run drains.
+    #[test]
+    fn next_event_cycle_matches_a_naive_scan_every_cycle() {
+        let mesh = Mesh::new(4, 4);
+        let profile = BenchmarkProfile {
+            name: "phased",
+            phases: vec![
+                Phase::smooth(3, 30.0),
+                Phase::smooth(2, 4.0).with_dest(DestModel::MemoryHotspot),
+                Phase::smooth(4, 60.0).with_burstiness(0.5),
+            ],
+            outstanding: 3,
+        };
+        let mut eng = TrafficEngine::new(profile, mesh, 17);
+        // A fixed 7-cycle "network" between tick and deliver.
+        let mut in_flight: Vec<(u64, NodeId, CmpMessage)> = Vec::new();
+        let mut specs = Vec::new();
+        let mut last_phase_end = None;
+        let mut cycle = 0;
+        while !eng.done() {
+            assert!(cycle < 200_000, "engine must finish");
+            assert_eq!(eng.next_event_cycle(), naive_next_event(&eng), "before tick at {cycle}");
+            eng.tick(cycle, &mut specs);
+            for s in specs.drain(..) {
+                in_flight.push((cycle + 7, s.dst, s.payload));
+            }
+            if last_phase_end.is_none() && eng.issued() == eng.total_requests() {
+                last_phase_end = Some(cycle);
+            }
+            assert_eq!(eng.next_event_cycle(), naive_next_event(&eng), "after tick at {cycle}");
+            cycle += 1;
+            let (due, later): (Vec<_>, Vec<_>) =
+                in_flight.into_iter().partition(|&(at, _, _)| at == cycle);
+            in_flight = later;
+            for (_, at, msg) in due {
+                eng.deliver(cycle, at, msg);
+            }
+            assert_eq!(eng.next_event_cycle(), naive_next_event(&eng), "after deliver at {cycle}");
+        }
+        let end = last_phase_end.expect("every request was issued");
+        assert!(end < cycle, "the last phase ended before the run drained");
+        assert_eq!(eng.next_event_cycle(), None, "a finished engine never wakes");
     }
 }

@@ -80,8 +80,10 @@ pub fn run_benchmark(
 /// SnackNoC platform runs the same protocol alongside kernel traffic).
 pub fn drive(net: &mut Network<CmpMessage>, engine: &mut TrafficEngine, cap: u64) {
     let nodes: Vec<_> = net.mesh().nodes().collect();
+    let mut specs = Vec::new();
     while !engine.done() && net.cycle() < cap {
-        for spec in engine.tick(net.cycle()) {
+        engine.tick(net.cycle(), &mut specs);
+        for spec in specs.drain(..) {
             net.inject(spec).expect("engine produces valid packets");
         }
         net.step();

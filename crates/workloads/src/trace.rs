@@ -167,8 +167,10 @@ pub fn record_benchmark(
     let cap = (nominal as u64 + 100_000) * 20;
     let nodes: Vec<_> = mesh.nodes().collect();
     let mut events = Vec::new();
+    let mut specs = Vec::new();
     while !engine.done() && net.cycle() < cap {
-        for spec in engine.tick(net.cycle()) {
+        engine.tick(net.cycle(), &mut specs);
+        for spec in specs.drain(..) {
             events.push(TraceEvent {
                 cycle: net.cycle(),
                 src: spec.src.index() as u32,

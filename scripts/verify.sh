@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 # ---------------------------------------------------------------------------
 guard() {
   local bad=0
-  for manifest in Cargo.toml crates/*/Cargo.toml; do
+  for manifest in Cargo.toml crates/*/Cargo.toml snack_bench/Cargo.toml; do
     # awk: track the current [section]; inside dependency sections, flag
     # any non-blank, non-comment line that neither declares a path dep nor
     # opts into the workspace dep table.
@@ -67,6 +67,15 @@ cargo test -q --offline --workspace
 echo "+ cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# The benchmark package (snack_bench/, its own workspace) builds against
+# the simulator's public API: test and lint it here so an API change that
+# breaks it fails this gate instead of the next benchmark run.
+echo "+ cargo test --offline --manifest-path snack_bench/Cargo.toml"
+cargo test --offline --manifest-path snack_bench/Cargo.toml
+
+echo "+ cargo clippy --offline --manifest-path snack_bench/Cargo.toml --all-targets -- -D warnings"
+cargo clippy --offline --manifest-path snack_bench/Cargo.toml --all-targets -- -D warnings
+
 # Fault-injection smoke: a fixed micro-grid with the token-loss watchdog
 # on; exits non-zero unless faults were injected AND every detected loss
 # recovered (recovered == detected, outputs bit-exact).
@@ -81,9 +90,9 @@ cargo run --release --offline -q -p snacknoc-bench --bin snack-faults -- \
   --smoke --json "$smoke_json"
 
 # Chaos smoke: randomized permanent+transient fault schedules, every cell
-# run in all five stepping modes; the binary exits non-zero unless every
+# run in all three stepping modes; the binary exits non-zero unless every
 # invariant holds (termination with a typed verdict, bit-exact outputs,
-# transient recovery, consistent degradation reports, five-mode
+# transient recovery, consistent degradation reports, three-mode
 # bit-identity) AND at least one cell completed through an actual
 # remap/failover. The greps re-assert the JSON schema from the shell so a
 # silently-broken self-check cannot pass CI.
@@ -95,7 +104,7 @@ grep -q '"invariants_hold": true' "$chaos_json" || {
   exit 1
 }
 grep -q '"modes_agree": true' "$chaos_json" || {
-  echo "ERROR: snack-chaos JSON has no five-mode agreement rows" >&2
+  echo "ERROR: snack-chaos JSON has no three-mode agreement rows" >&2
   exit 1
 }
 if grep -q '"modes_agree": false' "$chaos_json"; then
@@ -137,33 +146,33 @@ for lane in router rcu cpm; do
 done
 
 # Stepping-mode hot-loop smoke: time Network::step + a closed-loop
-# platform scenario + a kernel under the dense reference loop, the
-# active-set scheduler and the event-driven time-wheel, and demand the
-# stats fingerprints are bit-identical across all three (the binary exits
-# non-zero on any mismatch; the greps re-assert the identity line and the
-# JSON schema from the shell so a silently-broken self-check cannot pass
-# CI). The event rows must exist, and on the idle mesh the event-driven
-# mode must beat the dense baseline — that ordering is structural (the
-# wheel jumps dead cycles the dense loop must walk), so even a loaded CI
+# platform scenario + a kernel under the dense reference loop and serial
+# stepping (active sets plus clock jumps), and demand the stats
+# fingerprints are bit-identical across both (the binary exits non-zero
+# on any mismatch; the greps re-assert the identity line and the JSON
+# schema from the shell so a silently-broken self-check cannot pass CI).
+# The serial rows must exist, and on the idle mesh serial stepping must
+# beat the dense baseline — that ordering is structural (serial stepping
+# jumps dead cycles the dense loop must walk), so even a loaded CI
 # machine keeps it true.
 echo "+ snack-perf --smoke"
 perf_out=$(cargo run --release --offline -q -p snacknoc-bench --bin snack-perf -- \
   --smoke --json "$perf_json")
 echo "$perf_out"
 echo "$perf_out" | grep -q "^stats-identical: yes" || {
-  echo "ERROR: snack-perf --smoke did not prove event == active == dense stats" >&2
+  echo "ERROR: snack-perf --smoke did not prove serial == dense stats" >&2
   exit 1
 }
-grep -q '"schema": "snacknoc-perf-v2"' "$perf_json" || {
-  echo "ERROR: snack-perf JSON is missing the snacknoc-perf-v2 schema tag" >&2
+grep -q '"schema": "snacknoc-perf-v3"' "$perf_json" || {
+  echo "ERROR: snack-perf JSON is missing the snacknoc-perf-v3 schema tag" >&2
   exit 1
 }
 grep -q '"stats_identical": true' "$perf_json" || {
   echo "ERROR: snack-perf JSON reports a stats mismatch" >&2
   exit 1
 }
-grep -q '"event_median_ns"' "$perf_json" || {
-  echo "ERROR: snack-perf JSON is missing the event-driven timing rows" >&2
+grep -q '"serial_cycles_per_sec"' "$perf_json" || {
+  echo "ERROR: snack-perf JSON is missing the serial-stepping timing rows" >&2
   exit 1
 }
 # v2 loaded-path fields (DESIGN.md §16): every step row must carry the
@@ -175,10 +184,10 @@ for field in '"injected_flits":' '"flits_per_sec":'; do
   }
 done
 awk -v RS='}' '/"name": "idle/ {
-  match($0, /"event_speedup": [0-9.]+/)
+  match($0, /"speedup": [0-9.]+/)
   split(substr($0, RSTART, RLENGTH), kv, ": ")
   if (kv[2] + 0 <= 1.0) {
-    print "ERROR: idle event_speedup " kv[2] " is not above the dense baseline" > "/dev/stderr"
+    print "ERROR: idle serial speedup " kv[2] " is not above the dense baseline" > "/dev/stderr"
     exit 1
   }
   found = 1
@@ -236,16 +245,16 @@ if [ -f BENCH_perf.json ] && grep -q '"shard":' BENCH_perf.json; then
 fi
 
 # Loaded-path gates on the committed full capture (DESIGN.md §16): the
-# v2 schema, a saturation/32x32 scaling row, stats_identical on *every*
+# v3 schema, a saturation/32x32 scaling row, stats_identical on *every*
 # row (step, shard and kernel alike — a single false bit means a
 # stepping mode diverged from the dense oracle), and the saturation
-# 16x16 active median beating the committed pre-PR capture
+# 16x16 serial median beating the committed pre-PR capture
 # (EXPERIMENTS.md "Simulator performance": 1 561 807 930 ns on the same
 # container class; the PR-10 data-layout work targets >= 1.5x, the gate
 # keeps margin for slower hosts).
 if [ -f BENCH_perf.json ]; then
-  grep -q '"schema": "snacknoc-perf-v2"' BENCH_perf.json || {
-    echo "ERROR: committed BENCH_perf.json is not a snacknoc-perf-v2 capture" >&2
+  grep -q '"schema": "snacknoc-perf-v3"' BENCH_perf.json || {
+    echo "ERROR: committed BENCH_perf.json is not a snacknoc-perf-v3 capture" >&2
     exit 1
   }
   grep -q '"name": "saturation/32x32"' BENCH_perf.json || {
@@ -257,11 +266,11 @@ if [ -f BENCH_perf.json ]; then
     exit 1
   fi
   awk -v RS='}' -v pre_pr_ns=1561807930 '/"name": "saturation\/16x16"/ {
-    match($0, /"active_median_ns": [0-9]+/)
+    match($0, /"serial_median_ns": [0-9]+/)
     split(substr($0, RSTART, RLENGTH), kv, ": ")
     speedup = pre_pr_ns / (kv[2] + 0)
     if (speedup < 1.2) {
-      print "ERROR: saturation/16x16 active median " kv[2] " ns is only " \
+      print "ERROR: saturation/16x16 serial median " kv[2] " ns is only " \
             speedup "x over the pre-PR baseline (need >= 1.2x)" > "/dev/stderr"
       exit 1
     }
@@ -273,8 +282,8 @@ if [ -f BENCH_perf.json ]; then
 fi
 
 # Service smoke (DESIGN.md §15): the multi-tenant SLO sweep at three
-# load levels, every level in all five stepping modes; the binary exits
-# non-zero unless every level is violation-free and five-mode
+# load levels, every level in all three stepping modes; the binary exits
+# non-zero unless every level is violation-free and three-mode
 # bit-identical, Guaranteed p99 < BestEffort p99 at peak, and the peak
 # level tripped admission control. The greps re-assert the JSON schema
 # from the shell so a silently-broken self-check cannot pass CI.
@@ -304,7 +313,7 @@ if grep -q '"modes_identical": false' "$service_json"; then
   exit 1
 fi
 grep -q '"modes_identical": true' "$service_json" || {
-  echo "ERROR: snack-service JSON has no five-mode identity rows" >&2
+  echo "ERROR: snack-service JSON has no three-mode identity rows" >&2
   exit 1
 }
 # Peak rejections must be nonzero and every fairness index in [0, 1].

@@ -1,7 +1,8 @@
 //! Counting-allocator proof that the activity-driven hot loop is
 //! **allocation-free in steady state**: once scratch buffers and queue
 //! capacities are warm, 1 000 consecutive `Network::step` cycles with
-//! traffic in flight (and no tracer) perform zero heap allocations.
+//! traffic in flight (and no tracer) perform zero heap allocations, and so
+//! does a `SnackPlatform` delivering CMP traffic across clock jumps.
 //!
 //! The whole file is one integration-test crate so the `#[global_allocator]`
 //! hook owns the process: every heap allocation anywhere in the test binary
@@ -12,7 +13,9 @@
 //! the harness may run tests on parallel threads, and another test's
 //! warm-up allocations must not land inside a measured region.
 
+use snacknoc_core::SnackPlatform;
 use snacknoc_noc::{Network, NocConfig, NodeId, PacketSpec, TrafficClass};
+use snacknoc_workloads::{BenchmarkProfile, Phase};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -203,6 +206,48 @@ fn saturated_steady_state_allocates_nothing() {
         0,
         "loaded steady-state Network::step must be allocation-free \
          ({} allocations in 1k cycles)",
+        allocs_after - allocs_before
+    );
+}
+
+/// The platform delivery path: a warmed 8x8 `SnackPlatform` running a
+/// think-heavy closed-loop CMP profile makes zero heap allocations over a
+/// window of thousands of deliveries. Engine ticks write into a reused
+/// buffer, ejected packets drain through a reused buffer that leaves each
+/// node's ejection queue its capacity, and the idle stretches between
+/// requests are crossed by clock jumps that fold component wakes without
+/// a calendar.
+#[test]
+fn platform_delivery_steady_state_allocates_nothing() {
+    let _guard = MEASURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let cfg = NocConfig::default().with_mesh(8, 8).with_sample_window(1_000_000);
+    let mut p = SnackPlatform::new(cfg).expect("valid platform");
+    let profile = BenchmarkProfile {
+        name: "alloc",
+        phases: vec![Phase::smooth(400, 1_500.0)],
+        outstanding: 1,
+    };
+    p.attach_workload(&profile, 7);
+
+    // Warm-up: every node has ejected and every queue, heap, pool slab
+    // and buffer has reached its steady-state capacity.
+    p.step_until(150_000);
+    let delivered_before = p.net_delivered_packets();
+
+    let allocs_before = ALLOC_CALLS.load(Ordering::SeqCst);
+    p.step_until(300_000);
+    let allocs_after = ALLOC_CALLS.load(Ordering::SeqCst);
+
+    assert!(
+        p.net_delivered_packets() > delivered_before + 5_000,
+        "measured region must deliver requests and responses"
+    );
+    assert!(!p.workload_done(), "the workload is still issuing after measurement");
+    assert_eq!(
+        allocs_after - allocs_before,
+        0,
+        "steady-state SnackPlatform stepping must be allocation-free \
+         ({} allocations over 150k cycles)",
         allocs_after - allocs_before
     );
 }

@@ -13,20 +13,15 @@ use snacknoc_bench::faults::{run_fault_sweep, FaultScenario, FaultSweepSpec};
 use snacknoc_bench::sweep::{run_sweep, SweepSpec};
 
 /// Applies stepping mode `0` (dense reference loop, DESIGN.md §11),
-/// `1` (activity-driven scheduling, the default), `2` (event-driven
-/// time-wheel jumps, DESIGN.md §12), `3` (sharded worker threads,
-/// DESIGN.md §13, two shards) or `4` (event + sharded) to a platform.
+/// `1` (serial: active sets plus clock jumps, the default, DESIGN.md §12)
+/// or `2` (sharded worker threads, DESIGN.md §13, two shards) to a
+/// platform.
 fn apply_mode(p: &mut SnackPlatform, mode: u8) {
     match mode {
         0 => p.set_dense_stepping(true),
         1 => {}
-        2 => p.set_event_stepping(true),
-        3 => p.set_sharding(2).expect("two shards fit the mesh"),
-        4 => {
-            p.set_event_stepping(true);
-            p.set_sharding(2).expect("two shards fit the mesh");
-        }
-        _ => unreachable!("modes are 0..=4"),
+        2 => p.set_sharding(2).expect("two shards fit the mesh"),
+        _ => unreachable!("modes are 0..=2"),
     }
 }
 
@@ -63,7 +58,7 @@ fn fingerprint_stepping(seed: u64, mode: u8) -> (u64, u64, f64, u64, u64) {
     fingerprint_with(seed, |p| apply_mode(p, mode))
 }
 
-/// Default-mode fingerprint (activity-driven stepping).
+/// Default-mode fingerprint (serial stepping).
 fn fingerprint(seed: u64) -> (u64, u64, f64, u64, u64) {
     fingerprint_stepping(seed, 1)
 }
@@ -248,34 +243,25 @@ fn ring_traced_kernel_matches_untraced_kernel() {
     }
 }
 
-/// Active-set scheduling, part 1: the activity-driven hot loop (the
-/// default) is a pure wall-clock optimization. A full multi-program run —
-/// kernel + background workload + priority arbitration — produces a
-/// bit-identical fingerprint under `dense_stepping`, which visits every
-/// router, NI and RCU each cycle (DESIGN.md §11).
+/// Active-set scheduling, part 1: serial stepping (the default: active
+/// sets plus clock jumps) is a pure wall-clock optimization. A full
+/// multi-program run — kernel + background workload + priority
+/// arbitration — produces a bit-identical fingerprint under
+/// `dense_stepping`, which visits every router, NI and RCU each cycle and
+/// never jumps (DESIGN.md §11–§12).
 #[test]
 fn active_set_multiprogram_is_bit_identical_to_dense() {
     for seed in [41, 42, 1009] {
         let dense = fingerprint_stepping(seed, 0);
-        let active = fingerprint_stepping(seed, 1);
-        let event = fingerprint_stepping(seed, 2);
         assert_eq!(
-            active, dense,
-            "seed {seed}: active-set stepping must match dense stepping bit-for-bit"
+            fingerprint_stepping(seed, 1),
+            dense,
+            "seed {seed}: serial stepping must match dense stepping bit-for-bit"
         );
         assert_eq!(
-            event, dense,
-            "seed {seed}: event-driven stepping must match dense stepping bit-for-bit"
-        );
-        assert_eq!(
-            fingerprint_stepping(seed, 3),
+            fingerprint_stepping(seed, 2),
             dense,
             "seed {seed}: sharded stepping must match dense stepping bit-for-bit"
-        );
-        assert_eq!(
-            fingerprint_stepping(seed, 4),
-            dense,
-            "seed {seed}: event+sharded stepping must match dense stepping bit-for-bit"
         );
     }
 }
@@ -348,27 +334,9 @@ fn active_set_matches_dense_under_fault_plan() {
         )
     };
     let dense = run_mode(0);
-    let active = run_mode(1);
-    let event = run_mode(2);
-    assert_eq!(
-        active, dense,
-        "faulted kernel run must be bit-identical across stepping modes"
-    );
-    assert_eq!(
-        event, dense,
-        "event-driven faulted kernel run must be bit-identical to dense"
-    );
-    assert_eq!(
-        run_mode(3),
-        dense,
-        "sharded faulted kernel run must be bit-identical to dense"
-    );
-    assert_eq!(
-        run_mode(4),
-        dense,
-        "event+sharded faulted kernel run must be bit-identical to dense"
-    );
-    assert!(active.contains("rcu="), "fingerprint is non-trivial");
+    assert_eq!(run_mode(1), dense, "serial faulted kernel run must be bit-identical to dense");
+    assert_eq!(run_mode(2), dense, "sharded faulted kernel run must be bit-identical to dense");
+    assert!(dense.contains("rcu="), "fingerprint is non-trivial");
 }
 
 /// Graceful degradation, part 1: a kernel that must *remap* (an RCU dies
@@ -377,7 +345,7 @@ fn active_set_matches_dense_under_fault_plan() {
 /// every legal shard count — including the degradation report itself.
 /// This pins the hairiest new scheduling corners: the abort/quarantine
 /// path, the namespace-epoch bump, and the escalation deadline (which
-/// event-mode jumps must land on exactly).
+/// clock jumps must land on exactly).
 #[test]
 fn remap_and_failover_are_bit_identical_across_modes_and_shards() {
     use snacknoc::core::{PlatformConfig, RecoveryConfig};
@@ -427,7 +395,7 @@ fn remap_and_failover_are_bit_identical_across_modes_and_shards() {
         )
     };
     let dense = run_with(&|p| apply_mode(p, 0));
-    for mode in 1u8..=4 {
+    for mode in 1u8..=2 {
         assert_eq!(
             run_with(&|p| apply_mode(p, mode)),
             dense,
@@ -444,7 +412,7 @@ fn remap_and_failover_are_bit_identical_across_modes_and_shards() {
 }
 
 /// Graceful degradation, part 2: the chaos grid — randomized permanent +
-/// transient schedules, each cell already spanning all five stepping
+/// transient schedules, each cell already spanning all three stepping
 /// modes internally — merges to identical bytes on 1 and 4 workers, with
 /// every invariant intact.
 #[test]
@@ -465,21 +433,21 @@ fn chaos_grid_reports_are_worker_count_invariant() {
     );
     assert!(
         serial.cells.iter().all(|c| c.modes_agree),
-        "every cell is five-mode bit-identical"
+        "every cell is three-mode bit-identical"
     );
 }
 
 /// Active-set scheduling, part 3: mode choice composes with the worker
-/// pool. A grid of {dense, active, event, sharded, event+sharded} x
-/// seeds fingerprinted on 1 worker and on 4 workers merges to the same
-/// bytes, and within the merged vector every mode quintet agrees per
-/// seed. The sharded rows nest the shard worker threads *inside* the
-/// sweep pool's workers — the two thread layers must not interact.
+/// pool. A grid of {dense, serial, sharded} x seeds fingerprinted on 1
+/// worker and on 4 workers merges to the same bytes, and within the
+/// merged vector every mode triplet agrees per seed. The sharded rows
+/// nest the shard worker threads *inside* the sweep pool's workers — the
+/// two thread layers must not interact.
 #[test]
 fn active_vs_dense_fingerprints_are_worker_count_invariant() {
     use snacknoc_bench::sweep::parallel_map;
     let grid: Vec<(u64, u8)> =
-        [7u64, 8, 9].iter().flat_map(|&s| [(s, 0u8), (s, 1), (s, 2), (s, 3), (s, 4)]).collect();
+        [7u64, 8, 9].iter().flat_map(|&s| [(s, 0u8), (s, 1), (s, 2)]).collect();
     let job = |i: usize| {
         let (seed, mode) = grid[i];
         format!("{:?}", fingerprint_stepping(seed, mode))
@@ -487,11 +455,9 @@ fn active_vs_dense_fingerprints_are_worker_count_invariant() {
     let serial = parallel_map(grid.len(), 1, job);
     let parallel = parallel_map(grid.len(), 4, job);
     assert_eq!(serial, parallel, "1-vs-4 workers must merge identically");
-    for quintet in serial.chunks(5) {
-        assert_eq!(quintet[0], quintet[1], "dense and active twins agree per seed");
-        assert_eq!(quintet[0], quintet[2], "dense and event twins agree per seed");
-        assert_eq!(quintet[0], quintet[3], "dense and sharded twins agree per seed");
-        assert_eq!(quintet[0], quintet[4], "dense and event+sharded twins agree per seed");
+    for triplet in serial.chunks(3) {
+        assert_eq!(triplet[0], triplet[1], "dense and serial twins agree per seed");
+        assert_eq!(triplet[0], triplet[2], "dense and sharded twins agree per seed");
     }
 }
 
@@ -499,8 +465,8 @@ fn active_vs_dense_fingerprints_are_worker_count_invariant() {
 /// fixed service schedule (the SLO-sweep preset at two load levels, plus
 /// the fault-tolerant decentralized preset) produces a bit-identical
 /// report — every admission verdict, dispatch, completion cycle and
-/// latency percentile — in all five modes, whether the grid runs on one
-/// sweep worker or four. Event-mode clock jumps are capped at the next
+/// latency percentile — in all three modes, whether the grid runs on one
+/// sweep worker or four. Clock jumps are capped at the next
 /// service event (pending arrival, abort deadline), which is exactly the
 /// property this matrix proves.
 #[test]
@@ -522,11 +488,11 @@ fn service_reports_are_mode_and_worker_count_invariant() {
     let serial = parallel_map(grid.len(), 1, job);
     let parallel = parallel_map(grid.len(), 4, job);
     assert_eq!(serial, parallel, "1-vs-4 workers must merge identically");
-    for (s, quintet) in serial.chunks(5).enumerate() {
-        for (m, fp) in quintet.iter().enumerate() {
+    for (s, modes) in serial.chunks(Stepping::ALL.len()).enumerate() {
+        for (m, fp) in modes.iter().enumerate() {
             assert_eq!(
                 *fp,
-                quintet[0],
+                modes[0],
                 "service spec {s}: {} diverged from dense",
                 Stepping::ALL[m]
             );

@@ -468,13 +468,13 @@ fn random_workloads_step_identically_active_and_dense() {
     });
 }
 
-/// Event-driven time-wheel stepping (DESIGN.md §12) *and* sharded
+/// Serial stepping with clock jumps (DESIGN.md §12) *and* sharded
 /// worker-thread stepping (DESIGN.md §13, at a random legal shard count,
-/// alone and composed with event jumps) are bit-identical to dense
-/// stepping on random meshes with random traffic bursts separated by
-/// long dead gaps, under random *short-window* fault plans. The idle
-/// gaps are where event mode jumps, every fault-window edge is a
-/// calendar event a jump must land on, and the fault verdicts are
+/// also jumping) are bit-identical to dense stepping on random meshes
+/// with random traffic bursts separated by long dead gaps, under random
+/// *short-window* fault plans. The idle gaps are where the clock jumps,
+/// every fault-window edge is a calendar event a jump must land on, and
+/// the fault verdicts are
 /// hash-derived per flit — a single missed edge or misordered boundary
 /// exchange shifts the drop/corrupt schedule and breaks the fingerprint.
 #[test]
@@ -542,12 +542,7 @@ fn random_short_window_fault_plans_step_identically_event_and_dense() {
             match mode {
                 0 => net.set_dense_stepping(true),
                 1 => {}
-                2 => net.set_event_stepping(true),
-                3 => net.set_sharding(shards).unwrap(),
-                _ => {
-                    net.set_event_stepping(true);
-                    net.set_sharding(shards).unwrap();
-                }
+                _ => net.set_sharding(shards).unwrap(),
             }
             net.set_fault_plan(plan.clone()).unwrap();
             let mut tag = 0usize;
@@ -582,34 +577,23 @@ fn random_short_window_fault_plans_step_identically_event_and_dense() {
             )
         };
         let dense = run_mode(0);
-        let active = run_mode(1);
-        let event = run_mode(2);
         assert_eq!(
-            active, dense,
-            "{cols}x{rows} mesh, horizon {horizon}: active diverged from dense"
+            run_mode(1),
+            dense,
+            "{cols}x{rows} mesh, horizon {horizon}: serial diverged from dense"
         );
         assert_eq!(
-            event, dense,
-            "{cols}x{rows} mesh, horizon {horizon}: event diverged from dense"
-        );
-        assert_eq!(
-            run_mode(3),
+            run_mode(2),
             dense,
             "{cols}x{rows} mesh, {shards} shards, horizon {horizon}: sharded diverged from dense"
-        );
-        assert_eq!(
-            run_mode(4),
-            dense,
-            "{cols}x{rows} mesh, {shards} shards, horizon {horizon}: \
-             event+sharded diverged from dense"
         );
     });
 }
 
 /// The pooled payload slab (DESIGN.md §16) is invisible to every
 /// observable: on random meshes with random multi-flit traffic and random
-/// fault plans, all five stepping modes (dense oracle, active, event,
-/// sharded at a random shard count, event+sharded) deliver bit-identical
+/// fault plans, all three stepping modes (dense oracle, serial, sharded
+/// at a random shard count) deliver bit-identical
 /// payload contents and per-packet metadata — delivered cycle, hop count,
 /// corruption mark — and identical stats. Once the network drains, every
 /// slot has been returned to the pool (delivered payloads are moved out,
@@ -674,12 +658,7 @@ fn pooled_payloads_are_bit_identical_across_modes_and_leak_free() {
             match mode {
                 0 => net.set_dense_stepping(true),
                 1 => {}
-                2 => net.set_event_stepping(true),
-                3 => net.set_sharding(shards).unwrap(),
-                _ => {
-                    net.set_event_stepping(true);
-                    net.set_sharding(shards).unwrap();
-                }
+                _ => net.set_sharding(shards).unwrap(),
             }
             net.set_fault_plan(plan.clone()).unwrap();
             for &(cycle, src, dst, vnet, bytes, tag) in &schedule {
@@ -723,7 +702,7 @@ fn pooled_payloads_are_bit_identical_across_modes_and_leak_free() {
             )
         };
         let dense = run_mode(0);
-        for mode in 1u8..=4 {
+        for mode in 1u8..=2 {
             assert_eq!(
                 run_mode(mode),
                 dense,
@@ -766,12 +745,7 @@ fn random_chaos_schedules_degrade_identically_in_every_mode() {
             match mode {
                 0 => p.set_dense_stepping(true),
                 1 => {}
-                2 => p.set_event_stepping(true),
-                3 => p.set_sharding(2).expect("two shards fit"),
-                _ => {
-                    p.set_event_stepping(true);
-                    p.set_sharding(2).expect("two shards fit");
-                }
+                _ => p.set_sharding(2).expect("two shards fit"),
             }
             let mapper = MapperConfig::for_mesh(p.mesh()).with_mac_fusion(false);
             let compiled = built.context.compile(built.root, &mapper).expect("compiles");
@@ -814,7 +788,7 @@ fn random_chaos_schedules_degrade_identically_in_every_mode() {
             )
         };
         let dense = run_mode(0);
-        for mode in 1u8..=4 {
+        for mode in 1u8..=2 {
             assert_eq!(
                 run_mode(mode),
                 dense,
@@ -828,7 +802,7 @@ fn random_chaos_schedules_degrade_identically_in_every_mode() {
 /// for any tenant mix (class, kernel, arrival process), queue policy and
 /// CPM count, the service report's fingerprint — every admission verdict,
 /// completion count and latency percentile — is identical between the
-/// default active-set loop and a randomly chosen other stepping mode, and
+/// default serial loop and a randomly chosen other stepping mode, and
 /// its conservation invariants hold (submitted = admitted + rejected,
 /// admitted = completed + aborted + residual).
 #[test]
@@ -875,14 +849,13 @@ fn service_schedules_are_mode_invariant() {
             assert_eq!(t.admitted, t.completed + t.aborted + t.residual, "{}", t.name);
         }
 
-        let other = [Stepping::Dense, Stepping::Event, Stepping::Sharded, Stepping::EventSharded]
-            [rng.range_usize(0..4)];
+        let other = [Stepping::Dense, Stepping::Sharded][rng.range_usize(0..2)];
         spec.stepping = other;
         let twin = run_service(&spec).expect("generated specs are valid");
         assert_eq!(
             reference.fingerprint(),
             twin.fingerprint(),
-            "active vs {other} diverged for {n} tenants"
+            "serial vs {other} diverged for {n} tenants"
         );
     });
 }
