@@ -63,7 +63,6 @@ pub mod pool;
 pub mod router;
 pub mod routing;
 pub mod stats;
-pub mod timewheel;
 pub mod topology;
 
 pub use config::{ConfigError, NocConfig, NocPreset};
@@ -77,5 +76,4 @@ pub use packet::{Packet, PacketId, PacketSpec};
 pub use pool::{PayloadPool, PayloadRef, PoolExhausted};
 pub use routing::{Dir, RoutingAlgorithm};
 pub use stats::{LatencyHistogram, NetStats, OccupancyCdf, ProtocolErrors, SeriesSample};
-pub use timewheel::TimeWheel;
 pub use topology::{Mesh, NodeId};

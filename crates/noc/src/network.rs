@@ -9,7 +9,6 @@ use crate::pool::{PayloadPool, PayloadRef};
 use crate::router::{Departure, Router};
 use crate::routing::Dir;
 use crate::stats::NetStats;
-use crate::timewheel::TimeWheel;
 use crate::topology::{Mesh, NodeId};
 use snacknoc_trace::{EventKind, TracerHandle};
 use std::collections::{HashMap, VecDeque};
@@ -160,11 +159,6 @@ pub struct Network<P> {
     /// proves it — and kept as the oracle and the baseline the
     /// `snack-perf` speedups are measured against.
     dense: bool,
-    /// Calendar queue of future wake cycles. Worklist-driven components
-    /// wake "now" by construction; the wheel holds only timed events —
-    /// currently the fault-plan window edges, scheduled once at
-    /// [`Network::set_fault_plan`].
-    wheel: TimeWheel<NetWake>,
     cycle: u64,
     next_packet_id: PacketId,
     next_flit_id: u64,
@@ -185,17 +179,6 @@ pub struct Network<P> {
     /// per-cycle barrier sync and boundary mailboxes. `None` (the
     /// default) keeps the serial paths untouched.
     sharding: Option<Sharding>,
-}
-
-/// A timed wake event in the network's calendar queue.
-///
-/// Today the only timed events a *quiescent* network can experience are
-/// fault-plan window edges; the enum leaves room for future sources
-/// without changing the wheel's type.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NetWake {
-    /// A fault-plan down/drop/corrupt window starts or ends.
-    FaultEdge,
 }
 
 /// Error returned by [`Network::inject`] for malformed packet specs.
@@ -310,7 +293,6 @@ impl<P> Network<P> {
             credits_scratch: Vec::new(),
             departures_scratch: Vec::new(),
             dense: false,
-            wheel: TimeWheel::new(),
             cycle: 0,
             next_packet_id: 0,
             next_flit_id: 0,
@@ -340,7 +322,6 @@ impl<P> Network<P> {
         if !plan.enabled() {
             plan.validate()?;
             self.fault = None;
-            self.wheel.clear();
             return Ok(());
         }
         for d in &plan.dead_rcus {
@@ -351,15 +332,6 @@ impl<P> Network<P> {
         let link_of = &self.link_of;
         let state =
             FaultState::compile(plan, |node, dir| link_of[node.index()][dir.index()])?;
-        // Every window edge becomes a wake event: a clock jump stops
-        // at each edge instead of silently crossing a window that opens
-        // and closes inside the jumped interval.
-        self.wheel.clear();
-        for &edge in state.window_edges() {
-            if edge > self.cycle {
-                self.wheel.schedule(edge, NetWake::FaultEdge);
-            }
-        }
         self.fault = Some(state);
         // A fresh plan starts with an empty mid-packet drop memo; stale
         // per-lane memos from a previous plan must not outlive it.
@@ -640,12 +612,15 @@ impl<P> Network<P> {
             && self.sharding.as_ref().is_none_or(Sharding::is_quiescent)
     }
 
-    /// The earliest scheduled wake cycle strictly after the current cycle
-    /// (fault-plan window edges today), if any. Only meaningful while the
-    /// network [is quiescent](Network::is_quiescent) — an active network
-    /// wakes every cycle by definition.
+    /// The next fault-plan window edge strictly after the current cycle,
+    /// if any. Every window edge is a wake: a clock jump stops at each
+    /// edge instead of silently crossing a window that opens and closes
+    /// inside the jumped interval. Only meaningful while the network
+    /// [is quiescent](Network::is_quiescent); an active network wakes
+    /// every cycle by definition.
     pub fn next_wake(&self) -> Option<u64> {
-        self.wheel.next_after(self.cycle)
+        let edges = self.fault.as_ref()?.window_edges();
+        edges.get(edges.partition_point(|&edge| edge <= self.cycle)).copied()
     }
 
     /// Jumps the clock directly to `cycle`, accounting for the skipped
@@ -667,7 +642,6 @@ impl<P> Network<P> {
         let delta = cycle - self.cycle;
         self.stats.advance_idle(self.cycle, delta, self.routers.len() as u64);
         self.cycle = cycle;
-        self.wheel.discard_due(cycle);
     }
 
     /// Advances the clock to exactly `target`, stepping active cycles one

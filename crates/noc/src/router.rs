@@ -28,13 +28,21 @@
 //! word per port. Debug builds cross-check every mask against a fresh
 //! scan of the underlying state, exactly like the incremental occupancy
 //! counters elsewhere in the crate.
+//!
+//! ## Flat storage
+//!
+//! Input-VC records, their rings of slot indices and output credits are
+//! flat arrays indexed `port * vcs + vc`, and all of a router's flits
+//! share one slot array whose freed slots are reused last-freed first, so
+//! a busy router's flits stay in a few hot cache lines (DESIGN.md §16).
+//! VA and SA read only the VC records and masks, plus, for the pipeline
+//! gate, the front flit of a VC that could otherwise traverse.
 
 use crate::config::NocConfig;
-use crate::flit::{Flit, TrafficClass};
+use crate::flit::Flit;
 use crate::routing::Dir;
 use crate::topology::{Mesh, NodeId};
 use snacknoc_trace::{EventKind, TracerHandle};
-use std::collections::VecDeque;
 
 /// State of an input virtual channel's resident packet.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,26 +57,38 @@ enum VcState {
     Active { out_port: Dir, out_vc: u8 },
 }
 
-/// One input virtual channel: a FIFO flit buffer plus packet state.
-#[derive(Clone, Debug)]
+/// One input virtual channel: its packet's state and where its flits sit
+/// in the router's slot ring.
+#[derive(Clone, Copy, Debug)]
 struct InputVc {
-    buf: VecDeque<Flit>,
     state: VcState,
+    /// Whether the resident packet is SnackNoC traffic, cached when its
+    /// head arrives. A VC holds one packet at a time (atomic VC reuse),
+    /// so every flit behind the head shares its class.
+    snack: bool,
+    /// The resident packet's vnet, which is also `vc / vcs_per_vnet`.
+    vnet: u8,
+    /// Ring position of the front flit.
+    head: u8,
+    /// Flits buffered.
+    len: u8,
 }
 
 impl InputVc {
-    fn new(depth: usize) -> Self {
-        InputVc { buf: VecDeque::with_capacity(depth), state: VcState::Idle }
-    }
+    const IDLE: InputVc = InputVc { state: VcState::Idle, snack: false, vnet: 0, head: 0, len: 0 };
 }
 
-/// Credit/allocation state for one downstream virtual channel.
+/// Index into a router's flit-slot array. A router at
+/// [`NocConfig::validate`]'s limits buffers 5 × 64 × 255 = 81,600 flits,
+/// more than `u16` can address.
+type Slot = u32;
+
+/// An input port's switch-allocation nominee.
 #[derive(Clone, Copy, Debug)]
-struct OutputVc {
-    /// Whether the downstream VC is unallocated (atomic VC reuse).
-    free: bool,
-    /// Buffer slots available downstream.
-    credits: u8,
+struct Nominee {
+    vc: usize,
+    out_port: Dir,
+    snack: bool,
 }
 
 /// The bits `lo..hi` of a `u64`, set.
@@ -99,11 +119,27 @@ pub(crate) struct Departure {
 #[derive(Clone, Debug)]
 pub(crate) struct Router {
     node: NodeId,
-    /// `inputs[port][vc]`.
-    inputs: Vec<Vec<InputVc>>,
-    /// `outputs[port][vc]`; empty vec for unconnected ports. The `Local`
-    /// output (ejection) has no VC/credit limits and is handled specially.
-    outputs: Vec<Vec<OutputVc>>,
+    /// Virtual channels per port.
+    vcs: usize,
+    /// Flit slots per input VC (`buffers_per_vc`).
+    depth: usize,
+    /// Input VCs, indexed `port * vcs + vc`.
+    inputs: Vec<InputVc>,
+    /// Per-input-VC rings of slot indices: VC `i` owns
+    /// `ring[i * depth..(i + 1) * depth]`.
+    ring: Vec<Slot>,
+    /// Buffered flits of every input VC; a slot is either referenced by
+    /// exactly one ring entry or on `free_slots`. Capacity for every
+    /// buffer slot is reserved at construction, so stepping never
+    /// reallocates, but slots are filled only as occupancy first reaches
+    /// them.
+    slots: Vec<Flit>,
+    /// Unused entries of `slots`, reused last-freed first.
+    free_slots: Vec<Slot>,
+    /// Downstream credits per output VC, indexed `port * vcs + vc`; zero
+    /// for `Local` (ejection has no VC/credit limits) and unconnected
+    /// ports.
+    credits: Vec<u8>,
     /// Whether each output port has a link (Local is always "connected").
     connected: [bool; Dir::COUNT],
     /// Per-input-port bitmask of VCs in the `Routed` state (VA requests).
@@ -136,31 +172,33 @@ impl Router {
 
     pub(crate) fn new(cfg: &NocConfig, mesh: &Mesh, node: NodeId) -> Self {
         let vcs = cfg.vcs_per_port();
-        let inputs = (0..Dir::COUNT)
-            .map(|_| (0..vcs).map(|_| InputVc::new(cfg.buffers_per_vc as usize)).collect())
-            .collect();
+        let depth = cfg.buffers_per_vc as usize;
         let mut connected = [false; Dir::COUNT];
         connected[Dir::Local.index()] = true;
-        let mut outputs: Vec<Vec<OutputVc>> = vec![Vec::new(); Dir::COUNT];
+        let mut credits = vec![0; Dir::COUNT * vcs];
         let mut free_mask = [0u64; Dir::COUNT];
         let mut credit_mask = [0u64; Dir::COUNT];
         for d in Dir::ROUTER_DIRS {
             if mesh.neighbor(node, d).is_some() {
                 connected[d.index()] = true;
-                outputs[d.index()] =
-                    vec![OutputVc { free: true, credits: cfg.buffers_per_vc }; vcs];
                 // Every connected output VC starts free with a full credit
                 // stock.
+                credits[d.index() * vcs..(d.index() + 1) * vcs].fill(cfg.buffers_per_vc);
                 free_mask[d.index()] = range_mask(0, vcs);
                 credit_mask[d.index()] = range_mask(0, vcs);
             }
         }
-        let useful_total: usize =
-            Dir::ROUTER_DIRS.iter().map(|d| outputs[d.index()].len()).sum();
+        let useful_total = vcs * Dir::ROUTER_DIRS.iter().filter(|d| connected[d.index()]).count();
+        let capacity = Dir::COUNT * vcs * depth;
         Router {
             node,
-            inputs,
-            outputs,
+            vcs,
+            depth,
+            inputs: vec![InputVc::IDLE; Dir::COUNT * vcs],
+            ring: vec![0; capacity],
+            slots: Vec::with_capacity(capacity),
+            free_slots: Vec::with_capacity(capacity),
+            credits,
             connected,
             routed_mask: [0; Dir::COUNT],
             active_mask: [0; Dir::COUNT],
@@ -186,14 +224,18 @@ impl Router {
         self.hops_saturations
     }
 
+    /// The flits buffered in input VC `i`, front first.
+    fn vc_flits(&self, i: usize) -> impl Iterator<Item = &Flit> + '_ {
+        let InputVc { head, len, .. } = self.inputs[i];
+        let ring = &self.ring[i * self.depth..(i + 1) * self.depth];
+        (0..usize::from(len))
+            .map(move |k| &self.slots[ring[(usize::from(head) + k) % self.depth] as usize])
+    }
+
     /// Earliest `queued_at` among buffered flits — the age witness for
     /// stall reports. `None` when the router is empty.
     pub(crate) fn oldest_buffered_queued_at(&self) -> Option<u64> {
-        self.inputs
-            .iter()
-            .flatten()
-            .flat_map(|vc| vc.buf.iter().map(|f| f.queued_at))
-            .min()
+        (0..self.inputs.len()).flat_map(|i| self.vc_flits(i)).map(|f| f.queued_at).min()
     }
 
     /// Input VCs holding a routed packet that has not yet been granted an
@@ -202,11 +244,7 @@ impl Router {
         let fast: usize = self.routed_mask.iter().map(|m| m.count_ones() as usize).sum();
         debug_assert_eq!(
             fast,
-            self.inputs
-                .iter()
-                .flatten()
-                .filter(|vc| matches!(vc.state, VcState::Routed { .. }))
-                .count(),
+            self.inputs.iter().filter(|vc| matches!(vc.state, VcState::Routed { .. })).count(),
             "routed mask out of sync"
         );
         fast
@@ -232,41 +270,64 @@ impl Router {
     ) {
         flit.buffered_at = cycle;
         let vc_idx = flit.vc() as usize;
-        let vc = &mut self.inputs[in_port.index()][vc_idx];
-        debug_assert!(vc.buf.len() < cap, "input buffer overflow: credit protocol violated");
+        let i = in_port.index() * self.vcs + vc_idx;
+        let vc = &mut self.inputs[i];
+        debug_assert!(usize::from(vc.len) < cap, "input buffer overflow: credit protocol violated");
         if vc.state == VcState::Idle {
-            debug_assert!(vc.buf.is_empty(), "idle VC with buffered flits");
+            debug_assert!(vc.len == 0, "idle VC with buffered flits");
             debug_assert!(flit.kind().is_head(), "non-head flit arrived at an idle VC");
+            debug_assert_eq!(usize::from(flit.vnet()), vc_idx / cfg.vcs_per_vnet as usize);
             let out_port = cfg.routing.route(mesh, self.node, flit.dst());
             vc.state = VcState::Routed { out_port };
+            vc.snack = flit.class().is_snack();
+            vc.vnet = flit.vnet();
             self.routed_mask[in_port.index()] |= 1u64 << vc_idx;
+        } else {
+            // The cached class and vnet belong to the resident packet.
+            debug_assert!(!flit.kind().is_head(), "head flit arrived at a busy VC");
         }
-        vc.buf.push_back(flit);
+        let mut at = usize::from(vc.head) + usize::from(vc.len);
+        if at >= self.depth {
+            at -= self.depth;
+        }
+        vc.len += 1;
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = flit;
+                slot
+            }
+            None => {
+                let slot = Slot::try_from(self.slots.len())
+                    .expect("validated configs bound a router at 81,600 flit slots");
+                self.slots.push(flit);
+                slot
+            }
+        };
+        self.ring[i * self.depth + at] = slot;
         self.buffered += 1;
     }
 
     /// Whether the NI can start/continue streaming into a Local input VC.
     pub(crate) fn local_vc_accepts(&self, vc: usize, needs_idle: bool, cap: usize) -> bool {
-        let v = &self.inputs[Dir::Local.index()][vc];
+        let v = &self.inputs[Dir::Local.index() * self.vcs + vc];
         if needs_idle {
-            v.state == VcState::Idle && v.buf.is_empty()
+            v.state == VcState::Idle && v.len == 0
         } else {
-            v.buf.len() < cap
+            usize::from(v.len) < cap
         }
     }
 
     /// Restores one credit for `(out_port, vc)` after a downstream buffer
     /// slot drained.
     pub(crate) fn return_credit(&mut self, out_port: Dir, vc: u8, max: u8) {
-        let o = &mut self.outputs[out_port.index()][vc as usize];
-        o.credits += 1;
+        let credits = &mut self.credits[out_port.index() * self.vcs + vc as usize];
+        *credits += 1;
         self.credit_mask[out_port.index()] |= 1u64 << vc;
-        debug_assert!(o.credits <= max, "credit overflow");
+        debug_assert!(*credits <= max, "credit overflow");
     }
 
     /// Marks `(out_port, vc)` free after the downstream VC drained a tail.
     pub(crate) fn free_output_vc(&mut self, out_port: Dir, vc: u8) {
-        self.outputs[out_port.index()][vc as usize].free = true;
         self.free_mask[out_port.index()] |= 1u64 << vc;
     }
 
@@ -290,14 +351,16 @@ impl Router {
     }
 
     /// Reference recount of the congestion probe (debug verification of
-    /// the bitmasks).
+    /// the credit bitmask).
     fn recount_useful_free_output_vcs(&self) -> (usize, usize) {
         let mut free = 0;
         let mut total = 0;
-        for d in Dir::ROUTER_DIRS {
-            for vc in &self.outputs[d.index()] {
+        for d in Dir::ROUTER_DIRS.into_iter().filter(|d| self.connected[d.index()]) {
+            for vc in 0..self.vcs {
                 total += 1;
-                if vc.free && vc.credits > 0 {
+                if self.free_mask[d.index()] & (1u64 << vc) != 0
+                    && self.credits[d.index() * self.vcs + vc] > 0
+                {
                     free += 1;
                 }
             }
@@ -306,37 +369,38 @@ impl Router {
     }
 
     /// Debug cross-check: every bitmask agrees with a fresh scan of the
-    /// state it summarizes.
+    /// state it summarizes, and every flit slot is either buffered in
+    /// exactly one VC or free.
     #[cfg(debug_assertions)]
-    fn masks_consistent(&self) -> bool {
+    fn consistent(&self) -> bool {
+        let mut buffered = 0;
         for port in 0..Dir::COUNT {
             let mut routed = 0u64;
             let mut active = 0u64;
-            for (i, vc) in self.inputs[port].iter().enumerate() {
-                match vc.state {
-                    VcState::Idle => {}
-                    VcState::Routed { .. } => routed |= 1 << i,
-                    VcState::Active { .. } => active |= 1 << i,
-                }
-            }
-            if routed != self.routed_mask[port] || active != self.active_mask[port] {
-                return false;
-            }
-            let mut free = 0u64;
             let mut credited = 0u64;
-            for (i, o) in self.outputs[port].iter().enumerate() {
-                if o.free {
-                    free |= 1 << i;
+            for vc in 0..self.vcs {
+                let i = port * self.vcs + vc;
+                match self.inputs[i].state {
+                    VcState::Idle => {}
+                    VcState::Routed { .. } => routed |= 1 << vc,
+                    VcState::Active { .. } => active |= 1 << vc,
                 }
-                if o.credits > 0 {
-                    credited |= 1 << i;
+                buffered += usize::from(self.inputs[i].len);
+                if self.credits[i] > 0 {
+                    credited |= 1 << vc;
                 }
             }
-            if free != self.free_mask[port] || credited != self.credit_mask[port] {
+            let has_output_vcs = self.connected[port] && port != Dir::Local.index();
+            let outputs = if has_output_vcs { range_mask(0, self.vcs) } else { 0 };
+            if routed != self.routed_mask[port]
+                || active != self.active_mask[port]
+                || credited != self.credit_mask[port]
+                || self.free_mask[port] & !outputs != 0
+            {
                 return false;
             }
         }
-        true
+        buffered == self.buffered && self.free_slots.len() + buffered == self.slots.len()
     }
 
     /// VA stage: grant free downstream VCs to routed packets, communication
@@ -346,12 +410,17 @@ impl Router {
     /// Iteration walks the `routed_mask` bits in the exact order the old
     /// flattened `(va_rr + step) % total` scan visited them: the pointer's
     /// port from its VC upward, every later port in full, then the
-    /// pointer's port below the pointer.
+    /// pointer's port below the pointer. No flit is read: the packet's
+    /// vnet and class are cached in the VC record, and an ejecting packet
+    /// keeps its input VC.
     pub(crate) fn vc_allocate(&mut self, cfg: &NocConfig, cycle: u64, tracer: &mut TracerHandle) {
         #[cfg(debug_assertions)]
-        debug_assert!(self.masks_consistent());
-        let vcs = cfg.vcs_per_port();
-        let total = Dir::COUNT * vcs;
+        debug_assert!(self.consistent());
+        let vcs = self.vcs;
+        let per_vnet = cfg.vcs_per_vnet as usize;
+        // Output VCs `0..vcs_per_vnet`; vnet `v` owns this range shifted
+        // up by `v * vcs_per_vnet`.
+        let vnet_vcs = range_mask(0, per_vnet);
         let passes: &[Option<bool>] = if cfg.priority_arbitration {
             // Pass 0: communication only; pass 1: snack only.
             &[Some(false), Some(true)]
@@ -372,48 +441,43 @@ impl Router {
                 while bits != 0 {
                     let vc_idx = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let vc = &self.inputs[port][vc_idx];
+                    let vc = &mut self.inputs[port * vcs + vc_idx];
                     let VcState::Routed { out_port } = vc.state else {
                         debug_assert!(false, "routed mask bit on a non-routed VC");
                         continue;
                     };
-                    let Some(head) = vc.buf.front() else { continue };
-                    if let Some(want_snack) = snack_pass {
-                        if head.class().is_snack() != want_snack {
-                            continue;
-                        }
+                    debug_assert!(vc.len > 0, "routed VC without its head flit");
+                    if snack_pass.is_some_and(|want_snack| vc.snack != want_snack) {
+                        continue;
                     }
                     let out_vc = if out_port == Dir::Local {
                         // Ejection has no VC contention: the NI reassembles
                         // any number of interleaved packets.
-                        Some(head.vc())
+                        vc_idx as u8
                     } else {
-                        let vnet = head.vnet() as usize;
-                        let lo = vnet * cfg.vcs_per_vnet as usize;
-                        let hi = lo + cfg.vcs_per_vnet as usize;
-                        let free = self.free_mask[out_port.index()] & range_mask(lo, hi);
-                        (free != 0).then(|| free.trailing_zeros() as u8)
-                    };
-                    if let Some(out_vc) = out_vc {
-                        tracer.record_with(cycle, || EventKind::VcAlloc {
-                            router: self.node.index() as u32,
-                            in_port: port as u8,
-                            in_vc: vc_idx as u8,
-                            out_port: out_port.index() as u8,
-                            out_vc,
-                        });
-                        if out_port != Dir::Local {
-                            self.outputs[out_port.index()][out_vc as usize].free = false;
-                            self.free_mask[out_port.index()] &= !(1u64 << out_vc);
+                        let lo = usize::from(vc.vnet) * per_vnet;
+                        let free = (self.free_mask[out_port.index()] >> lo) & vnet_vcs;
+                        if free == 0 {
+                            continue;
                         }
-                        self.inputs[port][vc_idx].state = VcState::Active { out_port, out_vc };
-                        self.routed_mask[port] &= !(1u64 << vc_idx);
-                        self.active_mask[port] |= 1u64 << vc_idx;
-                    }
+                        let out_vc = (lo + free.trailing_zeros() as usize) as u8;
+                        self.free_mask[out_port.index()] &= !(1u64 << out_vc);
+                        out_vc
+                    };
+                    tracer.record_with(cycle, || EventKind::VcAlloc {
+                        router: self.node.index() as u32,
+                        in_port: port as u8,
+                        in_vc: vc_idx as u8,
+                        out_port: out_port.index() as u8,
+                        out_vc,
+                    });
+                    vc.state = VcState::Active { out_port, out_vc };
+                    self.routed_mask[port] &= !(1u64 << vc_idx);
+                    self.active_mask[port] |= 1u64 << vc_idx;
                 }
             }
         }
-        self.va_rr = (self.va_rr + 1) % total;
+        self.va_rr = (self.va_rr + 1) % (Dir::COUNT * vcs);
     }
 
     /// SA + ST: separable two-stage switch allocation, then crossbar
@@ -451,12 +515,12 @@ impl Router {
         out: &mut Vec<Departure>,
     ) {
         #[cfg(debug_assertions)]
-        debug_assert!(self.masks_consistent());
+        debug_assert!(self.consistent());
         // A flit spends `pipeline_stages - 1` cycles in the router before
         // link traversal, giving the per-hop latencies of paper §III-D2.
         let extra = cfg.pipeline_extra();
         // Stage 1: each input port nominates one ready VC.
-        let mut nominees: [Option<usize>; Dir::COUNT] = [None; Dir::COUNT];
+        let mut nominees: [Option<Nominee>; Dir::COUNT] = [None; Dir::COUNT];
         for (port, nominee) in nominees.iter_mut().enumerate() {
             *nominee = self.pick_input_vc(port, cycle, extra, cfg.priority_arbitration, down);
         }
@@ -467,38 +531,29 @@ impl Router {
             }
             let winner = self.pick_output_winner(out_port, &nominees, cfg.priority_arbitration);
             let Some(in_port) = winner else { continue };
-            let vc_idx = nominees[in_port.index()].expect("winner must have a nominee");
-            nominees[in_port.index()] = None; // an input port sends one flit per cycle
-            let dep = self.traverse(in_port, vc_idx);
-            out.push(dep);
+            // An input port sends one flit per cycle.
+            let nominee = nominees[in_port].take().expect("winner must have a nominee");
+            out.push(self.traverse(in_port, nominee.vc));
         }
     }
 
-    /// Whether the `Active` VC `(port, idx)` can traverse this cycle, and
-    /// with what class.
-    fn vc_ready(
-        &self,
-        port: usize,
-        idx: usize,
-        cycle: u64,
-        extra: u64,
-        down: &[bool; Dir::COUNT],
-    ) -> Option<TrafficClass> {
-        let vc = &self.inputs[port][idx];
+    /// The output port the `Active` input VC `i` can traverse to this
+    /// cycle, if any. Credits and the down mask are checked first, so the
+    /// front flit is read only for a VC that can otherwise go.
+    fn vc_ready(&self, i: usize, cycle: u64, extra: u64, down: &[bool; Dir::COUNT]) -> Option<Dir> {
+        let vc = &self.inputs[i];
         let VcState::Active { out_port, out_vc } = vc.state else { return None };
-        let flit = vc.buf.front()?;
-        if cycle < flit.buffered_at + extra {
+        if vc.len == 0 {
             return None;
         }
-        if out_port != Dir::Local {
-            if down[out_port.index()] {
-                return None;
-            }
-            if self.credit_mask[out_port.index()] & (1u64 << out_vc) == 0 {
-                return None;
-            }
+        if out_port != Dir::Local
+            && (down[out_port.index()]
+                || self.credit_mask[out_port.index()] & (1u64 << out_vc) == 0)
+        {
+            return None;
         }
-        Some(flit.class())
+        let front = &self.slots[self.ring[i * self.depth + usize::from(vc.head)] as usize];
+        (cycle >= front.buffered_at + extra).then_some(out_port)
     }
 
     /// Picks the input VC that port `port` nominates for the switch,
@@ -510,8 +565,8 @@ impl Router {
         extra: u64,
         priority: bool,
         down: &[bool; Dir::COUNT],
-    ) -> Option<usize> {
-        let vcs = self.inputs[port].len();
+    ) -> Option<Nominee> {
+        let vcs = self.vcs;
         let rr = self.sa_in_rr[port];
         let passes: &[Option<bool>] = if priority { &[Some(false), Some(true)] } else { &[None] };
         for &snack_pass in passes {
@@ -520,87 +575,76 @@ impl Router {
                 while bits != 0 {
                     let idx = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let Some(class) = self.vc_ready(port, idx, cycle, extra, down) else {
+                    let snack = self.inputs[port * vcs + idx].snack;
+                    if snack_pass.is_some_and(|want_snack| snack != want_snack) {
+                        continue;
+                    }
+                    let Some(out_port) = self.vc_ready(port * vcs + idx, cycle, extra, down) else {
                         continue;
                     };
-                    if let Some(want_snack) = snack_pass {
-                        if class.is_snack() != want_snack {
-                            continue;
-                        }
-                    }
                     self.sa_in_rr[port] = (idx + 1) % vcs;
-                    return Some(idx);
+                    return Some(Nominee { vc: idx, out_port, snack });
                 }
             }
         }
         None
-    }
-
-    /// The class nominee `in_port` requests output `out` with, if any.
-    fn nominee_class(
-        &self,
-        out: usize,
-        in_port: usize,
-        nominees: &[Option<usize>; Dir::COUNT],
-    ) -> Option<TrafficClass> {
-        let vc_idx = nominees[in_port]?;
-        let vc = &self.inputs[in_port][vc_idx];
-        let VcState::Active { out_port, .. } = vc.state else { return None };
-        if out_port.index() != out {
-            return None;
-        }
-        vc.buf.front().map(|f| f.class())
     }
 
     /// Picks the winning input port for output `out` among the nominees.
     fn pick_output_winner(
         &mut self,
         out: usize,
-        nominees: &[Option<usize>; Dir::COUNT],
+        nominees: &[Option<Nominee>; Dir::COUNT],
         priority: bool,
-    ) -> Option<Dir> {
+    ) -> Option<usize> {
         let passes: &[Option<bool>] = if priority { &[Some(false), Some(true)] } else { &[None] };
         for &snack_pass in passes {
             for step in 0..Dir::COUNT {
                 let in_port = (self.sa_out_rr[out] + step) % Dir::COUNT;
-                if let Some(class) = self.nominee_class(out, in_port, nominees) {
-                    if let Some(want_snack) = snack_pass {
-                        if class.is_snack() != want_snack {
-                            continue;
-                        }
-                    }
-                    self.sa_out_rr[out] = (in_port + 1) % Dir::COUNT;
-                    return Some(Dir::from_index(in_port));
+                let Some(nominee) = nominees[in_port] else { continue };
+                if nominee.out_port.index() != out
+                    || snack_pass.is_some_and(|want_snack| nominee.snack != want_snack)
+                {
+                    continue;
                 }
+                self.sa_out_rr[out] = (in_port + 1) % Dir::COUNT;
+                return Some(in_port);
             }
         }
         None
     }
 
     /// ST: pops the granted flit, charges credits, advances VC state.
-    fn traverse(&mut self, in_port: Dir, vc_idx: usize) -> Departure {
-        let vc = &mut self.inputs[in_port.index()][vc_idx];
+    fn traverse(&mut self, in_port: usize, vc_idx: usize) -> Departure {
+        let i = in_port * self.vcs + vc_idx;
+        let vc = &mut self.inputs[i];
         let VcState::Active { out_port, out_vc } = vc.state else {
             unreachable!("traverse on non-active VC")
         };
-        let mut flit = vc.buf.pop_front().expect("traverse on empty VC");
+        assert!(vc.len > 0, "traverse on empty VC");
+        let slot = self.ring[i * self.depth + usize::from(vc.head)];
+        let next = usize::from(vc.head) + 1;
+        vc.head = if next == self.depth { 0 } else { next as u8 };
+        vc.len -= 1;
+        let mut flit = self.slots[slot as usize];
+        self.free_slots.push(slot);
         self.buffered -= 1;
         let was_tail = flit.kind().is_tail();
         if was_tail {
             // Atomic VC reuse upstream guarantees the next packet's head
             // cannot be buffered yet — the invariant that makes routing at
             // head *arrival* (instead of a per-cycle RC stage) sound.
-            debug_assert!(vc.buf.is_empty(), "flits buffered behind a departing tail");
+            debug_assert!(vc.len == 0, "flits buffered behind a departing tail");
             vc.state = VcState::Idle;
-            self.active_mask[in_port.index()] &= !(1u64 << vc_idx);
+            self.active_mask[in_port] &= !(1u64 << vc_idx);
         }
         if out_port != Dir::Local {
             // Atomic VC reuse: the output VC stays allocated until the
             // downstream input VC signals that the tail drained.
-            let o = &mut self.outputs[out_port.index()][out_vc as usize];
-            debug_assert!(o.credits > 0, "ST without credit");
-            o.credits -= 1;
-            if o.credits == 0 {
+            let credits = &mut self.credits[out_port.index() * self.vcs + out_vc as usize];
+            debug_assert!(*credits > 0, "ST without credit");
+            *credits -= 1;
+            if *credits == 0 {
                 self.credit_mask[out_port.index()] &= !(1u64 << out_vc);
             }
             if flit.hops == u32::MAX {
@@ -610,6 +654,7 @@ impl Router {
             }
             flit.set_vc(out_vc);
         }
+        let in_port = Dir::from_index(in_port);
         Departure { flit, out_port, in_port, in_vc: vc_idx as u8, was_tail }
     }
 }
@@ -617,8 +662,10 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::FlitKind;
+    use crate::flit::{FlitKind, TrafficClass};
     use crate::pool::PayloadRef;
+    use snacknoc_prng::Rng;
+    use std::collections::VecDeque;
 
     fn test_cfg() -> NocConfig {
         NocConfig::default().with_vnets(1).with_vcs_per_vnet(2).with_buffers_per_vc(4)
@@ -864,5 +911,133 @@ mod tests {
         assert_eq!(deps.len(), 1);
         assert_eq!(deps[0].flit.hops(), u32::MAX, "saturated, not wrapped");
         assert_eq!(r.hops_saturations(), 1, "the saturation is counted");
+    }
+
+    #[test]
+    fn flat_storage_matches_a_fifo_model_through_wraparound_and_slot_reuse() {
+        // Four VCs of three slots on one port, packets of one to five
+        // flits: rings wrap within and across packets, and arrivals
+        // interleave with traversals so freed slots are taken again.
+        let cfg = NocConfig::default().with_vnets(1).with_vcs_per_vnet(4).with_buffers_per_vc(3);
+        let (vcs, cap) = (cfg.vcs_per_port(), cfg.buffers_per_vc as usize);
+        let mesh = Mesh::new(4, 4);
+        let mut r = Router::new(&cfg, &mesh, mesh.node_at(1, 1));
+        let dst = mesh.node_at(3, 1);
+        let base = Dir::West.index() * vcs;
+        let mut model: Vec<VecDeque<u64>> = vec![VecDeque::new(); vcs];
+        // Flits of each VC's current packet not yet sent (0: between packets).
+        let mut remaining = vec![0usize; vcs];
+        let mut packets = vec![0usize; vcs];
+        let (mut wrapped, mut reused) = (false, false);
+        let mut rng = Rng::new(0x51AC_0015);
+        let mut next_id = 0u64;
+        for cycle in 0..3_000u64 {
+            if rng.flip() {
+                let vc = rng.range_usize(0..vcs);
+                let i = base + vc;
+                let starts = remaining[vc] == 0;
+                if model[vc].len() == cap || (starts && r.inputs[i].state != VcState::Idle) {
+                    continue;
+                }
+                if starts {
+                    remaining[vc] = rng.range_usize(1..6);
+                    packets[vc] += 1;
+                }
+                let kind = match (starts, remaining[vc]) {
+                    (true, 1) => FlitKind::HeadTail,
+                    (true, _) => FlitKind::Head,
+                    (false, 1) => FlitKind::Tail,
+                    _ => FlitKind::Body,
+                };
+                let mut f = flit(dst, kind, TrafficClass::Communication, vc as u8);
+                f.id = next_id;
+                next_id += 1;
+                let lifo = r.free_slots.last().copied();
+                r.accept_flit(&mesh, &cfg, Dir::West, f, cycle, cap);
+                let InputVc { head, len, .. } = r.inputs[i];
+                let at = usize::from(head) + usize::from(len) - 1;
+                wrapped |= at >= cap;
+                let slot = r.ring[i * cap + at % cap];
+                match lifo {
+                    Some(freed) => {
+                        assert_eq!(slot, freed, "the last freed slot is taken first");
+                        reused = true;
+                    }
+                    None => assert_eq!(slot as usize, r.slots.len() - 1, "a fresh slot"),
+                }
+                model[vc].push_back(f.id);
+                remaining[vc] -= 1;
+            } else {
+                r.vc_allocate(&cfg, cycle, &mut TracerHandle::Nop);
+                for dep in r.switch_allocate(&cfg, cycle, &Router::NO_DOWN_PORTS) {
+                    assert_eq!(dep.in_port, Dir::West);
+                    assert_eq!(model[dep.in_vc as usize].pop_front(), Some(dep.flit.id));
+                    // The downstream router drains the flit at once.
+                    r.return_credit(Dir::East, dep.flit.vc(), cfg.buffers_per_vc);
+                    if dep.was_tail {
+                        r.free_output_vc(Dir::East, dep.flit.vc());
+                    }
+                }
+            }
+            for (vc, expected) in model.iter().enumerate() {
+                assert!(r.vc_flits(base + vc).map(|f| f.id).eq(expected.iter().copied()));
+            }
+            assert_eq!(r.buffered_flits(), model.iter().map(VecDeque::len).sum::<usize>());
+            assert_eq!(r.free_slots.len() + r.buffered_flits(), r.slots.len());
+        }
+        assert!(wrapped && reused, "the run covered ring wrap-around and slot reuse");
+        assert!(packets.iter().all(|&p| p > 10), "every VC carried packets: {packets:?}");
+    }
+
+    #[test]
+    fn storage_addresses_every_slot_at_the_config_limits() {
+        // `NocConfig::validate`'s ceiling: 64 VCs per port, 255 flits per
+        // VC, so a full router holds more flits than `u16` can index.
+        let cfg = NocConfig::default().with_vnets(1).with_vcs_per_vnet(64).with_buffers_per_vc(255);
+        assert_eq!(cfg.validate(), Ok(()));
+        let (vcs, cap) = (cfg.vcs_per_port(), cfg.buffers_per_vc as usize);
+        let mesh = Mesh::new(3, 3);
+        let node = mesh.node_at(1, 1);
+        let mut r = Router::new(&cfg, &mesh, node);
+        // One full-depth packet per input VC, spread so that each output
+        // port receives exactly 64: one per downstream VC, whose 255
+        // credits carry it whole.
+        let dsts =
+            [mesh.node_at(2, 1), mesh.node_at(0, 1), mesh.node_at(1, 0), mesh.node_at(1, 2), node];
+        for port in Dir::ALL {
+            for vc in 0..vcs {
+                let i = port.index() * vcs + vc;
+                for k in 0..cap {
+                    let kind = match k {
+                        0 => FlitKind::Head,
+                        k if k == cap - 1 => FlitKind::Tail,
+                        _ => FlitKind::Body,
+                    };
+                    let dst = dsts[i % dsts.len()];
+                    let mut f = flit(dst, kind, TrafficClass::Communication, vc as u8);
+                    f.id = (i * cap + k) as u64;
+                    r.accept_flit(&mesh, &cfg, port, f, 0, cap);
+                }
+            }
+        }
+        let total = Dir::COUNT * vcs * cap;
+        assert_eq!(total, 81_600);
+        assert_eq!(r.buffered_flits(), total);
+        assert_eq!(r.slots.len(), total);
+        let mut sent = vec![0u64; Dir::COUNT * vcs];
+        let mut cycle = 1;
+        while r.buffered_flits() > 0 {
+            r.vc_allocate(&cfg, cycle, &mut TracerHandle::Nop);
+            for dep in r.switch_allocate(&cfg, cycle, &Router::NO_DOWN_PORTS) {
+                let i = dep.in_port.index() * vcs + usize::from(dep.in_vc);
+                assert_eq!(dep.flit.id, (i * cap) as u64 + sent[i], "FIFO order per VC");
+                sent[i] += 1;
+            }
+            cycle += 1;
+            assert!(cycle < 100_000, "the full router drains");
+        }
+        assert!(sent.iter().all(|&n| n == cap as u64));
+        assert_eq!(r.free_slots.len(), total);
+        assert_eq!(r.oldest_buffered_queued_at(), None);
     }
 }

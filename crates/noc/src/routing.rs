@@ -9,7 +9,7 @@ use std::fmt;
 /// connects to the node's network interface (and, in SnackNoC, its Router
 /// Compute Unit).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[repr(usize)]
+#[repr(u8)]
 pub enum Dir {
     /// Towards increasing `x` (column).
     East = 0,

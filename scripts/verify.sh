@@ -279,6 +279,24 @@ if [ -f BENCH_perf.json ]; then
   }
   END { if (!found) { print "ERROR: no saturation/16x16 row in BENCH_perf.json" > "/dev/stderr"; exit 1 } }' \
     BENCH_perf.json
+  # Flat router storage (DESIGN.md §16, "Router storage") pays where
+  # router state outgrows L2: the saturation/32x32 serial median must
+  # beat the capture taken before it (EXPERIMENTS.md "Simulator
+  # performance": 5 217 001 235 ns, 2-vCPU host) by >= 1.25x.
+  awk -v RS='}' -v pre_storage_ns=5217001235 '/"name": "saturation\/32x32"/ {
+    match($0, /"serial_median_ns": [0-9]+/)
+    split(substr($0, RSTART, RLENGTH), kv, ": ")
+    speedup = pre_storage_ns / (kv[2] + 0)
+    if (speedup < 1.25) {
+      print "ERROR: saturation/32x32 serial median " kv[2] " ns is only " \
+            speedup "x over the pre-storage baseline (need >= 1.25x)" > "/dev/stderr"
+      exit 1
+    }
+    printf "router-storage gate: saturation/32x32 %.2fx over pre-storage baseline\n", speedup
+    found = 1
+  }
+  END { if (!found) { print "ERROR: no saturation/32x32 row in BENCH_perf.json" > "/dev/stderr"; exit 1 } }' \
+    BENCH_perf.json
 fi
 
 # Service smoke (DESIGN.md §15): the multi-tenant SLO sweep at three

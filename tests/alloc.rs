@@ -210,6 +210,25 @@ fn saturated_steady_state_allocates_nothing() {
     );
 }
 
+/// Building a network costs a bounded number of heap allocations per
+/// node: each router keeps its input VCs, slot rings and output credits
+/// in a few flat arrays rather than one buffer per VC, and its flit slots
+/// are allocated on first use, not at construction.
+#[test]
+fn network_construction_allocations_are_bounded_per_node() {
+    let _guard = MEASURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let cfg = NocConfig::default().with_mesh(32, 32);
+    let allocs_before = ALLOC_CALLS.load(Ordering::SeqCst);
+    let net: Network<u64> = Network::new(cfg).expect("valid config");
+    let allocs = ALLOC_CALLS.load(Ordering::SeqCst) - allocs_before;
+    let nodes = net.mesh().node_count() as f64;
+    let per_node = allocs as f64 / nodes;
+    assert!(
+        per_node <= 16.0,
+        "Network::new made {allocs} allocations for {nodes} nodes ({per_node:.1} per node)"
+    );
+}
+
 /// The platform delivery path: a warmed 8x8 `SnackPlatform` running a
 /// think-heavy closed-loop CMP profile makes zero heap allocations over a
 /// window of thousands of deliveries. Engine ticks write into a reused
