@@ -32,7 +32,7 @@ use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::{
     DegradationReport, Fixed, PlatformConfig, PlatformError, RecoveryConfig, SnackPlatform,
 };
-use snacknoc_noc::{Dir, FaultPlan, LinkFaultKind, Mesh, NocConfig, NocPreset, NodeId};
+use snacknoc_noc::{Dir, FaultPlan, LinkFaultKind, Mesh, NocConfig, NocPreset, NodeId, Stepping};
 use snacknoc_prng::Rng;
 use snacknoc_workloads::kernels::Kernel;
 use std::io::{self, Write};
@@ -175,18 +175,9 @@ struct ModeOutcome {
     dropped_packets: u64,
 }
 
-/// Applies stepping mode 0 (dense), 1 (serial) or 2 (sharded ×2).
-fn apply_mode(p: &mut SnackPlatform, mode: u8) {
-    match mode {
-        0 => p.set_dense_stepping(true),
-        1 => {}
-        _ => p.set_sharding(2).expect("two shards fit the preset mesh"),
-    }
-}
-
-fn run_mode(cell: &ChaosCell, mode: u8) -> (ModeOutcome, ChaosSchedule, Vec<Fixed>) {
+fn run_mode(cell: &ChaosCell, mode: Stepping) -> (ModeOutcome, ChaosSchedule, Vec<Fixed>) {
     let built = build(cell.kernel, cell.size, cell.seed);
-    let cfg = NocConfig::preset(NocPreset::BiNoChs);
+    let cfg = NocConfig::preset(NocPreset::BiNoChs).with_stepping(mode);
     let sched = {
         // The schedule depends only on the mesh shape, identical across
         // modes; generate it before the platform borrows the config.
@@ -195,7 +186,6 @@ fn run_mode(cell: &ChaosCell, mode: u8) -> (ModeOutcome, ChaosSchedule, Vec<Fixe
     };
     let mut platform = SnackPlatform::with_cpm_count(cfg, sched.cpm_count)
         .expect("valid platform config");
-    apply_mode(&mut platform, mode);
     // MAC fusion off: intermediate values ride the transient-token ring —
     // exactly the traffic the schedule attacks.
     let mapper = MapperConfig::for_mesh(platform.mesh()).with_mac_fusion(false);
@@ -283,15 +273,16 @@ pub struct ChaosCellResult {
 /// invariant. Violations are *recorded*, not panicked — the harness
 /// reports them so CI can fail with the full picture.
 pub fn run_chaos_cell(cell: &ChaosCell) -> ChaosCellResult {
-    let (base, sched, reference) = run_mode(cell, 0);
+    let [dense, others @ ..] = Stepping::ALL;
+    let (base, sched, reference) = run_mode(cell, dense);
     let mut violations = Vec::new();
     let mut modes_agree = true;
-    for mode in 1u8..=2 {
+    for mode in others {
         let (other, _, _) = run_mode(cell, mode);
         if other != base {
             modes_agree = false;
             violations.push(format!(
-                "mode {mode} diverged from dense: {} @{} vs {} @{}",
+                "{mode} stepping diverged from dense: {} @{} vs {} @{}",
                 other.outcome, other.cycles, base.outcome, base.cycles
             ));
         }

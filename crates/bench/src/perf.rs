@@ -1,21 +1,26 @@
-//! Hot-loop performance measurements: the dense reference loop vs serial
-//! stepping (`BENCH_perf.json`, the repo's perf trajectory).
+//! Hot-loop performance measurements (`BENCH_perf.json`, the repo's perf
+//! trajectory). Every network and platform here is built in its stepping
+//! mode ([`NocConfig::stepping`]); nothing switches modes mid-run.
 //!
-//! Three families of measurements:
+//! Four families of measurements:
 //!
 //! * **`Network::step` scenarios** — a bare network driven by a
 //!   pre-generated uniform-random injection schedule at idle / low /
 //!   saturation rates, timed under the dense reference loop
-//!   ([`Network::set_dense_stepping`]) and serial stepping (the default:
-//!   active sets plus clock jumps, DESIGN.md §11–§12). The schedule is
-//!   generated once per scenario, so both modes replay byte-identical
-//!   injections and must report byte-identical simulation statistics
-//!   ([`StepTiming::stats_identical`]).
+//!   ([`Stepping::Dense`]) and serial stepping ([`Stepping::Serial`], the
+//!   default: active sets plus clock jumps, DESIGN.md §11–§12). The
+//!   schedule is generated once per scenario, so both modes replay
+//!   byte-identical injections and must report byte-identical simulation
+//!   statistics ([`StepTiming::stats_identical`]).
 //! * **Closed-loop platform scenario** — a think-heavy closed-loop CMP
 //!   workload on the full `SnackPlatform` run loop, the regime where
 //!   clock jumps compress real dead time between request bursts.
-//! * **`Platform::run_kernel` timings** — full compiler kernels run to
+//! * **`SnackPlatform::run_kernel` timings** — full compiler kernels run to
 //!   completion under both modes, with outputs and statistics compared.
+//! * **Shard scaling** — saturated burst drains on big meshes under
+//!   [`Stepping::Sharded`] at several worker counts against serial
+//!   stepping; each `step_until` stretch runs one worker thread per
+//!   shard (DESIGN.md §13), and the fingerprints must match.
 //!
 //! Wall-clock numbers (median/p90 ns) are machine-dependent and are *not*
 //! covered by any determinism guarantee; the simulation fingerprints are.
@@ -26,7 +31,7 @@ use crate::harness::{summarize, BenchStats};
 use crate::table::print_table;
 use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::SnackPlatform;
-use snacknoc_noc::{Network, NetStats, NocConfig, NodeId, PacketSpec, TrafficClass};
+use snacknoc_noc::{Network, NetStats, NocConfig, NodeId, PacketSpec, Stepping, TrafficClass};
 use snacknoc_prng::Rng;
 use std::io::{self, Write};
 use std::time::Instant;
@@ -190,8 +195,8 @@ struct ModeTimings<E> {
     extra: E,
 }
 
-/// Runs `once(mode)` — mode `0` the dense reference loop, `1` serial
-/// stepping — which returns wall ns, a simulation fingerprint and a
+/// Runs `once(mode)` — [`Stepping::Dense`] or [`Stepping::Serial`] —
+/// which returns wall ns, a simulation fingerprint and a
 /// scenario-specific extra. One untimed warmup per mode (dense is the
 /// reference fingerprint), then `samples` timed iterations alternating
 /// the modes to decorrelate them from machine noise; every fingerprint
@@ -199,16 +204,17 @@ struct ModeTimings<E> {
 fn time_modes<E>(
     label: &str,
     samples: u32,
-    once: impl Fn(u8) -> (u64, String, E),
+    once: impl Fn(Stepping) -> (u64, String, E),
 ) -> ModeTimings<E> {
-    let (_, reference, extra) = once(0);
-    let mut identical = once(1).1 == reference;
+    let modes = [Stepping::Dense, Stepping::Serial];
+    let (_, reference, extra) = once(modes[0]);
+    let mut identical = once(modes[1]).1 == reference;
     let mut ns: [Vec<u64>; 2] = Default::default();
     for _ in 0..samples {
-        for mode in 0..2u8 {
+        for (i, &mode) in modes.iter().enumerate() {
             let (t, fp, _) = once(mode);
             identical &= fp == reference;
-            ns[usize::from(mode)].push(t);
+            ns[i].push(t);
         }
     }
     ModeTimings {
@@ -220,7 +226,7 @@ fn time_modes<E>(
 }
 
 /// Runs `s` once, replaying `schedule`, under the dense reference loop
-/// (mode `0`) or serial stepping (mode `1`). Returns the wall time of the
+/// or serial stepping. Returns the wall time of the
 /// stepping loop (ns), the simulation fingerprint and the injected flit
 /// count.
 ///
@@ -234,15 +240,15 @@ fn run_step_once(
     s: &StepScenario,
     cfg: &NocConfig,
     schedule: &[Injection],
-    mode: u8,
+    mode: Stepping,
 ) -> (u64, String, u64) {
-    let mut net: Network<u64> = Network::new(cfg.clone()).expect("valid perf config");
-    net.set_dense_stepping(mode == 0);
+    let mut net: Network<u64> =
+        Network::new(cfg.clone().with_stepping(mode)).expect("valid perf config");
     let mut cursor = 0usize;
     let mut drained: Vec<_> = Vec::new();
     let nodes: Vec<NodeId> = net.mesh().nodes().collect();
     let t0 = Instant::now();
-    if mode == 1 {
+    if mode == Stepping::Serial {
         while cursor < schedule.len() {
             let at = schedule[cursor].0;
             net.step_until(at);
@@ -482,10 +488,9 @@ fn run_shard_once(
     burst: &[(usize, usize, u8)],
     shards: usize,
 ) -> (u64, String) {
-    let mut net: Network<u64> = Network::new(cfg.clone()).expect("valid shard config");
-    if shards > 0 {
-        net.set_sharding(shards).expect("worker count fits the mesh rows");
-    }
+    let stepping = if shards > 0 { Stepping::Sharded(shards) } else { Stepping::Serial };
+    let mut net: Network<u64> =
+        Network::new(cfg.clone().with_stepping(stepping)).expect("worker count fits the mesh rows");
     for (i, &(src, dst, vnet)) in burst.iter().enumerate() {
         let spec = PacketSpec::new(
             NodeId::new(src),
@@ -640,8 +645,8 @@ pub fn time_kernel(
     let reference = built.context.interpret(built.root).expect("interpretable");
     let name = format!("{kernel}/{size}");
     let t = time_modes(&format!("kernel/{name}"), samples, |mode| {
-        let mut platform = SnackPlatform::new(cfg.clone()).expect("valid platform config");
-        platform.set_dense_stepping(mode == 0);
+        let mut platform = SnackPlatform::new(cfg.clone().with_stepping(mode))
+            .expect("valid platform config");
         let t0 = Instant::now();
         let run = platform
             .run_kernel(&compiled, cap)
@@ -695,8 +700,8 @@ pub fn time_closed_loop(cycles: u64, samples: u32) -> StepTiming {
         outstanding: 1,
     };
     let t = time_modes("step/closed-loop/8x8", samples, |mode| {
-        let mut p = SnackPlatform::new(cfg.clone()).expect("valid platform config");
-        p.set_dense_stepping(mode == 0);
+        let mut p = SnackPlatform::new(cfg.clone().with_stepping(mode))
+            .expect("valid platform config");
         p.attach_workload(&profile, 29);
         let t0 = Instant::now();
         p.run(cycles);

@@ -172,7 +172,7 @@ pub fn run_service_grid(spec: &ServiceGridSpec) -> ServiceGridResults {
         let load = spec.loads[j / modes.len()];
         let mode = modes[j % modes.len()];
         let mut s = slo_sweep(load, spec.seed);
-        s.stepping = mode;
+        s.noc.stepping = mode;
         let report = run_service(&s).expect("preset sweep specs are valid");
         let fp = report.fingerprint();
         // Keep the full report only for the dense reference; the other

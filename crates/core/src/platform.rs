@@ -12,7 +12,7 @@ use crate::token::{CompiledKernel, DataToken, Instruction, DATA_TOKEN_BYTES, INS
 use crate::rcu::{Emission, Rcu, RcuStats};
 use snacknoc_noc::{
     ConfigError, FaultCounters, FaultPlan, FaultPlanError, LinkFaultKind, Mesh, NetStats, Network,
-    NocConfig, NodeId, Packet, PacketSpec, StallReport, TrafficClass,
+    NocConfig, NodeId, Packet, PacketSpec, StallReport, Stepping, TrafficClass,
 };
 use snacknoc_trace::{EventKind, TracerHandle};
 use snacknoc_workloads::coherence::{AccessPattern, CohMessage, CoherentEngine};
@@ -451,11 +451,6 @@ pub struct SnackPlatform {
     cmp_specs: Vec<PacketSpec<CmpMessage>>,
     /// Reused buffer the delivery dispatch drains each node into.
     delivered: Vec<Packet<SnackPayload>>,
-    /// Reference mode: tick every RCU densely each cycle, never jump the
-    /// clock, and forward dense stepping to the network. Must be
-    /// bit-identical to serial stepping; `tests/determinism.rs` holds
-    /// that proof.
-    dense: bool,
     /// The virtual network carrying SnackNoC tokens: the last vnet, so the
     /// CMP workload owns the lower ones (2 for the phase model's
     /// request/response pair, 3 for the MESI protocol classes).
@@ -539,7 +534,6 @@ impl SnackPlatform {
             emit_scratch: Vec::new(),
             cmp_specs: Vec::new(),
             delivered: Vec::new(),
-            dense: false,
             pcfg: PlatformConfig::default(),
             net,
         })
@@ -642,46 +636,10 @@ impl SnackPlatform {
         self.rcu_flag.iter_mut().for_each(|f| *f = false);
     }
 
-    /// Switches between serial stepping (the default) and the dense
-    /// reference loop that visits every component every cycle and never
-    /// jumps the clock, in both the platform's RCU phase and the
-    /// underlying network (see
-    /// [`snacknoc_noc::Network::set_dense_stepping`]). Serial stepping
-    /// visits only active components and, whenever the whole platform is
-    /// provably quiescent, jumps the clock to the earliest component wake
-    /// (DESIGN.md §12). The two modes are bit-identical by construction;
-    /// dense mode exists as the oracle for that proof and for perf
-    /// baselines.
-    pub fn set_dense_stepping(&mut self, dense: bool) {
-        self.dense = dense;
-        self.net.set_dense_stepping(dense);
-    }
-
-    /// Whether the dense reference loop is in force.
-    pub fn dense_stepping(&self) -> bool {
-        self.dense
-    }
-
-    /// Partitions the underlying mesh into `shards` horizontal bands
-    /// stepped by worker threads with deterministic boundary-flit
-    /// exchange (forwards to [`snacknoc_noc::Network::set_sharding`];
-    /// `0` restores serial stepping). The platform still jumps the clock,
-    /// once *all* shards report quiescent, and sharded stepping is
-    /// bit-identical to serial and dense stepping, which
-    /// `tests/determinism.rs` holds as part of the three-mode matrix.
-    /// Turning dense mode on folds the shards back into the serial path.
-    pub fn set_sharding(&mut self, shards: usize) -> Result<(), snacknoc_noc::ShardError> {
-        if shards > 0 {
-            self.dense = false;
-            self.net.set_dense_stepping(false);
-        }
-        self.net.set_sharding(shards)
-    }
-
-    /// Worker-shard count in force on the underlying network (`0` when
-    /// stepping serially).
-    pub fn sharding(&self) -> usize {
-        self.net.sharding()
+    /// Whether the platform was built for the dense reference loop: every
+    /// RCU ticks every cycle and the clock never jumps (DESIGN.md §12).
+    fn dense(&self) -> bool {
+        self.net.config().stepping == Stepping::Dense
     }
 
     /// Total packets injected into the underlying network.
@@ -1118,7 +1076,7 @@ impl SnackPlatform {
         // which `tick` is a pure no-op (no stats, no state).
         let has_stalls =
             self.net.fault_plan().is_some_and(|p| !p.rcu_stalls.is_empty());
-        if has_stalls || self.dense {
+        if has_stalls || self.dense() {
             for i in 0..self.rcus.len() {
                 if dead_active && self.node_dead(self.nodes[i], now) {
                     // A dead RCU never ticks (and never accrues stall
@@ -1338,7 +1296,7 @@ impl SnackPlatform {
     /// in bulk by [`snacknoc_noc::Network::advance_idle_to`].
     fn maybe_jump(&mut self, cap: u64) -> bool {
         let now = self.net.cycle();
-        if self.dense || cap <= now || !self.net.is_quiescent() {
+        if self.dense() || cap <= now || !self.net.is_quiescent() {
             return false;
         }
         // Fold every component's next wake into `to`. Any wake at (or
@@ -2421,22 +2379,17 @@ mod tests {
         assert_eq!(run_a.outputs, run_b.outputs);
     }
 
-    /// Applies stepping mode 0 (dense), 1 (serial, the default) or
-    /// 2 (sharded ×2) to a fresh platform.
-    fn set_mode(p: &mut SnackPlatform, mode: u8) {
-        match mode {
-            0 => p.set_dense_stepping(true),
-            1 => {}
-            _ => p.set_sharding(2).expect("two shards fit the test mesh"),
-        }
+    /// The test platform in stepping mode `mode`.
+    fn platform_in(mode: Stepping) -> SnackPlatform {
+        SnackPlatform::new(NocConfig::default().with_sample_window(1_000).with_stepping(mode)).unwrap()
     }
 
     /// Runs `run` in every stepping mode, asserts serial and sharded
     /// stepping reproduce the dense oracle, and returns the dense result.
-    fn modes_match_dense<T: PartialEq + fmt::Debug>(run: impl Fn(u8) -> T) -> T {
-        let dense = run(0);
-        assert_eq!(dense, run(1), "serial mode diverged from dense");
-        assert_eq!(dense, run(2), "sharded mode diverged from dense");
+    fn modes_match_dense<T: PartialEq + fmt::Debug>(run: impl Fn(Stepping) -> T) -> T {
+        let [dense, serial, sharded] = Stepping::ALL.map(run);
+        assert_eq!(dense, serial, "serial mode diverged from dense");
+        assert_eq!(dense, sharded, "sharded mode diverged from dense");
         dense
     }
 
@@ -2467,9 +2420,8 @@ mod tests {
     /// (spuriously, mid-jump) nor late (jumped over).
     #[test]
     fn clock_jump_watchdog_fires_at_the_exact_dense_timeout_cycle() {
-        let run = |mode: u8| {
-            let mut p = platform();
-            set_mode(&mut p, mode);
+        let run = |mode: Stepping| {
+            let mut p = platform_in(mode);
             let k = cross_pe_kernel(&p.mesh().clone());
             // Drop *everything*, protected classes included: the kernel
             // can never progress and the platform goes fully quiescent,
@@ -2504,9 +2456,8 @@ mod tests {
     /// replaying exactly the same tokens.
     #[test]
     fn clock_jump_recovery_matches_dense_across_watchdog_deadlines() {
-        let run = |mode: u8| {
-            let mut p = platform();
-            set_mode(&mut p, mode);
+        let run = |mode: Stepping| {
+            let mut p = platform_in(mode);
             let mesh = *p.mesh();
             let k = cross_pe_kernel(&mesh);
             p.set_fault_plan(blackout_plan(&mesh, 0, 2_000)).unwrap();
@@ -2536,24 +2487,20 @@ mod tests {
         assert_eq!(p.recovery_stats().detected, 0);
     }
 
-    /// Leaving dense mode restores clock jumping: an idle platform then
-    /// crosses a million cycles in a single `step_or_jump`.
+    /// Dense stepping never jumps: an idle dense platform takes one step
+    /// where a serial one crosses a million cycles in one `step_or_jump`.
     #[test]
-    fn leaving_dense_mode_restores_clock_jumps() {
-        let mut p = platform();
-        p.set_dense_stepping(true);
-        assert_eq!(p.step_or_jump(1_000_000), 1, "dense mode takes one step");
-        p.set_dense_stepping(false);
-        assert_eq!(p.step_or_jump(1_000_000), 1_000_000, "serial mode jumps to the cap");
+    fn dense_steps_where_serial_jumps_to_the_cap() {
+        assert_eq!(platform_in(Stepping::Dense).step_or_jump(1_000_000), 1);
+        assert_eq!(platform_in(Stepping::Serial).step_or_jump(1_000_000), 1_000_000);
     }
 
     /// Serial stepping must produce the identical multiprogram result —
     /// think-time gaps between workload bursts are where the jumps land.
     #[test]
     fn clock_jump_multiprogram_is_bit_identical() {
-        let run = |mode: u8| {
-            let mut p = platform();
-            set_mode(&mut p, mode);
+        let run = |mode: Stepping| {
+            let mut p = platform_in(mode);
             let profile = snacknoc_workloads::suite::profile(snacknoc_workloads::Benchmark::Radix)
                 .scaled(0.002);
             p.attach_workload(&profile, 23);
@@ -2575,9 +2522,8 @@ mod tests {
         // Node (1,1) hosts sub-block 0 and is dead before submission: the
         // first attempt must already run on a remapped kernel — no wasted
         // stall window, no penalty cycles.
-        let run = |mode: u8| {
-            let mut p = platform();
-            set_mode(&mut p, mode);
+        let run = |mode: Stepping| {
+            let mut p = platform_in(mode);
             let mesh = *p.mesh();
             let k = cross_pe_kernel(&mesh);
             let plan = FaultPlan::seeded(9).with_dead_rcu(mesh.node_at(1, 1), 0);
@@ -2602,9 +2548,8 @@ mod tests {
         // instruction packet can arrive: attempt 1 stalls out a full
         // no-progress window, is quarantined, and attempt 2 resubmits the
         // kernel remapped off the corpse under a fresh namespace epoch.
-        let run = |mode: u8| {
-            let mut p = platform();
-            set_mode(&mut p, mode);
+        let run = |mode: Stepping| {
+            let mut p = platform_in(mode);
             let mesh = *p.mesh();
             let k = cross_pe_kernel(&mesh);
             let plan = FaultPlan::seeded(13).with_dead_rcu(mesh.node_at(2, 3), 1);
@@ -2628,13 +2573,9 @@ mod tests {
 
     #[test]
     fn dead_home_cpm_node_fails_over_to_a_standby_corner() {
-        let run = |mode: u8| {
-            let mut p = SnackPlatform::with_cpm_count(
-                NocConfig::default().with_sample_window(1_000),
-                4,
-            )
-            .unwrap();
-            set_mode(&mut p, mode);
+        let run = |mode: Stepping| {
+            let cfg = NocConfig::default().with_sample_window(1_000).with_stepping(mode);
+            let mut p = SnackPlatform::with_cpm_count(cfg, 4).unwrap();
             let mesh = *p.mesh();
             let home_node = p.cpm_at(0).node();
             let k = cross_pe_kernel(&mesh);

@@ -269,7 +269,7 @@ impl Rcu {
 
     /// [`Rcu::tick_traced`] writing completions into a caller-owned
     /// scratch buffer — the allocation-free hot-loop entry point
-    /// ([`Platform::step`](crate::platform::Platform::step) reuses one
+    /// ([`SnackPlatform::step`](crate::SnackPlatform::step) reuses one
     /// buffer across all RCUs and cycles). `out` is appended to; emission
     /// order is identical to the `Vec`-returning forms.
     pub fn tick_into(

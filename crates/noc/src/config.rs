@@ -35,6 +35,40 @@ impl fmt::Display for NocPreset {
     }
 }
 
+/// How [`crate::Network::step`] walks the mesh each cycle. Fixed when the
+/// network is built; every mode is bit-identical to every other
+/// (DESIGN.md §12–§13).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub enum Stepping {
+    /// Reference loop: every router, link and NI each cycle, and the
+    /// clock never jumps. The oracle the other modes are checked against.
+    Dense,
+    /// Worklists of active components, with clock jumps across dead
+    /// stretches (the default).
+    #[default]
+    Serial,
+    /// The mesh split into this many horizontal row bands. Single steps
+    /// run the bands in turn on the calling thread; `step_until` stretches
+    /// run one worker thread per band.
+    Sharded(usize),
+}
+
+impl Stepping {
+    /// One of each mode, with two shards: the matrix the determinism
+    /// suites and the served-system binaries run.
+    pub const ALL: [Stepping; 3] = [Stepping::Dense, Stepping::Serial, Stepping::Sharded(2)];
+}
+
+impl fmt::Display for Stepping {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Stepping::Dense => f.write_str("dense"),
+            Stepping::Serial => f.write_str("serial"),
+            Stepping::Sharded(n) => write!(f, "sharded({n})"),
+        }
+    }
+}
+
 /// Configuration of a mesh NoC.
 ///
 /// Construct with a preset ([`NocConfig::dapper`], [`NocConfig::axnoc`],
@@ -77,6 +111,8 @@ pub struct NocConfig {
     pub sample_window: u64,
     /// Network-interface injection bandwidth in flits per cycle.
     pub ni_flits_per_cycle: u8,
+    /// How the network steps; see [`Stepping`].
+    pub stepping: Stepping,
 }
 
 impl NocConfig {
@@ -177,6 +213,12 @@ impl NocConfig {
         self
     }
 
+    /// Selects the stepping mode.
+    pub fn with_stepping(mut self, stepping: Stepping) -> Self {
+        self.stepping = stepping;
+        self
+    }
+
     /// Total virtual channels per input port.
     pub fn vcs_per_port(&self) -> usize {
         self.vnets as usize * self.vcs_per_vnet as usize
@@ -229,6 +271,15 @@ impl NocConfig {
         if self.ni_flits_per_cycle == 0 {
             return Err(ConfigError::ZeroNiBandwidth);
         }
+        if let Stepping::Sharded(shards) = self.stepping {
+            if shards == 0 {
+                return Err(ConfigError::ZeroShards);
+            }
+            let rows = usize::from(self.rows);
+            if shards > rows {
+                return Err(ConfigError::TooManyShards { shards, rows });
+            }
+        }
         Ok(())
     }
 }
@@ -249,6 +300,7 @@ impl Default for NocConfig {
             routing: RoutingAlgorithm::Xy,
             sample_window: 10_000,
             ni_flits_per_cycle: 1,
+            stepping: Stepping::Serial,
         }
     }
 }
@@ -281,6 +333,15 @@ pub enum ConfigError {
     ZeroSampleWindow,
     /// Network-interface bandwidth of zero flits per cycle.
     ZeroNiBandwidth,
+    /// Sharded stepping with zero shards.
+    ZeroShards,
+    /// More shards than mesh rows: a shard is a band of whole rows.
+    TooManyShards {
+        /// Requested shard count.
+        shards: usize,
+        /// Mesh rows available to tile.
+        rows: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -301,6 +362,10 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroSampleWindow => write!(f, "sample window must be non-zero"),
             ConfigError::ZeroNiBandwidth => write!(f, "ni bandwidth must be non-zero"),
+            ConfigError::ZeroShards => write!(f, "sharded stepping needs at least one shard"),
+            ConfigError::TooManyShards { shards, rows } => {
+                write!(f, "{shards} shards requested but the mesh has only {rows} rows")
+            }
         }
     }
 }
@@ -362,6 +427,18 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_impossible_tilings() {
+        let sharded = |n| NocConfig::binochs().with_stepping(Stepping::Sharded(n)); // 4 rows
+        assert_eq!(sharded(0).validate(), Err(ConfigError::ZeroShards));
+        assert_eq!(sharded(5).validate(), Err(ConfigError::TooManyShards { shards: 5, rows: 4 }));
+        for stepping in [Stepping::Dense, Stepping::Serial, Stepping::Sharded(1), Stepping::Sharded(4)] {
+            let cfg = NocConfig::binochs().with_stepping(stepping);
+            assert!(cfg.validate().is_ok(), "{stepping}");
+        }
+        assert_eq!(NocConfig::default().stepping, Stepping::Serial);
+    }
+
+    #[test]
     fn pipeline_extra_matches_per_hop_latency_model() {
         assert_eq!(NocConfig::binochs().pipeline_extra(), 1);
         assert_eq!(NocConfig::axnoc().pipeline_extra(), 2);
@@ -380,6 +457,8 @@ mod tests {
             ConfigError::ZeroNiBandwidth,
             ConfigError::TooManyVirtualChannels(65),
             ConfigError::MeshTooLarge { cols: 300, rows: 300 },
+            ConfigError::ZeroShards,
+            ConfigError::TooManyShards { shards: 5, rows: 4 },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

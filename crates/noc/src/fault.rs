@@ -467,6 +467,16 @@ pub struct FaultCounters {
     pub corrupted_packets: u64,
 }
 
+impl FaultCounters {
+    /// Adds another lane's counters into these.
+    pub(crate) fn merge(&mut self, other: &FaultCounters) {
+        self.injected += other.injected;
+        self.dropped_flits += other.dropped_flits;
+        self.dropped_packets += other.dropped_packets;
+        self.corrupted_packets += other.corrupted_packets;
+    }
+}
+
 /// What the fault layer decides for one flit on one link.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum FaultAction {
@@ -493,12 +503,6 @@ pub struct FaultState {
     /// as a wake cycle so a clock jump can never silently cross (and thus
     /// skip) a fault window contained inside the jumped interval.
     edges: Vec<u64>,
-    /// Packets whose head was dropped on a link: the rest of the wormhole
-    /// follows it into the void. Membership-only — never iterated, so the
-    /// hash order cannot leak into simulation results.
-    dropping: HashSet<(usize, PacketId)>,
-    /// What happened so far.
-    pub(crate) counters: FaultCounters,
 }
 
 impl FaultState {
@@ -540,8 +544,6 @@ impl FaultState {
             drops,
             corrupts,
             edges,
-            dropping: HashSet::new(),
-            counters: FaultCounters::default(),
         })
     }
 
@@ -583,28 +585,15 @@ impl FaultState {
     /// Decides the fate of one flit crossing link `lid` at `cycle`.
     ///
     /// Drop decisions are made at head flits only; later flits of a
-    /// dropped packet follow via the memo, so a wormhole packet never
-    /// splits across a window edge.
+    /// dropped packet follow via `dropping`, the caller's mid-packet drop
+    /// memo, so a wormhole packet never splits across a window edge.
+    /// Each network lane keeps its own memo and counters: a link is
+    /// delivered by exactly one lane, so a `(link, packet)` entry lives
+    /// and dies inside it, and the counters are sums. Drop and corrupt
+    /// rolls hash `(seed, link, packet)` (common random numbers), so the
+    /// verdict is independent of evaluation order and of which thread
+    /// asks.
     pub(crate) fn on_link_flit(
-        &mut self,
-        lid: usize,
-        cycle: u64,
-        flit: &crate::flit::Flit,
-    ) -> FaultAction {
-        // Disjoint field borrows: the decision reads the compiled plan
-        // while mutating the memo and counters.
-        let Self { plan, drops, corrupts, dropping, counters, .. } = self;
-        Self::decide(plan, drops, corrupts, lid, cycle, flit, dropping, counters)
-    }
-
-    /// [`FaultState::on_link_flit`] with the mutable halves — the
-    /// mid-packet drop memo and the event counters — supplied by the
-    /// caller. The sharded stepper gives every shard its own memo and
-    /// counter delta: each link id is consumed by exactly one shard, so a
-    /// `(link, packet)` memo entry lives and dies inside a single shard,
-    /// and the counters are pure sums merged in shard-index order.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_link_flit_sharded(
         &self,
         lid: usize,
         cycle: u64,
@@ -612,23 +601,7 @@ impl FaultState {
         dropping: &mut HashSet<(usize, PacketId)>,
         counters: &mut FaultCounters,
     ) -> FaultAction {
-        Self::decide(&self.plan, &self.drops, &self.corrupts, lid, cycle, flit, dropping, counters)
-    }
-
-    /// The shared decision core. Drop/corrupt rolls hash `(seed, link,
-    /// packet)` — common random numbers — so the verdict is independent
-    /// of evaluation order and of which thread asks.
-    #[allow(clippy::too_many_arguments)]
-    fn decide(
-        plan: &FaultPlan,
-        drops: &[(usize, u64, u64, f64)],
-        corrupts: &[(usize, u64, u64, f64)],
-        lid: usize,
-        cycle: u64,
-        flit: &crate::flit::Flit,
-        dropping: &mut HashSet<(usize, PacketId)>,
-        counters: &mut FaultCounters,
-    ) -> FaultAction {
+        let plan = &self.plan;
         let (kind, class, protected, already_corrupted, packet_id) =
             (flit.kind(), flit.class(), flit.protected(), flit.corrupted(), flit.packet_id);
         if !kind.is_head() {
@@ -646,7 +619,7 @@ impl FaultState {
         if !plan.targets.targets(class) || (protected && plan.respect_protection) {
             return FaultAction::Deliver;
         }
-        let drop = Self::rate_at(plan.drop_rate, drops, lid, cycle);
+        let drop = Self::rate_at(plan.drop_rate, &self.drops, lid, cycle);
         if drop > 0.0
             && snacknoc_prng::hashrand::unit(plan.seed, lid as u64, packet_id, SALT_DROP) < drop
         {
@@ -660,7 +633,7 @@ impl FaultState {
             }
             return FaultAction::Drop;
         }
-        let corrupt = Self::rate_at(plan.corrupt_rate, corrupts, lid, cycle);
+        let corrupt = Self::rate_at(plan.corrupt_rate, &self.corrupts, lid, cycle);
         if !already_corrupted
             && corrupt > 0.0
             && snacknoc_prng::hashrand::unit(plan.seed, lid as u64, packet_id, SALT_CORRUPT)
@@ -671,21 +644,6 @@ impl FaultState {
             return FaultAction::DeliverCorrupted;
         }
         FaultAction::Deliver
-    }
-
-    /// Mutable access to the mid-packet drop memo, for the sharded
-    /// stepper's mode transitions (entries migrate to the shard that owns
-    /// the link's destination router, and back on exit).
-    pub(crate) fn dropping_mut(&mut self) -> &mut HashSet<(usize, PacketId)> {
-        &mut self.dropping
-    }
-
-    /// Folds a shard's fault-counter delta into the global counters.
-    pub(crate) fn merge_counters(&mut self, delta: &FaultCounters) {
-        self.counters.injected += delta.injected;
-        self.counters.dropped_flits += delta.dropped_flits;
-        self.counters.dropped_packets += delta.dropped_packets;
-        self.counters.corrupted_packets += delta.corrupted_packets;
     }
 }
 
@@ -719,6 +677,25 @@ mod tests {
             f.mark_corrupted();
         }
         f
+    }
+
+    /// A compiled plan plus the per-lane drop memo and counters the
+    /// network keeps beside it.
+    struct Lane {
+        st: FaultState,
+        dropping: HashSet<(usize, PacketId)>,
+        counters: FaultCounters,
+    }
+
+    impl Lane {
+        fn compile(plan: FaultPlan, lid: usize) -> Self {
+            let st = FaultState::compile(plan, |_, _| Some(lid)).unwrap();
+            Lane { st, dropping: HashSet::new(), counters: FaultCounters::default() }
+        }
+
+        fn on_link_flit(&mut self, lid: usize, cycle: u64, flit: &crate::flit::Flit) -> FaultAction {
+            self.st.on_link_flit(lid, cycle, flit, &mut self.dropping, &mut self.counters)
+        }
     }
 
     #[test]
@@ -785,7 +762,7 @@ mod tests {
     #[test]
     fn drop_decision_is_head_keyed_and_deterministic() {
         let plan = FaultPlan::seeded(42).with_drop_rate(1.0);
-        let mut st = FaultState::compile(plan.clone(), |_, _| Some(0)).unwrap();
+        let mut st = Lane::compile(plan.clone(), 0);
         // Multi-flit packet: head decides, body/tail follow the memo.
         assert_eq!(
             st.on_link_flit(3, 10, &probe(FlitKind::Head, TrafficClass::SnackData, false, false, 7)),
@@ -808,7 +785,7 @@ mod tests {
             FaultAction::Deliver
         );
         // Replay is bit-identical.
-        let mut st2 = FaultState::compile(plan, |_, _| Some(0)).unwrap();
+        let mut st2 = Lane::compile(plan, 0);
         assert_eq!(
             st2.on_link_flit(3, 10, &probe(FlitKind::Head, TrafficClass::SnackData, false, false, 7)),
             FaultAction::Drop
@@ -817,8 +794,7 @@ mod tests {
 
     #[test]
     fn targeting_and_protection_exempt_traffic() {
-        let mut st =
-            FaultState::compile(FaultPlan::seeded(1).with_drop_rate(1.0), |_, _| Some(0)).unwrap();
+        let mut st = Lane::compile(FaultPlan::seeded(1).with_drop_rate(1.0), 0);
         // Default targets: data only.
         assert_eq!(
             st.on_link_flit(0, 0, &probe(FlitKind::HeadTail, TrafficClass::Communication, false, false, 1)),
@@ -842,10 +818,7 @@ mod tests {
 
     #[test]
     fn corruption_marks_but_delivers() {
-        let mut st = FaultState::compile(FaultPlan::seeded(5).with_corrupt_rate(1.0), |_, _| {
-            Some(0)
-        })
-        .unwrap();
+        let mut st = Lane::compile(FaultPlan::seeded(5).with_corrupt_rate(1.0), 0);
         assert_eq!(
             st.on_link_flit(0, 0, &probe(FlitKind::HeadTail, TrafficClass::SnackData, false, false, 1)),
             FaultAction::DeliverCorrupted
@@ -858,7 +831,7 @@ mod tests {
     fn windowed_drop_rate_composes_with_global() {
         let plan = FaultPlan::seeded(3)
             .with_link_fault(NodeId::new(0), Dir::East, 10, 20, LinkFaultKind::Drop { rate: 1.0 });
-        let mut st = FaultState::compile(plan, |_, _| Some(4)).unwrap();
+        let mut st = Lane::compile(plan, 4);
         // Outside the window: no drops at rate 0.
         assert_eq!(
             st.on_link_flit(4, 9, &probe(FlitKind::HeadTail, TrafficClass::SnackData, false, false, 1)),

@@ -65,13 +65,13 @@ pub mod routing;
 pub mod stats;
 pub mod topology;
 
-pub use config::{ConfigError, NocConfig, NocPreset};
+pub use config::{ConfigError, NocConfig, NocPreset, Stepping};
 pub use fault::{
     DeadRcu, FaultCounters, FaultPlan, FaultPlanError, FaultTargets, LinkFault, LinkFaultKind,
     StallWindow,
 };
 pub use flit::{Flit, FlitKind, TrafficClass};
-pub use network::{Network, ShardError, StallReport};
+pub use network::{Network, StallReport};
 pub use packet::{Packet, PacketId, PacketSpec};
 pub use pool::{PayloadPool, PayloadRef, PoolExhausted};
 pub use routing::{Dir, RoutingAlgorithm};

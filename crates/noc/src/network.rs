@@ -1,7 +1,7 @@
 //! The whole-network simulator: routers, links, network interfaces,
 //! packet segmentation/reassembly and the per-cycle evaluation loop.
 
-use crate::config::{ConfigError, NocConfig};
+use crate::config::{ConfigError, NocConfig, Stepping};
 use crate::fault::{FaultAction, FaultCounters, FaultPlan, FaultPlanError, FaultState};
 use crate::flit::{Flit, FlitKind};
 use crate::packet::{Packet, PacketId, PacketSpec};
@@ -11,11 +11,12 @@ use crate::routing::Dir;
 use crate::stats::NetStats;
 use crate::topology::{Mesh, NodeId};
 use snacknoc_trace::{EventKind, TracerHandle};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::sync::Mutex;
 
-mod sharded;
-use sharded::Sharding;
+mod cycle;
+use cycle::{lock, shard_of, Lane, MailCell};
 
 /// A one-cycle-latency directed link between two routers.
 #[derive(Clone, Debug)]
@@ -43,17 +44,18 @@ struct NetIf {
     streaming: Vec<Option<u8>>,
     /// Round-robin pointer over vnets.
     rr: usize,
+    /// Flits queued across all vnets, kept incrementally.
+    backlog: u64,
+    /// Whether the node is on its lane's NI worklist.
+    listed: bool,
 }
 
 /// Reassembly state for one in-flight packet at its destination NI.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Partial {
     head: Option<Flit>,
     flits: u64,
     corrupted: bool,
-    /// Destination node index — lets sharded stepping keep each partial
-    /// in the lane of the shard that owns its ejecting router.
-    dst: usize,
 }
 
 /// A structured snapshot of why a network failed to drain: which routers
@@ -113,60 +115,38 @@ pub struct Network<P> {
     links: Vec<Link>,
     /// Slab storage for in-flight packet payloads; head flits carry only
     /// a [`PayloadRef`] (DESIGN.md §16). Inserts happen at injection,
-    /// takes/releases at ejection and fault drops — all serial contexts,
-    /// so slot assignment is identical across every stepping mode.
+    /// takes/releases when the calling thread resolves the lanes' staged
+    /// pool work after each step or batch.
     pool: PayloadPool<P>,
     /// `link_of[router][dir]` = outgoing link id.
     link_of: Vec<[Option<usize>; 4]>,
-    pending_credits: Vec<CreditMsg>,
-    reassembly: HashMap<PacketId, Partial>,
     ejected: Vec<Vec<Packet<P>>>,
     /// Packets in `ejected` not yet drained, so [`Network::has_ejected`]
     /// need not scan every node.
     ejected_count: usize,
-    /// Dedup flags for the router worklist: `work[r]` ⟺ `r ∈ active`.
+    /// Dedup flags for the router worklists: `work[r]` ⟺ `r` is on its
+    /// lane's active list.
     work: Vec<bool>,
-    /// The router worklist. Between cycles it holds exactly the routers
-    /// that can make progress next cycle (buffered flits survived Phase 4,
-    /// plus wakeups from credit return, link delivery and NI injection).
-    active: Vec<usize>,
-    /// Scratch the worklist is drained through each Phase 4 (kept around
-    /// so steady-state stepping never allocates).
-    active_scratch: Vec<usize>,
-    /// Links whose slot is occupied — exactly one entry per filled slot,
-    /// pushed when Phase 4 fills the slot, drained by the next Phase 2.
-    occupied_links: Vec<usize>,
-    links_scratch: Vec<usize>,
-    /// NI worklist: nodes with a nonzero injection backlog.
-    ni_active: Vec<usize>,
-    ni_scratch: Vec<usize>,
-    /// Dedup flags for `ni_active`.
-    ni_flag: Vec<bool>,
-    /// Per-node incremental NI backlog (flits queued, all vnets).
-    ni_backlogs: Vec<u64>,
-    /// Network-wide incremental NI backlog.
-    ni_backlog_total: u64,
-    /// Phase-1 scratch: last cycle's credits are processed out of this
-    /// buffer while Phases 2/4 push next cycle's into `pending_credits`
-    /// (the two vectors ping-pong, so neither ever reallocates in steady
-    /// state).
-    credits_scratch: Vec<CreditMsg>,
-    /// Phase-4 scratch for router departures.
-    departures_scratch: Vec<Departure>,
-    /// Dense (reference) stepping: every phase walks every component, as
-    /// the pre-activity-driven simulator did, and the clock never jumps.
-    /// Bit-identical to the serial schedule — `tests/determinism.rs`
-    /// proves it — and kept as the oracle and the baseline the
-    /// `snack-perf` speedups are measured against.
-    dense: bool,
+    /// `node_bounds[t]..node_bounds[t + 1]` = the nodes of lane `t`: the
+    /// whole mesh for serial and dense stepping, one row band per shard
+    /// for sharded stepping (DESIGN.md §13).
+    node_bounds: Vec<usize>,
+    /// The same for link ids (contiguous per lane: links are built per
+    /// source node in node order).
+    link_bounds: Vec<usize>,
+    /// Per-lane worklists, reassembly, fault memo and live counts.
+    lanes: Vec<Lane>,
+    /// `mail[from * lanes + to]` = the directed boundary mailbox between
+    /// two shards; empty when one lane covers the mesh.
+    mail: Vec<Mutex<MailCell>>,
     cycle: u64,
     next_packet_id: PacketId,
     next_flit_id: u64,
-    buffered_total: u64,
-    buffer_capacity: u64,
+    /// Input-buffer slots per router, the denominator of Phase 5's
+    /// occupancy samples.
+    per_router_capacity: f64,
     injected_packets: u64,
     delivered_packets: u64,
-    lost_packets: u64,
     /// Fault-injection state; `None` (the default) keeps every hot path
     /// byte-identical to a fault-free build.
     fault: Option<FaultState>,
@@ -174,11 +154,6 @@ pub struct Network<P> {
     /// Structured event tracer; [`TracerHandle::Nop`] (the default) keeps
     /// every hook a single discriminant branch with no event construction.
     tracer: TracerHandle,
-    /// Sharded stepping state (DESIGN.md §13): the mesh split into
-    /// horizontal row bands stepped by one worker thread each, with
-    /// per-cycle barrier sync and boundary mailboxes. `None` (the
-    /// default) keeps the serial paths untouched.
-    sharding: Option<Sharding>,
 }
 
 /// Error returned by [`Network::inject`] for malformed packet specs.
@@ -211,33 +186,9 @@ impl std::fmt::Display for InjectError {
 
 impl std::error::Error for InjectError {}
 
-/// Error returned by [`Network::set_sharding`] for impossible tilings.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[non_exhaustive]
-pub enum ShardError {
-    /// More tiles than mesh rows: a row band needs at least one row.
-    TooManyShards {
-        /// Requested shard count.
-        shards: usize,
-        /// Mesh rows available to tile.
-        rows: usize,
-    },
-}
-
-impl fmt::Display for ShardError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardError::TooManyShards { shards, rows } => {
-                write!(f, "{shards} shards requested but the mesh has only {rows} rows")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ShardError {}
-
 impl<P> Network<P> {
-    /// Builds a network from a validated configuration.
+    /// Builds a network from a validated configuration, stepping in the
+    /// mode [`NocConfig::stepping`] selects.
     ///
     /// # Errors
     ///
@@ -248,6 +199,13 @@ impl<P> Network<P> {
         let n = mesh.node_count();
         let routers: Vec<Router> =
             mesh.nodes().map(|node| Router::new(&cfg, &mesh, node)).collect();
+        let tiles = match cfg.stepping {
+            Stepping::Sharded(shards) => shards,
+            Stepping::Dense | Stepping::Serial => 1,
+        };
+        let bands = mesh.row_bands(tiles).expect("validated shard count fits the rows");
+        let mut node_bounds = vec![0];
+        let mut link_bounds = vec![0];
         let mut links = Vec::new();
         let mut link_of = vec![[None; 4]; n];
         for node in mesh.nodes() {
@@ -257,16 +215,33 @@ impl<P> Network<P> {
                     links.push(Link { to_router: nb.index(), in_port: d.opposite(), slot: None });
                 }
             }
+            if bands[node_bounds.len() - 1].end == node.index() + 1 {
+                node_bounds.push(node.index() + 1);
+                link_bounds.push(links.len());
+            }
         }
+        let lanes = (0..tiles)
+            .map(|t| {
+                let nodes = node_bounds[t + 1] - node_bounds[t];
+                Lane::with_capacity(nodes, link_bounds[t + 1] - link_bounds[t])
+            })
+            .collect();
+        let mail = if tiles > 1 {
+            (0..tiles * tiles).map(|_| Mutex::default()).collect()
+        } else {
+            Vec::new()
+        };
         let nis = (0..n)
             .map(|_| NetIf {
                 queues: (0..cfg.vnets).map(|_| VecDeque::new()).collect(),
                 streaming: vec![None; cfg.vnets as usize],
                 rr: 0,
+                backlog: 0,
+                listed: false,
             })
             .collect();
-        let buffer_capacity = (n * Dir::COUNT * cfg.vcs_per_port()) as u64
-            * u64::from(cfg.buffers_per_vc);
+        let per_router_capacity = (Dir::COUNT * cfg.vcs_per_port()) as f64
+            * f64::from(cfg.buffers_per_vc);
         let stats = NetStats::new(n, links.len(), cfg.sample_window);
         Ok(Network {
             cfg,
@@ -276,35 +251,22 @@ impl<P> Network<P> {
             links,
             pool: PayloadPool::new(),
             link_of,
-            pending_credits: Vec::new(),
-            reassembly: HashMap::new(),
             ejected: (0..n).map(|_| Vec::new()).collect(),
             ejected_count: 0,
             work: vec![false; n],
-            active: Vec::with_capacity(n),
-            active_scratch: Vec::with_capacity(n),
-            occupied_links: Vec::with_capacity(stats.link_count()),
-            links_scratch: Vec::with_capacity(stats.link_count()),
-            ni_active: Vec::with_capacity(n),
-            ni_scratch: Vec::with_capacity(n),
-            ni_flag: vec![false; n],
-            ni_backlogs: vec![0; n],
-            ni_backlog_total: 0,
-            credits_scratch: Vec::new(),
-            departures_scratch: Vec::new(),
-            dense: false,
+            node_bounds,
+            link_bounds,
+            lanes,
+            mail,
             cycle: 0,
             next_packet_id: 0,
             next_flit_id: 0,
-            buffered_total: 0,
-            buffer_capacity,
+            per_router_capacity,
             injected_packets: 0,
             delivered_packets: 0,
-            lost_packets: 0,
             fault: None,
             stats,
             tracer: TracerHandle::Nop,
-            sharding: None,
         })
     }
 
@@ -312,7 +274,8 @@ impl<P> Network<P> {
     ///
     /// A disabled plan ([`FaultPlan::none`]) removes all fault state, so
     /// the per-cycle cost returns to exactly zero. Scheduled link faults
-    /// are resolved against this network's link table up front.
+    /// are resolved against this network's link table up front. Either
+    /// way the fault counters and mid-packet drop memos start afresh.
     ///
     /// # Errors
     ///
@@ -322,21 +285,20 @@ impl<P> Network<P> {
         if !plan.enabled() {
             plan.validate()?;
             self.fault = None;
-            return Ok(());
-        }
-        for d in &plan.dead_rcus {
-            if d.node.index() >= self.mesh.node_count() {
-                return Err(FaultPlanError::BadNode { node: d.node });
+        } else {
+            for d in &plan.dead_rcus {
+                if d.node.index() >= self.mesh.node_count() {
+                    return Err(FaultPlanError::BadNode { node: d.node });
+                }
             }
+            let link_of = &self.link_of;
+            let state =
+                FaultState::compile(plan, |node, dir| link_of[node.index()][dir.index()])?;
+            self.fault = Some(state);
         }
-        let link_of = &self.link_of;
-        let state =
-            FaultState::compile(plan, |node, dir| link_of[node.index()][dir.index()])?;
-        self.fault = Some(state);
-        // A fresh plan starts with an empty mid-packet drop memo; stale
-        // per-lane memos from a previous plan must not outlive it.
-        if let Some(sh) = self.sharding.as_mut() {
-            sh.clear_fault_memos();
+        for lane in &mut self.lanes {
+            lane.dropping.clear();
+            lane.fault = FaultCounters::default();
         }
         Ok(())
     }
@@ -348,14 +310,18 @@ impl<P> Network<P> {
 
     /// What the fault layer did so far (all zeros when disabled).
     pub fn fault_counters(&self) -> FaultCounters {
-        self.fault.as_ref().map(|f| f.counters).unwrap_or_default()
+        let mut total = FaultCounters::default();
+        for lane in &self.lanes {
+            total.merge(&lane.fault);
+        }
+        total
     }
 
     /// Packets destroyed by fault injection or protocol-error discard;
     /// they will never be delivered and are excluded from
     /// [`Network::pending_packets`].
     pub fn lost_packets(&self) -> u64 {
-        self.lost_packets
+        self.lanes.iter().map(|l| l.lost).sum()
     }
 
     /// The mesh topology.
@@ -363,7 +329,8 @@ impl<P> Network<P> {
         &self.mesh
     }
 
-    /// The configuration this network was built with.
+    /// The configuration this network was built with, stepping mode
+    /// included.
     pub fn config(&self) -> &NocConfig {
         &self.cfg
     }
@@ -395,6 +362,7 @@ impl<P> Network<P> {
     /// build without tracing hooks: events are never constructed and no
     /// heap traffic occurs. With a [`snacknoc_trace::RingTracer`] the
     /// simulated behavior is unchanged — only observations are recorded.
+    /// Sharded stepping records no network events.
     pub fn set_tracer(&mut self, tracer: TracerHandle) {
         self.tracer = tracer;
     }
@@ -423,8 +391,7 @@ impl<P> Network<P> {
     /// indicate a reassembly-map leak (an entry whose tail never ejects),
     /// which would otherwise grow silently.
     pub fn stuck_packets(&self) -> usize {
-        self.reassembly.len()
-            + self.sharding.as_ref().map_or(0, Sharding::stuck_packets)
+        self.lanes.iter().map(|l| l.reassembly.len()).sum()
     }
 
     /// Queues a packet for injection at its source NI.
@@ -463,20 +430,15 @@ impl<P> Network<P> {
             flits: nf as u32,
         });
         let src = spec.src.index();
-        if nf > 0 {
-            self.ni_backlogs[src] += nf as u64;
-            self.ni_backlog_total += nf as u64;
-            if !self.ni_flag[src] {
-                self.ni_flag[src] = true;
-                // Under sharded stepping the NI worklist lives in the
-                // owning shard's lane; the wakeup edge is the same.
-                match self.sharding.as_mut() {
-                    Some(sh) => sh.push_ni_active(src),
-                    None => self.ni_active.push(src),
-                }
-            }
+        let lane = &mut self.lanes[shard_of(&self.node_bounds, src)];
+        let ni = &mut self.nis[src];
+        lane.ni_backlog += nf as u64;
+        ni.backlog += nf as u64;
+        if nf > 0 && !ni.listed {
+            ni.listed = true;
+            lane.ni_active.push(src);
         }
-        let queue = &mut self.nis[src].queues[spec.vnet as usize];
+        let queue = &mut ni.queues[spec.vnet as usize];
         for i in 0..nf {
             let kind = match (i, nf) {
                 (0, 1) => FlitKind::HeadTail,
@@ -528,18 +490,12 @@ impl<P> Network<P> {
         self.ejected_count > 0
     }
 
-    /// Records `packet` as delivered at `node`, awaiting a drain.
-    fn push_ejected(&mut self, node: usize, packet: Packet<P>) {
-        self.ejected[node].push(packet);
-        self.ejected_count += 1;
-    }
-
     /// Packets injected but not yet fully delivered, excluding packets
     /// known to be lost (dropped by faults or discarded on protocol
     /// errors) — those can never drain and are tracked by
     /// [`Network::lost_packets`] instead.
     pub fn pending_packets(&self) -> u64 {
-        self.injected_packets - self.delivered_packets - self.lost_packets
+        self.injected_packets - self.delivered_packets - self.lost_packets()
     }
 
     /// Total packets injected so far.
@@ -555,61 +511,35 @@ impl<P> Network<P> {
     /// Flits waiting in the injection queue of `node` (all vnets).
     /// O(1): maintained incrementally at inject/transfer time.
     pub fn ni_backlog(&self, node: NodeId) -> usize {
+        let ni = &self.nis[node.index()];
         debug_assert_eq!(
-            self.ni_backlogs[node.index()],
-            self.nis[node.index()].queues.iter().map(|q| q.len() as u64).sum::<u64>(),
+            ni.backlog,
+            ni.queues.iter().map(|q| q.len() as u64).sum::<u64>(),
             "incremental NI backlog counter out of sync"
         );
-        self.ni_backlogs[node.index()] as usize
+        ni.backlog as usize
     }
 
     /// Network-wide NI injection backlog in flits, all nodes and vnets.
-    /// O(1): maintained incrementally.
+    /// O(1) per lane: maintained incrementally.
     pub fn total_ni_backlog(&self) -> u64 {
+        let total = self.lanes.iter().map(|l| l.ni_backlog).sum();
         debug_assert_eq!(
-            self.ni_backlog_total,
-            self.ni_backlogs.iter().sum::<u64>(),
+            total,
+            self.nis.iter().map(|ni| ni.backlog).sum::<u64>(),
             "incremental NI backlog total out of sync"
         );
-        self.ni_backlog_total
-    }
-
-    /// Switches between serial stepping (the default) and the dense
-    /// reference loop that walks every router, link and NI each cycle and
-    /// never jumps the clock. Serial stepping visits only the components
-    /// on its worklists and, whenever the network is provably quiescent,
-    /// lets [`Network::step_until`] and [`Network::run`] jump the clock
-    /// straight to the next wake event (DESIGN.md §12). Both modes are
-    /// bit-identical — dense stepping exists as the verification oracle
-    /// (`tests/determinism.rs`, `tests/properties.rs`) and as the
-    /// denominator for the `snack-perf` speedup report. Safe to flip
-    /// between cycles: both modes keep the worklists consistent.
-    pub fn set_dense_stepping(&mut self, dense: bool) {
-        self.dense = dense;
-        if dense {
-            // Dense stepping walks the serial worklists; fold any sharded
-            // state back into them first.
-            sharded::unshard(self);
-        }
-    }
-
-    /// Whether the dense reference loop is active.
-    pub fn dense_stepping(&self) -> bool {
-        self.dense
+        total
     }
 
     /// Whether a [`Network::step`] right now would be a provable no-op
     /// apart from stats bookkeeping: no credits in flight (Phase 1), no
-    /// occupied links (Phase 2), no NI injection backlog (Phase 3) and no
-    /// router with buffered flits (Phase 4). While this holds, nothing in
-    /// the network can change until either an external injection or a
-    /// scheduled wake event.
+    /// occupied links (Phase 2), no NI injection backlog (Phase 3), no
+    /// router with buffered flits (Phase 4) and no boundary mail. While
+    /// this holds, nothing in the network can change until either an
+    /// external injection or a scheduled wake event.
     pub fn is_quiescent(&self) -> bool {
-        self.pending_credits.is_empty()
-            && self.occupied_links.is_empty()
-            && self.ni_active.is_empty()
-            && self.active.is_empty()
-            && self.sharding.as_ref().is_none_or(Sharding::is_quiescent)
+        self.lanes.iter().all(Lane::is_idle) && self.mail.iter().all(|cell| lock(cell).is_empty())
     }
 
     /// The next fault-plan window edge strictly after the current cycle,
@@ -637,41 +567,41 @@ impl<P> Network<P> {
     pub fn advance_idle_to(&mut self, cycle: u64) {
         assert!(self.is_quiescent(), "clock jump while the network has work");
         assert!(cycle > self.cycle, "clock jump must move forward");
-        debug_assert_eq!(self.buffered_total, 0, "quiescent network holds no flits");
-        debug_assert_eq!(self.ni_backlog_total, 0, "quiescent network has no NI backlog");
+        debug_assert_eq!(self.buffered_flits(), 0, "quiescent network holds no flits");
+        debug_assert_eq!(self.total_ni_backlog(), 0, "quiescent network has no NI backlog");
         let delta = cycle - self.cycle;
         self.stats.advance_idle(self.cycle, delta, self.routers.len() as u64);
         self.cycle = cycle;
     }
 
-    /// Advances the clock to exactly `target`, stepping active cycles one
-    /// at a time and jumping over provably-dead stretches (landing on
-    /// every scheduled wake event in between). In dense mode this is
-    /// plain per-cycle stepping to `target`.
+    /// Advances the clock to exactly `target`, stepping active cycles and
+    /// jumping over provably-dead stretches (landing on every scheduled
+    /// wake event in between). Dense stepping steps every cycle to
+    /// `target`; sharded stepping runs each active stretch on one worker
+    /// thread per shard.
     pub fn step_until(&mut self, target: u64) {
         while self.cycle < target {
-            if !self.dense && self.is_quiescent() {
+            if self.cfg.stepping != Stepping::Dense && self.is_quiescent() {
                 let to = self.next_wake().map_or(target, |w| w.min(target));
                 if to > self.cycle {
                     self.advance_idle_to(to);
                     continue;
                 }
             }
-            if self.sharding.is_some() {
+            if let Stepping::Sharded(_) = self.cfg.stepping {
                 // Amortize the thread-scope setup over the whole stretch.
                 // The batch returns early once every shard is provably
-                // quiescent, handing control back to the clock-jump
-                // branch above.
-                sharded::step_batch(self, target - self.cycle);
-                continue;
+                // quiescent, handing control back to the clock jump.
+                self.step_batch(target - self.cycle);
+            } else {
+                self.step();
             }
-            self.step();
         }
     }
 
     /// Flits currently resident in router input buffers, network-wide.
     pub fn buffered_flits(&self) -> u64 {
-        self.buffered_total
+        self.lanes.iter().map(|l| l.buffered).sum()
     }
 
     /// ALO-style congestion signal at `node`: `(useful_free, total)` output
@@ -681,183 +611,19 @@ impl<P> Network<P> {
         self.routers[node.index()].useful_free_output_vcs()
     }
 
-    /// Marks router `r` as having work next Phase 4 (idempotent).
-    #[inline]
-    fn mark_router(&mut self, r: usize) {
-        if !self.work[r] {
-            self.work[r] = true;
-            self.active.push(r);
-        }
-    }
-
-    /// Debug invariant: `occupied_links` lists exactly the filled slots.
-    fn links_list_consistent(&self) -> bool {
-        let filled = self.links.iter().filter(|l| l.slot.is_some()).count();
-        filled == self.occupied_links.len()
-            && self.occupied_links.iter().all(|&lid| self.links[lid].slot.is_some())
-    }
-
-    /// Advances the network by one cycle.
+    /// Advances the network by one cycle on the calling thread.
     ///
     /// The loop is **activity-driven**: each phase visits only the
     /// components that can make progress (worklists maintained by the
     /// previous phases), and **allocation-free in steady state** (every
-    /// transient buffer is a reusable scratch). The dense reference loop
-    /// ([`Network::set_dense_stepping`]) walks every component instead;
-    /// the two are bit-identical because a skipped component is provably
-    /// quiescent — see DESIGN.md §11 for the invariants and the wakeup
-    /// edges.
+    /// transient buffer is a reusable scratch). Dense stepping
+    /// ([`Stepping::Dense`]) walks every component instead; the two are
+    /// bit-identical because a skipped component is provably quiescent —
+    /// see DESIGN.md §11 for the invariants and the wakeup edges. A
+    /// sharded network runs its shards' phases in turn, without threads
+    /// (DESIGN.md §13).
     pub fn step(&mut self) {
-        if self.sharding.is_some() {
-            sharded::step_batch(self, 1);
-            return;
-        }
-        self.cycle += 1;
-        let cycle = self.cycle;
-
-        // Phase 1: apply credit / VC-free signals sent last cycle. The
-        // pending list ping-pongs with a scratch buffer: this cycle's
-        // batch is processed out of `credits_scratch` while Phases 2/4
-        // push next cycle's messages into the (empty, capacity-warm)
-        // `pending_credits`.
-        debug_assert!(self.credits_scratch.is_empty());
-        std::mem::swap(&mut self.pending_credits, &mut self.credits_scratch);
-        for i in 0..self.credits_scratch.len() {
-            let msg = self.credits_scratch[i];
-            let r = &mut self.routers[msg.router];
-            r.return_credit(msg.port, msg.vc, self.cfg.buffers_per_vc);
-            if msg.frees_vc {
-                r.free_output_vc(msg.port, msg.vc);
-            }
-            // Wakeup edge: credit return can unblock a waiting flit.
-            self.mark_router(msg.router);
-        }
-        self.credits_scratch.clear();
-
-        // Phase 2: link traversal — deliver flits sent last cycle. Only
-        // occupied links can deliver; ascending id order replays the
-        // dense loop's iteration order exactly (fault decisions are
-        // hash-derived per (link, packet), so they are order-independent
-        // anyway).
-        let cap = self.cfg.buffers_per_vc as usize;
-        debug_assert!(self.links_list_consistent());
-        if self.dense {
-            for lid in 0..self.links.len() {
-                if self.links[lid].slot.is_some() {
-                    self.deliver_link(lid, cycle, cap);
-                }
-            }
-            self.occupied_links.clear();
-        } else {
-            debug_assert!(self.links_scratch.is_empty());
-            std::mem::swap(&mut self.occupied_links, &mut self.links_scratch);
-            self.links_scratch.sort_unstable();
-            for i in 0..self.links_scratch.len() {
-                let lid = self.links_scratch[i];
-                self.deliver_link(lid, cycle, cap);
-            }
-            self.links_scratch.clear();
-        }
-
-        // Phase 3: NI injection — only nodes with a queued flit can
-        // inject. A node with an empty queue is a provable no-op in the
-        // dense loop (no state, not even the vnet round-robin pointer,
-        // changes), so skipping it is exact.
-        if self.dense {
-            self.ni_active.clear();
-            for node in 0..self.nis.len() {
-                let backlog = self.inject_from_ni(node, cycle);
-                self.ni_flag[node] = backlog;
-                if backlog {
-                    self.ni_active.push(node);
-                }
-            }
-        } else {
-            debug_assert!(self.ni_scratch.is_empty());
-            std::mem::swap(&mut self.ni_active, &mut self.ni_scratch);
-            self.ni_scratch.sort_unstable();
-            for i in 0..self.ni_scratch.len() {
-                let node = self.ni_scratch[i];
-                let backlog = self.inject_from_ni(node, cycle);
-                self.ni_flag[node] = backlog;
-                if backlog {
-                    self.ni_active.push(node);
-                }
-            }
-            self.ni_scratch.clear();
-        }
-
-        // Phase 4: router pipelines (RC, VA, SA/ST) + ejection, for the
-        // worklist only. Both modes visit exactly the routers with
-        // `work[r]` set, in ascending order, and leave `active` holding
-        // the survivors (routers still buffering flits) in ascending
-        // order for Phase 5. No same-phase wakeups exist: credits are
-        // deferred to next Phase 1 and link fills to next Phase 2.
-        let use_down = self.fault.as_ref().is_some_and(|f| f.has_down_windows());
-        if self.dense {
-            self.active.clear();
-            for r in 0..self.routers.len() {
-                if !self.work[r] {
-                    continue;
-                }
-                let still = self.run_router(r, cycle, use_down);
-                self.work[r] = still;
-                if still {
-                    self.active.push(r);
-                }
-            }
-        } else {
-            debug_assert!(self.active_scratch.is_empty());
-            std::mem::swap(&mut self.active, &mut self.active_scratch);
-            self.active_scratch.sort_unstable();
-            for i in 0..self.active_scratch.len() {
-                let r = self.active_scratch[i];
-                debug_assert!(self.work[r], "worklist entry without its flag");
-                let still = self.run_router(r, cycle, use_down);
-                self.work[r] = still;
-                if still {
-                    self.active.push(r);
-                }
-            }
-            self.active_scratch.clear();
-        }
-
-        // Phase 5: per-router input-buffer occupancy samples + window
-        // roll. The paper's Fig. 3 measures buffer utilization per
-        // router-cycle: localized contention shows up even when the
-        // network as a whole is nearly empty. After Phase 4 the worklist
-        // holds exactly the routers with buffered flits (ascending), so
-        // the incremental path records the same nonzero samples in the
-        // same order as the dense scan, then credits the zeros in one
-        // batched call — identical `OccupancyCdf` updates.
-        let per_router_capacity = self.buffer_capacity as f64 / self.routers.len() as f64;
-        if self.dense {
-            let mut zeros = 0u64;
-            for r in &self.routers {
-                let buffered = r.buffered_flits();
-                if buffered == 0 {
-                    zeros += 1;
-                } else {
-                    self.stats.occupancy.record(buffered as f64 / per_router_capacity);
-                }
-            }
-            self.stats.occupancy.record_zeros(zeros);
-        } else {
-            let zeros = (self.routers.len() - self.active.len()) as u64;
-            debug_assert_eq!(
-                zeros,
-                self.routers.iter().filter(|r| r.buffered_flits() == 0).count() as u64,
-                "post-Phase-4 worklist must equal the set of occupied routers"
-            );
-            for i in 0..self.active.len() {
-                let r = self.active[i];
-                let buffered = self.routers[r].buffered_flits();
-                debug_assert!(buffered > 0);
-                self.stats.occupancy.record(buffered as f64 / per_router_capacity);
-            }
-            self.stats.occupancy.record_zeros(zeros);
-        }
-        self.stats.end_cycle(cycle);
+        self.step_inline();
     }
 
     /// Runs `cycles` steps (jumping dead stretches unless dense).
@@ -901,12 +667,6 @@ impl<P> Network<P> {
                 oldest = Some(oldest.map_or(q, |o| o.min(q)));
             }
         }
-        let ni_backlog = self.ni_backlog_total;
-        debug_assert_eq!(
-            ni_backlog,
-            self.nis.iter().map(|ni| ni.queues.iter().map(std::collections::VecDeque::len).sum::<usize>() as u64).sum::<u64>(),
-            "incremental NI backlog counter diverged from the queues"
-        );
         for ni in &self.nis {
             for q in &ni.queues {
                 if let Some(f) = q.front() {
@@ -917,256 +677,12 @@ impl<P> Network<P> {
         StallReport {
             cycle: self.cycle,
             pending_packets: self.pending_packets(),
-            lost_packets: self.lost_packets,
-            buffered_flits: self.buffered_total,
+            lost_packets: self.lost_packets(),
+            buffered_flits: self.buffered_flits(),
             blocked_routers,
             starved_vcs,
             oldest_packet_age: oldest.map_or(0, |q| self.cycle.saturating_sub(q)),
-            ni_backlog,
-        }
-    }
-
-    /// Phase-2 link traversal for a single link, with the fault layer
-    /// consulted per flit. Dropped flits synthesize their upstream credit
-    /// so flow control stays live; corrupted head flits carry the mark to
-    /// delivery. No-op if the link slot is empty, so calling it for every
-    /// link (dense mode) or only occupied links (active mode) is identical.
-    fn deliver_link(&mut self, lid: usize, cycle: u64, cap: usize) {
-        let Some(mut flit) = self.links[lid].slot.take() else { return };
-        let action = match self.fault.as_mut() {
-            Some(f) => f.on_link_flit(lid, cycle, &flit),
-            None => FaultAction::Deliver,
-        };
-        let to = self.links[lid].to_router;
-        let in_port = self.links[lid].in_port;
-        match action {
-            FaultAction::Drop => {
-                // The downstream buffer slot reserved for this flit is
-                // never filled: return the credit (and the VC on a
-                // tail) so the upstream router does not wedge.
-                let upstream = self
-                    .mesh
-                    .neighbor(NodeId::new(to), in_port)
-                    .expect("every link has an upstream router");
-                self.pending_credits.push(CreditMsg {
-                    router: upstream.index(),
-                    port: in_port.opposite(),
-                    vc: flit.vc(),
-                    frees_vc: flit.kind().is_tail(),
-                });
-                if flit.kind().is_head() {
-                    // The payload dies with its head flit.
-                    self.pool.release(flit.payload);
-                }
-                if flit.kind().is_tail() {
-                    self.lost_packets += 1;
-                    // A partially-delivered wormhole (flits that crossed
-                    // earlier links before the drop) may sit in the
-                    // reassembly map; it can never complete, so retire
-                    // it here rather than leak it.
-                    if let Some(partial) = self.reassembly.remove(&flit.packet_id) {
-                        if let Some(head) = partial.head {
-                            self.pool.release(head.payload);
-                        }
-                    }
-                }
-            }
-            FaultAction::DeliverCorrupted | FaultAction::Deliver => {
-                if action == FaultAction::DeliverCorrupted {
-                    flit.mark_corrupted();
-                }
-                self.routers[to].accept_flit(&self.mesh, &self.cfg, in_port, flit, cycle, cap);
-                self.mark_router(to);
-                self.buffered_total += 1;
-            }
-        }
-    }
-
-    /// Phase-3 NI injection for a single node: drains up to
-    /// `ni_flits_per_cycle` flits into the local router, maintaining the
-    /// incremental backlog counters and waking the router. Returns whether
-    /// the node still has backlogged flits (i.e. should stay on the NI
-    /// worklist). A node with empty queues is a pure no-op in the dense
-    /// loop — no state (including the round-robin pointer) changes — so
-    /// skipping it in active mode is exact.
-    fn inject_from_ni(&mut self, node: usize, cycle: u64) -> bool {
-        let vnets = self.cfg.vnets as usize;
-        let k = self.cfg.vcs_per_vnet as usize;
-        let cap = self.cfg.buffers_per_vc as usize;
-        for _ in 0..self.cfg.ni_flits_per_cycle {
-            let mut pushed = false;
-            for step in 0..vnets {
-                let v = (self.nis[node].rr + step) % vnets;
-                let ni = &mut self.nis[node];
-                let Some(front) = ni.queues[v].front() else { continue };
-                let router = &self.routers[node];
-                let vc = match ni.streaming[v] {
-                    Some(vc) => {
-                        debug_assert!(!front.kind().is_head());
-                        if router.local_vc_accepts(vc as usize, false, cap) {
-                            Some(vc)
-                        } else {
-                            None
-                        }
-                    }
-                    None => {
-                        debug_assert!(front.kind().is_head());
-                        (v * k..(v + 1) * k)
-                            .find(|&vc| router.local_vc_accepts(vc, true, cap))
-                            .map(|vc| vc as u8)
-                    }
-                };
-                let Some(vc) = vc else { continue };
-                let ni = &mut self.nis[node];
-                let mut flit = ni.queues[v].pop_front().expect("front checked above");
-                flit.set_vc(vc);
-                ni.streaming[v] = if flit.kind().is_tail() { None } else { Some(vc) };
-                self.routers[node].accept_flit(&self.mesh, &self.cfg, Dir::Local, flit, cycle, cap);
-                self.buffered_total += 1;
-                self.ni_backlogs[node] -= 1;
-                self.ni_backlog_total -= 1;
-                self.stats.injected_flits += 1;
-                self.mark_router(node);
-                self.nis[node].rr = (v + 1) % vnets;
-                pushed = true;
-                break;
-            }
-            if !pushed {
-                break;
-            }
-        }
-        self.ni_backlogs[node] > 0
-    }
-
-    /// Phase-4 router pipeline for a single router: RC → VA → SA/ST,
-    /// then departures are committed to links / ejection with credits
-    /// returned upstream. Uses the per-network departure scratch buffer so
-    /// steady-state cycles allocate nothing. Returns whether the router
-    /// still buffers flits (i.e. must stay on the worklist).
-    fn run_router(&mut self, r: usize, cycle: u64, use_down: bool) -> bool {
-        let mut down = Router::NO_DOWN_PORTS;
-        if use_down {
-            if let Some(f) = &self.fault {
-                for d in Dir::ROUTER_DIRS {
-                    if let Some(lid) = self.link_of[r][d.index()] {
-                        down[d.index()] = f.link_down(lid, cycle);
-                    }
-                }
-            }
-        }
-        let mut departures = std::mem::take(&mut self.departures_scratch);
-        debug_assert!(departures.is_empty());
-        {
-            // Route computation happened eagerly at head acceptance
-            // (`Router::accept_flit`); the per-cycle pipeline starts at VA.
-            let router = &mut self.routers[r];
-            router.vc_allocate(&self.cfg, cycle, &mut self.tracer);
-            router.switch_allocate_into(&self.cfg, cycle, &down, &mut departures);
-        }
-        if !departures.is_empty() {
-            self.stats.record_router_cycle(r, true);
-            self.stats.crossbar_transfers += departures.len() as u64;
-        }
-        for dep in departures.drain(..) {
-            self.buffered_total -= 1;
-            if dep.in_port != Dir::Local {
-                let upstream = self
-                    .mesh
-                    .neighbor(NodeId::new(r), dep.in_port)
-                    .expect("flit arrived from a connected port");
-                self.pending_credits.push(CreditMsg {
-                    router: upstream.index(),
-                    port: dep.in_port.opposite(),
-                    vc: dep.in_vc,
-                    frees_vc: dep.was_tail,
-                });
-            }
-            if dep.out_port == Dir::Local {
-                self.eject(r, dep.flit, cycle);
-            } else {
-                let lid = self.link_of[r][dep.out_port.index()]
-                    .expect("departure through a connected port");
-                debug_assert!(self.links[lid].slot.is_none(), "link carries one flit per cycle");
-                self.tracer.record_with(cycle, || EventKind::FlitHop {
-                    router: r as u32,
-                    out_port: dep.out_port.index() as u8,
-                    flit: dep.flit.id,
-                    packet: dep.flit.packet_id,
-                });
-                self.tracer.count_link(cycle, r as u32, dep.out_port.index() as u8);
-                self.links[lid].slot = Some(dep.flit);
-                self.occupied_links.push(lid);
-                self.stats.record_link_cycle(lid, true);
-            }
-        }
-        self.departures_scratch = departures;
-        self.routers[r].buffered_flits() > 0
-    }
-
-    fn eject(&mut self, node: usize, flit: Flit, cycle: u64) {
-        let pid = flit.packet_id;
-        let is_tail = flit.kind().is_tail();
-        let entry = self
-            .reassembly
-            .entry(pid)
-            .or_insert(Partial { head: None, flits: 0, corrupted: false, dst: node });
-        entry.flits += 1;
-        entry.corrupted |= flit.corrupted();
-        if flit.kind().is_head() {
-            match &entry.head {
-                Some(kept) => {
-                    // Wormhole routing cannot legally deliver two heads
-                    // for one packet id; count the protocol violation and
-                    // keep the first head rather than abort. A true
-                    // duplicate shares the kept head's ref (one pool
-                    // insert per packet); free only a genuinely distinct
-                    // orphaned slot.
-                    self.stats.protocol_errors.duplicate_head += 1;
-                    if kept.payload != flit.payload {
-                        self.pool.release(flit.payload);
-                    }
-                }
-                None => entry.head = Some(flit),
-            }
-        }
-        if is_tail {
-            // Wormhole routing ejects a packet's flits in order, so the
-            // head is present by the time the tail arrives — unless a
-            // protocol fault lost it, which is counted rather than fatal.
-            let Some(partial) = self.reassembly.remove(&pid) else { return };
-            let Some(head) = partial.head else {
-                self.stats.protocol_errors.tail_without_head += 1;
-                self.lost_packets += 1;
-                return;
-            };
-            let Some(payload) = self.pool.take(head.payload) else {
-                self.stats.protocol_errors.missing_payload += 1;
-                self.lost_packets += 1;
-                return;
-            };
-            let packet = Packet {
-                id: head.packet_id,
-                src: head.src(),
-                dst: head.dst(),
-                vnet: head.vnet(),
-                class: head.class(),
-                queued_at: head.queued_at,
-                delivered_at: cycle,
-                hops: head.hops(),
-                corrupted: partial.corrupted || head.corrupted(),
-                payload,
-            };
-            self.tracer.record_with(cycle, || EventKind::PacketEject {
-                packet: packet.id,
-                node: node as u32,
-                latency: packet.latency(),
-                hops: packet.hops,
-                flits: partial.flits,
-                class: packet.class.code(),
-            });
-            self.stats.record_delivery(packet.class, partial.flits, packet.latency());
-            self.delivered_packets += 1;
-            self.push_ejected(node, packet);
+            ni_backlog: self.total_ni_backlog(),
         }
     }
 
@@ -1207,43 +723,6 @@ impl<P> Network<P> {
     /// shorter, so a nonzero value flags a routing livelock).
     pub fn hops_saturations(&self) -> u64 {
         self.routers.iter().map(Router::hops_saturations).sum()
-    }
-
-    /// Switches between serial stepping (`shards == 0`, the default) and
-    /// sharded stepping (DESIGN.md §13): the mesh is split into `shards`
-    /// horizontal row bands, each stepped by its own worker thread, with
-    /// per-cycle barrier synchronization and deterministic boundary-flit
-    /// mailboxes. Bit-identical to every serial mode for any shard count —
-    /// `tests/determinism.rs` and `tests/properties.rs` prove it against
-    /// the dense oracle.
-    ///
-    /// The clock still jumps dead stretches, once *all* shards are
-    /// quiescent. Sharding turns dense stepping off; enabling dense
-    /// stepping folds the shards back.
-    /// Sharded stepping records no tracer events (install
-    /// [`TracerHandle::Nop`] semantics apply regardless of the handle).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError`] if `shards` exceeds the mesh row count.
-    pub fn set_sharding(&mut self, shards: usize) -> Result<(), ShardError> {
-        if shards == self.sharding() {
-            return Ok(());
-        }
-        if shards > self.mesh.rows() {
-            return Err(ShardError::TooManyShards { shards, rows: self.mesh.rows() });
-        }
-        sharded::unshard(self);
-        if shards > 0 {
-            sharded::enshard(self, shards);
-            self.dense = false;
-        }
-        Ok(())
-    }
-
-    /// The active shard (worker-thread) count; 0 when stepping serially.
-    pub fn sharding(&self) -> usize {
-        self.sharding.as_ref().map_or(0, |sh| sh.tiles)
     }
 }
 
@@ -1844,13 +1323,8 @@ mod tests {
         panic!("network failed to drain: {}", n.stall_report());
     }
 
-    fn faulted_random_run(shards: usize) -> RunFingerprint {
-        let mut n = net(NocConfig::axnoc());
-        if shards == 0 {
-            n.set_dense_stepping(true);
-        } else {
-            n.set_sharding(shards).unwrap();
-        }
+    fn faulted_random_run(stepping: Stepping) -> RunFingerprint {
+        let mut n = net(NocConfig::axnoc().with_stepping(stepping));
         n.set_fault_plan(
             FaultPlan::seeded(1234)
                 .with_drop_rate(0.2)
@@ -1875,10 +1349,10 @@ mod tests {
 
     #[test]
     fn sharded_stepping_matches_the_dense_oracle() {
-        let dense = faulted_random_run(0);
+        let dense = faulted_random_run(Stepping::Dense);
         for shards in [1, 2, 4] {
             assert_eq!(
-                faulted_random_run(shards),
+                faulted_random_run(Stepping::Sharded(shards)),
                 dense,
                 "{shards}-shard run must be byte-identical to dense"
             );
@@ -1887,43 +1361,9 @@ mod tests {
     }
 
     #[test]
-    fn sharding_survives_mid_run_mode_flips() {
-        let run = |flip: bool| {
-            let mut n = net(NocConfig::binochs());
-            let nodes: Vec<_> = n.mesh().nodes().collect();
-            for (i, &src) in nodes.iter().enumerate() {
-                for (j, &dst) in nodes.iter().enumerate() {
-                    n.inject(comm(src, dst, 64, (i * 16 + j) as u64)).unwrap();
-                }
-            }
-            // Flip serial → 2 shards → 3 shards → serial mid-flight: the
-            // state migrations must be exact, not just the steady state.
-            n.run(20);
-            if flip {
-                n.set_sharding(2).unwrap();
-            }
-            n.run(50);
-            if flip {
-                n.set_sharding(3).unwrap();
-            }
-            n.run(50);
-            if flip {
-                n.set_sharding(0).unwrap();
-            }
-            drain_in_chunks(&mut n);
-            assert_eq!(n.sharding(), 0);
-            run_fingerprint(&mut n)
-        };
-        assert_eq!(run(true), run(false), "mode flips are observationally free");
-    }
-
-    #[test]
     fn sharded_stepping_jumps_dead_cycles_identically() {
-        let run = |shards: usize| {
-            let mut n = net(NocConfig::binochs().with_sample_window(100));
-            if shards > 0 {
-                n.set_sharding(shards).unwrap();
-            }
+        let run = |stepping: Stepping| {
+            let mut n = net(NocConfig::binochs().with_sample_window(100).with_stepping(stepping));
             let src = n.mesh().node_at(0, 0);
             let dst = n.mesh().node_at(3, 3);
             for i in 0..10 {
@@ -1935,33 +1375,16 @@ mod tests {
             assert!(n.is_quiescent());
             run_fingerprint(&mut n)
         };
-        let serial = run(0);
+        let serial = run(Stepping::Serial);
         assert_eq!(serial.0, 50_000, "the jump lands exactly on the target");
         for shards in [1, 2, 4] {
-            assert_eq!(run(shards), serial, "{shards}-shard jumping run identical");
+            assert_eq!(run(Stepping::Sharded(shards)), serial, "{shards}-shard jumping run identical");
         }
     }
 
     #[test]
-    fn set_sharding_rejects_impossible_tilings() {
-        let mut n = net(NocConfig::binochs()); // 4 rows
-        assert_eq!(
-            n.set_sharding(5),
-            Err(ShardError::TooManyShards { shards: 5, rows: 4 })
-        );
-        assert_eq!(n.sharding(), 0, "failed request leaves serial stepping");
-        n.set_sharding(4).unwrap();
-        assert_eq!(n.sharding(), 4);
-        n.set_sharding(4).unwrap(); // idempotent
-        assert_eq!(n.sharding(), 4);
-        n.set_dense_stepping(true);
-        assert_eq!(n.sharding(), 0, "dense stepping folds the shards back");
-    }
-
-    #[test]
     fn injection_wakes_sharded_nis() {
-        let mut n = net(NocConfig::binochs());
-        n.set_sharding(2).unwrap();
+        let mut n = net(NocConfig::binochs().with_stepping(Stepping::Sharded(2)));
         let src = n.mesh().node_at(1, 3); // bottom band
         let dst = n.mesh().node_at(2, 0); // top band
         n.inject(comm(src, dst, 32, 77)).unwrap();

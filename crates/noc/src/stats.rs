@@ -402,14 +402,18 @@ impl NetStats {
         }
     }
 
-    pub(crate) fn record_router_cycle(&mut self, router: usize, crossbar_busy: bool) {
+    #[cfg(test)]
+    fn record_router_cycle(&mut self, router: usize, crossbar_busy: bool) {
         self.crossbar[router].record(crossbar_busy);
     }
 
-    pub(crate) fn record_link_cycle(&mut self, link: usize, busy: bool) {
+    #[cfg(test)]
+    fn record_link_cycle(&mut self, link: usize, busy: bool) {
         self.links[link].record(busy);
     }
 
+    /// Closes one simulated cycle: counts it into the sampling window and
+    /// rolls every series when the window is complete.
     pub(crate) fn end_cycle(&mut self, cycle: u64) {
         self.cycles_in_window += 1;
         if self.cycles_in_window >= self.window {
@@ -476,8 +480,8 @@ impl NetStats {
 
     /// Flushes the trailing partial sampling window, if any.
     ///
-    /// [`NetStats::end_cycle`] only emits a sample every `sample_window`
-    /// cycles, so a run shorter than one window — or one that stops
+    /// Stepping only emits a series sample every `sample_window` cycles,
+    /// so a run shorter than one window — or one that stops
     /// mid-window — would otherwise report *zero* samples and a silently
     /// wrong `median_crossbar_utilization() == 0.0`. The partial window is
     /// normalized by the cycles actually elapsed, not the nominal window
@@ -570,13 +574,28 @@ impl NetStats {
         self.links.iter().map(|s| s.peak()).fold(0.0, f64::max)
     }
 
-    /// Mutable access to the full per-router crossbar and per-link series
-    /// tables, for the sharded stepping path: each worker takes a disjoint
-    /// `split_at_mut` slice of both (routers and link ids are contiguous
-    /// per tile) and records busy events / rolls windows exactly as
-    /// `record_router_cycle` / `record_link_cycle` / `end_cycle` would.
-    pub(crate) fn series_mut(&mut self) -> (&mut [WindowSeries], &mut [WindowSeries]) {
-        (&mut self.crossbar, &mut self.links)
+    /// Splits the statistics into the per-router crossbar and per-link
+    /// series tables plus the [`Tally`] of network-wide counters, so the
+    /// cycle phases can write all three at once. Routers and link ids are
+    /// contiguous per shard, so each shard view takes a disjoint slice of
+    /// both tables.
+    pub(crate) fn split_mut(&mut self) -> (&mut [WindowSeries], &mut [WindowSeries], Tally<'_>) {
+        let tally = Tally {
+            occupancy: &mut self.occupancy,
+            injected_flits: &mut self.injected_flits,
+            crossbar_transfers: &mut self.crossbar_transfers,
+            protocol_errors: &mut self.protocol_errors,
+        };
+        (&mut self.crossbar, &mut self.links, tally)
+    }
+
+    /// Folds one worker's batch delta into the totals. Every field is a
+    /// sum or a bucket count, so the fold order cannot change the result.
+    pub(crate) fn merge_delta(&mut self, delta: &TallyDelta) {
+        self.occupancy.merge(&delta.occupancy);
+        self.injected_flits += delta.injected_flits;
+        self.crossbar_transfers += delta.crossbar_transfers;
+        self.protocol_errors.merge(&delta.protocol_errors);
     }
 
     /// Cycles accumulated in the current (incomplete) sampling window.
@@ -584,8 +603,8 @@ impl NetStats {
         self.cycles_in_window
     }
 
-    /// Overwrites the in-window cycle counter (sharded batch epilogue:
-    /// every shard advanced the same number of cycles, so the per-worker
+    /// Overwrites the in-window cycle counter (threaded batch epilogue:
+    /// every worker advanced the same number of cycles, so the per-worker
     /// copies all agree).
     pub(crate) fn set_cycles_in_window(&mut self, cycles: u64) {
         self.cycles_in_window = cycles;
@@ -594,6 +613,38 @@ impl NetStats {
     /// The sampling-window length in cycles.
     pub(crate) fn sample_window(&self) -> u64 {
         self.window
+    }
+}
+
+/// The network-wide counters the cycle phases add to, borrowed either
+/// from [`NetStats`] itself (steps on the calling thread) or from one
+/// worker's [`TallyDelta`] (threaded sharded batches).
+pub(crate) struct Tally<'a> {
+    pub(crate) occupancy: &'a mut OccupancyCdf,
+    pub(crate) injected_flits: &'a mut u64,
+    pub(crate) crossbar_transfers: &'a mut u64,
+    pub(crate) protocol_errors: &'a mut ProtocolErrors,
+}
+
+/// One worker's share of the [`Tally`] counters over a threaded batch,
+/// folded into [`NetStats`] by [`NetStats::merge_delta`] afterwards.
+#[derive(Default)]
+pub(crate) struct TallyDelta {
+    occupancy: OccupancyCdf,
+    injected_flits: u64,
+    crossbar_transfers: u64,
+    protocol_errors: ProtocolErrors,
+}
+
+impl TallyDelta {
+    /// Borrows the delta as the tally a worker's phases write.
+    pub(crate) fn tally(&mut self) -> Tally<'_> {
+        Tally {
+            occupancy: &mut self.occupancy,
+            injected_flits: &mut self.injected_flits,
+            crossbar_transfers: &mut self.crossbar_transfers,
+            protocol_errors: &mut self.protocol_errors,
+        }
     }
 }
 

@@ -50,6 +50,7 @@ pub use presets::{decentralized_cpm, fig12_qos, slo_sweep, three_class_demo};
 pub use qos::{AdmissionError, ClassPolicy, QosClass};
 pub use service::{
     run_service, ClassReport, ServiceConfigError, ServiceError, ServiceReport, ServiceSpec,
-    Stepping, TenantReport,
+    TenantReport,
 };
+pub use snacknoc_noc::Stepping;
 pub use tenant::{Arrivals, TenantSpec};

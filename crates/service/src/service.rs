@@ -13,56 +13,14 @@ use snacknoc_workloads::BenchmarkProfile;
 use std::collections::VecDeque;
 use std::fmt;
 
-/// Stepping-mode selector: the three modes of the determinism suite. The
-/// service report is bit-identical across all of them for any valid spec.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Stepping {
-    /// Reference dense loop: every router stepped every cycle, no jumps.
-    Dense,
-    /// Active-set scheduler with clock jumps across idle gaps (the
-    /// platform default).
-    Serial,
-    /// Sharded mesh stepping (two shards), with clock jumps.
-    Sharded,
-}
-
-impl Stepping {
-    /// All three modes, in the determinism suite's order.
-    pub const ALL: [Stepping; 3] = [Stepping::Dense, Stepping::Serial, Stepping::Sharded];
-
-    /// Short stable name (used in reports and JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            Stepping::Dense => "dense",
-            Stepping::Serial => "serial",
-            Stepping::Sharded => "sharded",
-        }
-    }
-
-    /// Applies the mode to a freshly built platform.
-    pub fn apply(self, p: &mut SnackPlatform) {
-        match self {
-            Stepping::Dense => p.set_dense_stepping(true),
-            Stepping::Serial => {}
-            Stepping::Sharded => {
-                p.set_sharding(2).expect("two shards fit every preset mesh");
-            }
-        }
-    }
-}
-
-impl fmt::Display for Stepping {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Complete description of one service run. A run is a pure function of
-/// its spec: same spec, same report, in every stepping mode.
+/// its spec: same spec, same report, in every stepping mode (chosen by
+/// `noc.stepping`).
 #[derive(Clone, Debug)]
 pub struct ServiceSpec {
     /// NoC configuration (enable the paper's priority arbitration here to
-    /// get the Fig. 12 QoS behaviour at the network level).
+    /// get the Fig. 12 QoS behaviour at the network level), stepping mode
+    /// included.
     pub noc: NocConfig,
     /// Corner CPMs to serve from (1..=4): the admission-controlled
     /// resource pool.
@@ -79,8 +37,6 @@ pub struct ServiceSpec {
     /// Platform knobs; [`PlatformConfig::kernel_cycle_cap`] is the
     /// service's per-kernel abort deadline.
     pub platform: PlatformConfig,
-    /// Stepping mode.
-    pub stepping: Stepping,
     /// Master seed: forked per tenant for arrival gaps and kernel inputs.
     pub seed: u64,
     /// Optional CMP workload run concurrently on the same platform
@@ -104,7 +60,6 @@ impl ServiceSpec {
             horizon: 40_000,
             drain: 20_000,
             platform: PlatformConfig::default(),
-            stepping: Stepping::Serial,
             seed,
             workload: None,
             fault_plan: None,
@@ -427,7 +382,6 @@ pub fn run_service(spec: &ServiceSpec) -> Result<ServiceReport, ServiceError> {
     spec.validate().map_err(ServiceError::Config)?;
     let mut platform = SnackPlatform::with_cpm_count(spec.noc.clone(), spec.cpm_count)
         .map_err(ServiceError::Platform)?;
-    spec.stepping.apply(&mut platform);
     platform
         .set_platform_config(spec.platform)
         .map_err(|e| ServiceError::Config(ServiceConfigError::Platform(e)))?;
@@ -672,6 +626,7 @@ pub fn run_service(spec: &ServiceSpec) -> Result<ServiceReport, ServiceError> {
 mod tests {
     use super::*;
     use crate::presets::three_class_demo;
+    use snacknoc_noc::{ConfigError, Stepping};
     use snacknoc_workloads::kernels::Kernel;
 
     fn one_tenant(class: QosClass, arrivals: Arrivals) -> ServiceSpec {
@@ -842,7 +797,7 @@ mod tests {
         let mut prints = Vec::new();
         for mode in Stepping::ALL {
             let mut spec = base.clone();
-            spec.stepping = mode;
+            spec.noc.stepping = mode;
             let r = run_service(&spec).expect("valid spec");
             assert!(r.violations.is_empty(), "{mode}: {:?}", r.violations);
             prints.push((mode, r.fingerprint()));
@@ -850,5 +805,25 @@ mod tests {
         for (mode, fp) in &prints[1..] {
             assert_eq!(*fp, prints[0].1, "{mode} diverged from dense");
         }
+    }
+
+    /// A shard count the mesh cannot tile passes the spec's own checks
+    /// and must come back as a typed platform error, not a panic.
+    #[test]
+    fn impossible_shard_count_is_a_typed_error() {
+        let mut spec = three_class_demo(1);
+        spec.noc = spec.noc.with_mesh(2, 1).with_stepping(Stepping::Sharded(2));
+        assert!(spec.validate().is_ok(), "the spec itself is well-formed");
+        let err = run_service(&spec).expect_err("a 2-shard 1-row mesh cannot run");
+        assert!(
+            matches!(
+                err,
+                ServiceError::Platform(PlatformError::Config(ConfigError::TooManyShards {
+                    shards: 2,
+                    rows: 1
+                }))
+            ),
+            "{err}"
+        );
     }
 }

@@ -1,8 +1,9 @@
 //! # snacknoc-trace — cycle-level tracing & timeline observability
 //!
 //! A deterministic, bounded-memory, structured event-tracing subsystem for
-//! the SnackNoC reproduction. The simulator's aggregate [`NetStats`-style]
-//! counters answer *how much*; this crate answers *when* and *why*:
+//! the SnackNoC reproduction. The simulator's aggregate counters (the
+//! network's `NetStats` and the like) answer *how much*; this crate
+//! answers *when* and *why*:
 //!
 //! * [`Tracer`] — the instrumentation trait. Producers (router pipeline,
 //!   RCU datapath, CPM control loop) call it at interesting boundaries.

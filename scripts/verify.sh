@@ -67,6 +67,11 @@ cargo test -q --offline --workspace
 echo "+ cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Docs build warning-free: a doc link to a renamed or deleted item fails
+# here instead of going stale silently.
+echo "+ RUSTDOCFLAGS=\"-D warnings\" cargo doc --offline --no-deps --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 # The benchmark package (snack_bench/, its own workspace) builds against
 # the simulator's public API: test and lint it here so an API change that
 # breaks it fails this gate instead of the next benchmark run.
@@ -85,7 +90,10 @@ trace_json=$(mktemp)
 perf_json=$(mktemp)
 chaos_json=$(mktemp)
 service_json=$(mktemp)
-trap 'rm -f "$smoke_json" "$trace_json" "$perf_json" "$chaos_json" "$service_json"' EXIT
+chaos_capture=$(mktemp)
+service_capture=$(mktemp)
+trap 'rm -f "$smoke_json" "$trace_json" "$perf_json" "$chaos_json" "$service_json" \
+  "$chaos_capture" "$service_capture"' EXIT
 cargo run --release --offline -q -p snacknoc-bench --bin snack-faults -- \
   --smoke --json "$smoke_json"
 
@@ -358,5 +366,23 @@ awk '
     if (!peak) { print "ERROR: no rejections_at_peak in snack-service JSON" > "/dev/stderr"; exit 1 }
     if (!fair) { print "ERROR: no fairness fields in snack-service JSON" > "/dev/stderr"; exit 1 }
   }' "$service_json"
+
+# The served-system captures are pure functions of the code: snack-chaos
+# and snack-service with default arguments must regenerate the committed
+# BENCH_chaos.json and BENCH_service.json byte for byte, so a hot-path
+# change that moves any chaos or SLO number fails here.
+echo "+ snack-chaos / snack-service regenerate their committed captures"
+cargo run --release --offline -q -p snacknoc-bench --bin snack-chaos -- \
+  --json "$chaos_capture" >/dev/null
+cmp "$chaos_capture" BENCH_chaos.json || {
+  echo "ERROR: snack-chaos no longer reproduces BENCH_chaos.json byte for byte" >&2
+  exit 1
+}
+cargo run --release --offline -q -p snacknoc-bench --bin snack-service -- \
+  --json "$service_capture" >/dev/null
+cmp "$service_capture" BENCH_service.json || {
+  echo "ERROR: snack-service no longer reproduces BENCH_service.json byte for byte" >&2
+  exit 1
+}
 
 echo "verify: all green"

@@ -6,33 +6,25 @@
 
 use snacknoc::compiler::{build, MapperConfig};
 use snacknoc::core::SnackPlatform;
-use snacknoc::noc::{NocConfig, NocPreset, TrafficClass};
+use snacknoc::noc::{NocConfig, NocPreset, Stepping, TrafficClass};
 use snacknoc::workloads::kernels::Kernel;
 use snacknoc::workloads::suite::{profile, Benchmark};
 use snacknoc_bench::faults::{run_fault_sweep, FaultScenario, FaultSweepSpec};
 use snacknoc_bench::sweep::{run_sweep, SweepSpec};
 
-/// Applies stepping mode `0` (dense reference loop, DESIGN.md §11),
-/// `1` (serial: active sets plus clock jumps, the default, DESIGN.md §12)
-/// or `2` (sharded worker threads, DESIGN.md §13, two shards) to a
-/// platform.
-fn apply_mode(p: &mut SnackPlatform, mode: u8) {
-    match mode {
-        0 => p.set_dense_stepping(true),
-        1 => {}
-        2 => p.set_sharding(2).expect("two shards fit the mesh"),
-        _ => unreachable!("modes are 0..=2"),
-    }
-}
-
-/// A fingerprint of a multi-program run produced under an arbitrary
-/// platform setup. All stepping modes must be bit-identical.
-fn fingerprint_with(seed: u64, setup: impl FnOnce(&mut SnackPlatform)) -> (u64, u64, f64, u64, u64) {
+/// A fingerprint of a multi-program run that any nondeterminism would
+/// perturb, under stepping mode `stepping`: dense (the reference loop,
+/// DESIGN.md §11), serial (active sets plus clock jumps, the default,
+/// DESIGN.md §12) or sharded (DESIGN.md §13). All modes must be
+/// bit-identical.
+fn fingerprint_stepping(seed: u64, stepping: Stepping) -> (u64, u64, f64, u64, u64) {
     let mut p = SnackPlatform::new(
-        NocConfig::dapper().with_priority_arbitration(true).with_sample_window(500),
+        NocConfig::dapper()
+            .with_priority_arbitration(true)
+            .with_sample_window(500)
+            .with_stepping(stepping),
     )
     .expect("valid platform");
-    setup(&mut p);
     let built = build(Kernel::Spmv, 48, seed);
     let kernel = built
         .context
@@ -51,16 +43,9 @@ fn fingerprint_with(seed: u64, setup: impl FnOnce(&mut SnackPlatform)) -> (u64, 
     )
 }
 
-/// A fingerprint of a multi-program run that any nondeterminism would
-/// perturb. `mode` selects the stepping mode (see [`apply_mode`]); all
-/// modes must be bit-identical.
-fn fingerprint_stepping(seed: u64, mode: u8) -> (u64, u64, f64, u64, u64) {
-    fingerprint_with(seed, |p| apply_mode(p, mode))
-}
-
 /// Default-mode fingerprint (serial stepping).
 fn fingerprint(seed: u64) -> (u64, u64, f64, u64, u64) {
-    fingerprint_stepping(seed, 1)
+    fingerprint_stepping(seed, Stepping::Serial)
 }
 
 #[test]
@@ -246,20 +231,20 @@ fn ring_traced_kernel_matches_untraced_kernel() {
 /// Active-set scheduling, part 1: serial stepping (the default: active
 /// sets plus clock jumps) is a pure wall-clock optimization. A full
 /// multi-program run — kernel + background workload + priority
-/// arbitration — produces a bit-identical fingerprint under
-/// `dense_stepping`, which visits every router, NI and RCU each cycle and
+/// arbitration — produces a bit-identical fingerprint under dense
+/// stepping, which visits every router, NI and RCU each cycle and
 /// never jumps (DESIGN.md §11–§12).
 #[test]
 fn active_set_multiprogram_is_bit_identical_to_dense() {
     for seed in [41, 42, 1009] {
-        let dense = fingerprint_stepping(seed, 0);
+        let dense = fingerprint_stepping(seed, Stepping::Dense);
         assert_eq!(
-            fingerprint_stepping(seed, 1),
+            fingerprint_stepping(seed, Stepping::Serial),
             dense,
             "seed {seed}: serial stepping must match dense stepping bit-for-bit"
         );
         assert_eq!(
-            fingerprint_stepping(seed, 2),
+            fingerprint_stepping(seed, Stepping::Sharded(2)),
             dense,
             "seed {seed}: sharded stepping must match dense stepping bit-for-bit"
         );
@@ -272,10 +257,9 @@ fn active_set_multiprogram_is_bit_identical_to_dense() {
 /// count is a pure wall-clock knob, exactly like the sweep pool's.
 #[test]
 fn sharded_multiprogram_is_shard_count_invariant() {
-    let dense = fingerprint_stepping(41, 0);
+    let dense = fingerprint_stepping(41, Stepping::Dense);
     for shards in [1, 2, 4] {
-        let sharded =
-            fingerprint_with(41, |p| p.set_sharding(shards).expect("shards fit the mesh"));
+        let sharded = fingerprint_stepping(41, Stepping::Sharded(shards));
         assert_eq!(
             sharded, dense,
             "{shards}-shard multiprogram run must match dense bit-for-bit"
@@ -296,9 +280,9 @@ fn active_set_matches_dense_under_fault_plan() {
     use snacknoc_bench::perf::stats_fingerprint;
 
     let built = build(Kernel::Reduction, 48, 9);
-    let run_mode = |mode: u8| {
-        let mut p = SnackPlatform::new(NocConfig::default()).expect("valid platform");
-        apply_mode(&mut p, mode);
+    let run_mode = |mode: Stepping| {
+        let mut p =
+            SnackPlatform::new(NocConfig::default().with_stepping(mode)).expect("valid platform");
         // MAC fusion off: intermediate values travel the transient ring,
         // which the fault plan targets.
         let mapper = MapperConfig::for_mesh(p.mesh()).with_mac_fusion(false);
@@ -333,9 +317,9 @@ fn active_set_matches_dense_under_fault_plan() {
             stats_fingerprint(injected, delivered, 0, p.finalize_stats()),
         )
     };
-    let dense = run_mode(0);
-    assert_eq!(run_mode(1), dense, "serial faulted kernel run must be bit-identical to dense");
-    assert_eq!(run_mode(2), dense, "sharded faulted kernel run must be bit-identical to dense");
+    let [dense, serial, sharded] = Stepping::ALL.map(run_mode);
+    assert_eq!(serial, dense, "serial faulted kernel run must be bit-identical to dense");
+    assert_eq!(sharded, dense, "sharded faulted kernel run must be bit-identical to dense");
     assert!(dense.contains("rcu="), "fingerprint is non-trivial");
 }
 
@@ -353,10 +337,9 @@ fn remap_and_failover_are_bit_identical_across_modes_and_shards() {
     use snacknoc_bench::perf::stats_fingerprint;
 
     let built = build(Kernel::Reduction, 48, 9);
-    let run_with = |setup: &dyn Fn(&mut SnackPlatform)| {
-        let mut p = SnackPlatform::with_cpm_count(NocConfig::default(), 4)
+    let run_with = |mode: Stepping| {
+        let mut p = SnackPlatform::with_cpm_count(NocConfig::default().with_stepping(mode), 4)
             .expect("valid platform");
-        setup(&mut p);
         let mapper = MapperConfig::for_mesh(p.mesh()).with_mac_fusion(false);
         let kernel = built.context.compile(built.root, &mapper).expect("compiles");
         let home = p.cpm_at(0).node();
@@ -394,17 +377,17 @@ fn remap_and_failover_are_bit_identical_across_modes_and_shards() {
             stats_fingerprint(injected, delivered, 0, p.finalize_stats()),
         )
     };
-    let dense = run_with(&|p| apply_mode(p, 0));
-    for mode in 1u8..=2 {
+    let dense = run_with(Stepping::Dense);
+    for mode in [Stepping::Serial, Stepping::Sharded(2)] {
         assert_eq!(
-            run_with(&|p| apply_mode(p, mode)),
+            run_with(mode),
             dense,
-            "mode {mode}: remap/failover run must be bit-identical to dense"
+            "{mode}: remap/failover run must be bit-identical to dense"
         );
     }
     for shards in [1usize, 4] {
         assert_eq!(
-            run_with(&move |p| p.set_sharding(shards).expect("shards fit the mesh")),
+            run_with(Stepping::Sharded(shards)),
             dense,
             "{shards}-shard remap/failover run must be bit-identical to dense"
         );
@@ -446,8 +429,8 @@ fn chaos_grid_reports_are_worker_count_invariant() {
 #[test]
 fn active_vs_dense_fingerprints_are_worker_count_invariant() {
     use snacknoc_bench::sweep::parallel_map;
-    let grid: Vec<(u64, u8)> =
-        [7u64, 8, 9].iter().flat_map(|&s| [(s, 0u8), (s, 1), (s, 2)]).collect();
+    let grid: Vec<(u64, Stepping)> =
+        [7u64, 8, 9].iter().flat_map(|&s| Stepping::ALL.map(|m| (s, m))).collect();
     let job = |i: usize| {
         let (seed, mode) = grid[i];
         format!("{:?}", fingerprint_stepping(seed, mode))
@@ -471,7 +454,7 @@ fn active_vs_dense_fingerprints_are_worker_count_invariant() {
 /// property this matrix proves.
 #[test]
 fn service_reports_are_mode_and_worker_count_invariant() {
-    use snacknoc::service::{decentralized_cpm, run_service, slo_sweep, Stepping};
+    use snacknoc::service::{decentralized_cpm, run_service, slo_sweep};
     use snacknoc_bench::sweep::parallel_map;
 
     let specs = [slo_sweep(70, 41), slo_sweep(170, 41), decentralized_cpm(3, 42)];
@@ -480,7 +463,7 @@ fn service_reports_are_mode_and_worker_count_invariant() {
     let job = |i: usize| {
         let (s, mode) = grid[i];
         let mut spec = specs[s].clone();
-        spec.stepping = mode;
+        spec.noc.stepping = mode;
         let report = run_service(&spec).expect("preset specs are valid");
         assert!(report.violations.is_empty(), "{mode}: {:?}", report.violations);
         report.fingerprint()

@@ -8,7 +8,7 @@
 
 use snacknoc::compiler::{Context, MapperConfig, Res};
 use snacknoc::core::SnackPlatform;
-use snacknoc::noc::{Mesh, Network, NocConfig, NodeId, PacketSpec, TrafficClass};
+use snacknoc::noc::{Mesh, Network, NocConfig, NodeId, PacketSpec, Stepping, TrafficClass};
 use snacknoc_prng::{prop_check, Rng};
 
 /// Generator: a small mesh with at least one even side (ring exists).
@@ -414,9 +414,8 @@ fn random_workloads_step_identically_active_and_dense() {
             None
         };
 
-        let run_mode = |dense: bool| {
-            let mut net: Network<usize> = Network::new(cfg.clone()).unwrap();
-            net.set_dense_stepping(dense);
+        let run_mode = |mode: Stepping| {
+            let mut net: Network<usize> = Network::new(cfg.clone().with_stepping(mode)).unwrap();
             if let Some((node, dir, start, end, kind, fseed)) = fault {
                 net.set_fault_plan(
                     FaultPlan::seeded(fseed).with_link_fault(node, dir, start, end, kind),
@@ -457,8 +456,8 @@ fn random_workloads_step_identically_active_and_dense() {
                 stats_fingerprint(injected, delivered, pending, net.finalize_stats()),
             )
         };
-        let active = run_mode(false);
-        let dense = run_mode(true);
+        let active = run_mode(Stepping::Serial);
+        let dense = run_mode(Stepping::Dense);
         assert_eq!(
             active, dense,
             "{cols}x{rows} mesh, {} packets, fault={fault:?}: \
@@ -537,13 +536,8 @@ fn random_short_window_fault_plans_step_identically_event_and_dense() {
         // each span at least one mesh row).
         let shards = 1 + rng.range_usize(0..rows as usize);
 
-        let run_mode = |mode: u8| {
-            let mut net: Network<usize> = Network::new(cfg.clone()).unwrap();
-            match mode {
-                0 => net.set_dense_stepping(true),
-                1 => {}
-                _ => net.set_sharding(shards).unwrap(),
-            }
+        let run_mode = |mode: Stepping| {
+            let mut net: Network<usize> = Network::new(cfg.clone().with_stepping(mode)).unwrap();
             net.set_fault_plan(plan.clone()).unwrap();
             let mut tag = 0usize;
             for (cycle, packets) in &bursts {
@@ -576,14 +570,14 @@ fn random_short_window_fault_plans_step_identically_event_and_dense() {
                 ),
             )
         };
-        let dense = run_mode(0);
+        let dense = run_mode(Stepping::Dense);
         assert_eq!(
-            run_mode(1),
+            run_mode(Stepping::Serial),
             dense,
             "{cols}x{rows} mesh, horizon {horizon}: serial diverged from dense"
         );
         assert_eq!(
-            run_mode(2),
+            run_mode(Stepping::Sharded(shards)),
             dense,
             "{cols}x{rows} mesh, {shards} shards, horizon {horizon}: sharded diverged from dense"
         );
@@ -653,13 +647,8 @@ fn pooled_payloads_are_bit_identical_across_modes_and_leak_free() {
 
         let shards = 1 + rng.range_usize(0..rows as usize);
 
-        let run_mode = |mode: u8| {
-            let mut net: Network<usize> = Network::new(cfg.clone()).unwrap();
-            match mode {
-                0 => net.set_dense_stepping(true),
-                1 => {}
-                _ => net.set_sharding(shards).unwrap(),
-            }
+        let run_mode = |mode: Stepping| {
+            let mut net: Network<usize> = Network::new(cfg.clone().with_stepping(mode)).unwrap();
             net.set_fault_plan(plan.clone()).unwrap();
             for &(cycle, src, dst, vnet, bytes, tag) in &schedule {
                 net.step_until(cycle);
@@ -701,13 +690,12 @@ fn pooled_payloads_are_bit_identical_across_modes_and_leak_free() {
                 ),
             )
         };
-        let dense = run_mode(0);
-        for mode in 1u8..=2 {
+        let dense = run_mode(Stepping::Dense);
+        for mode in [Stepping::Serial, Stepping::Sharded(shards)] {
             assert_eq!(
                 run_mode(mode),
                 dense,
-                "{cols}x{rows} mesh, {shards} shards: mode {mode} pooled \
-                 payloads diverged from dense"
+                "{cols}x{rows} mesh: {mode} pooled payloads diverged from dense"
             );
         }
     });
@@ -739,14 +727,9 @@ fn random_chaos_schedules_degrade_identically_in_every_mode() {
             let probe = SnackPlatform::new(cfg.clone()).expect("valid platform");
             chaos_schedule(probe.mesh(), seed)
         };
-        let run_mode = |mode: u8| {
-            let mut p = SnackPlatform::with_cpm_count(cfg.clone(), sched.cpm_count)
+        let run_mode = |mode: Stepping| {
+            let mut p = SnackPlatform::with_cpm_count(cfg.clone().with_stepping(mode), sched.cpm_count)
                 .expect("valid platform");
-            match mode {
-                0 => p.set_dense_stepping(true),
-                1 => {}
-                _ => p.set_sharding(2).expect("two shards fit"),
-            }
             let mapper = MapperConfig::for_mesh(p.mesh()).with_mac_fusion(false);
             let compiled = built.context.compile(built.root, &mapper).expect("compiles");
             p.set_fault_plan(sched.plan.clone()).expect("valid plan");
@@ -787,13 +770,9 @@ fn random_chaos_schedules_degrade_identically_in_every_mode() {
                 ),
             )
         };
-        let dense = run_mode(0);
-        for mode in 1u8..=2 {
-            assert_eq!(
-                run_mode(mode),
-                dense,
-                "{kernel}-{size}/s{seed}: mode {mode} diverged from dense under chaos"
-            );
+        let [dense, others @ ..] = Stepping::ALL.map(run_mode);
+        for (mode, other) in Stepping::ALL[1..].iter().zip(others) {
+            assert_eq!(other, dense, "{kernel}-{size}/s{seed}: {mode} diverged from dense under chaos");
         }
     });
 }
@@ -808,7 +787,7 @@ fn random_chaos_schedules_degrade_identically_in_every_mode() {
 #[test]
 fn service_schedules_are_mode_invariant() {
     use snacknoc::service::{
-        run_service, Arrivals, ClassPolicy, QosClass, ServiceSpec, Stepping, TenantSpec,
+        run_service, Arrivals, ClassPolicy, QosClass, ServiceSpec, TenantSpec,
     };
     use snacknoc::workloads::kernels::Kernel;
 
@@ -849,8 +828,8 @@ fn service_schedules_are_mode_invariant() {
             assert_eq!(t.admitted, t.completed + t.aborted + t.residual, "{}", t.name);
         }
 
-        let other = [Stepping::Dense, Stepping::Sharded][rng.range_usize(0..2)];
-        spec.stepping = other;
+        let other = [Stepping::Dense, Stepping::Sharded(2)][rng.range_usize(0..2)];
+        spec.noc.stepping = other;
         let twin = run_service(&spec).expect("generated specs are valid");
         assert_eq!(
             reference.fingerprint(),
