@@ -9,6 +9,13 @@
 //! This replaces the older per-binary `arg_str`/`has_flag` helpers,
 //! which silently ignored misspelled flags — a sweep run with
 //! `--thread 8` would quietly fall back to the default thread count.
+//!
+//! [`write_or_exit`] is the report writer the `snack-*` binaries share:
+//! a report that cannot be written is an error (exit 1), never a panic
+//! or a silent success.
+
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 
 /// Parsed command line for one driver binary.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -140,6 +147,25 @@ impl CliArgs {
         eprintln!("error: {msg}");
         eprintln!("{}", self.usage);
         std::process::exit(2);
+    }
+}
+
+/// Creates `path` and hands `write` a buffered writer over it, flushing
+/// it afterwards. On any I/O error prints `BIN: cannot write PATH: ERR`
+/// to stderr, with `bin` the binary's name, and exits 1.
+pub fn write_or_exit(
+    bin: &str,
+    path: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) {
+    let written = File::create(path).and_then(|file| {
+        let mut w = BufWriter::new(file);
+        write(&mut w)?;
+        w.flush()
+    });
+    if let Err(e) = written {
+        eprintln!("{bin}: cannot write {path}: {e}");
+        std::process::exit(1);
     }
 }
 

@@ -22,7 +22,7 @@
 //! *through* graceful degradation (a remap or failover actually fired) —
 //! CI uses this via `scripts/verify.sh`.
 
-use snacknoc_bench::args::CliArgs;
+use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::chaos::{run_chaos, ChaosSpec};
 use snacknoc_workloads::kernels::Kernel;
 
@@ -81,8 +81,7 @@ fn main() {
     let results = run_chaos(&spec);
     results.print_table();
 
-    let file = std::fs::File::create(&json_path).expect("create JSON report");
-    results.write_json(std::io::BufWriter::new(file)).expect("write JSON report");
+    write_or_exit("snack-chaos", &json_path, |w| results.write_json(w));
     println!("json: {json_path}");
 
     let degraded = results.degraded_completions();

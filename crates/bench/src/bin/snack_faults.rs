@@ -21,7 +21,7 @@
 //! size) and exits non-zero unless every cell is consistent — CI uses
 //! this via `scripts/verify.sh`.
 
-use snacknoc_bench::args::CliArgs;
+use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::faults::{run_fault_sweep, FaultScenario, FaultSweepSpec};
 use snacknoc_workloads::kernels::Kernel;
 
@@ -133,8 +133,7 @@ fn main() {
     let results = run_fault_sweep(&spec);
     results.print_table();
 
-    let file = std::fs::File::create(&json_path).expect("create JSON report");
-    results.write_json(std::io::BufWriter::new(file)).expect("write JSON report");
+    write_or_exit("snack-faults", &json_path, |w| results.write_json(w));
     println!("json: {json_path}");
 
     if !results.all_consistent() {

@@ -23,7 +23,7 @@
 
 #![deny(clippy::unwrap_used)]
 
-use snacknoc_bench::args::CliArgs;
+use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::perf::{
     default_shard_scenarios, default_step_scenarios, host_threads, smoke_shard_scenarios,
     smoke_step_scenarios, time_closed_loop, time_kernel, time_shard_scenario,
@@ -68,8 +68,7 @@ fn main() {
     let report = PerfReport { step, shard, kernels: kernel_results };
     report.print_tables();
 
-    let file = std::fs::File::create(&json_path).expect("create JSON report");
-    report.write_json(std::io::BufWriter::new(file)).expect("write JSON report");
+    write_or_exit("snack-perf", &json_path, |w| report.write_json(w));
     println!("json: {json_path}");
 
     if let Some(speedup) = report.idle_speedup() {

@@ -22,7 +22,7 @@
 //! peak level rejects at least one submission — CI uses this via
 //! `scripts/verify.sh`.
 
-use snacknoc_bench::args::CliArgs;
+use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::service::{run_service_grid, ServiceGridSpec};
 
 const USAGE: &str =
@@ -73,8 +73,7 @@ fn main() {
     let results = run_service_grid(&spec);
     results.print_table();
 
-    let file = std::fs::File::create(&json_path).expect("create JSON report");
-    results.write_json(std::io::BufWriter::new(file)).expect("write JSON report");
+    write_or_exit("snack-service", &json_path, |w| results.write_json(w));
     println!("json: {json_path}");
     println!(
         "qos-protected: {}  rejections-at-peak: {}",

@@ -25,7 +25,7 @@
 //! 1 seed, scale 0.002 (CI scale; 1.0 is paper scale), kernel size 16,
 //! threads = available parallelism, 1 sample, JSON to `BENCH_sweep.json`.
 
-use snacknoc_bench::args::CliArgs;
+use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::sweep::{run_sweep, SweepSpec};
 use snacknoc_noc::NocPreset;
 use snacknoc_workloads::kernels::Kernel;
@@ -152,12 +152,10 @@ fn main() {
     let results = run_sweep(&spec);
     results.print_table();
 
-    let file = std::fs::File::create(&json_path).expect("create JSON report");
-    results.write_json(std::io::BufWriter::new(file)).expect("write JSON report");
+    write_or_exit("snack-sweep", &json_path, |w| results.write_json(w));
     println!("json: {json_path}");
     if let Some(path) = csv_path {
-        let file = std::fs::File::create(&path).expect("create CSV report");
-        results.write_csv(std::io::BufWriter::new(file)).expect("write CSV report");
+        write_or_exit("snack-sweep", &path, |w| results.write_csv(w));
         println!("csv: {path}");
     }
     if results.cells.iter().any(|c| !c.finished) {

@@ -19,10 +19,11 @@
 //! and the critical-path attribution sums exactly to the kernel latency —
 //! CI uses this via `scripts/verify.sh`.
 
-use snacknoc_bench::args::CliArgs;
+use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::tracing::{run_traced_kernel, DEFAULT_TRACE_CAPACITY};
 use snacknoc_noc::{NocConfig, NocPreset};
 use snacknoc_workloads::kernels::Kernel;
+use std::io::Write;
 
 const USAGE: &str = "usage: snack-trace [--kernel sgemm|reduction|mac|spmv] [--size N] [--seed N]
                    [--config dapper|axnoc|binochs] [--capacity N]
@@ -91,7 +92,7 @@ fn main() {
     }
 
     let json = run.chrome_json();
-    std::fs::write(&json_path, &json).expect("write trace JSON");
+    write_or_exit("snack-trace", &json_path, |w| w.write_all(json.as_bytes()));
     println!("trace: {json_path} ({} bytes)", json.len());
 
     // Self-check the artifact; --smoke makes the checks fatal for CI.

@@ -417,7 +417,7 @@ impl ChaosResults {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from `w`.
+    /// Propagates I/O errors from `w`, including the final flush.
     pub fn write_json(&self, mut w: impl Write) -> io::Result<()> {
         writeln!(w, "{{")?;
         writeln!(w, "  \"cells\": [")?;
@@ -459,7 +459,8 @@ impl ChaosResults {
             self.all_invariants_hold(),
             self.degraded_completions(),
         )?;
-        writeln!(w, "}}")
+        writeln!(w, "}}")?;
+        w.flush()
     }
 
     /// The report as a string (what the determinism tests compare).

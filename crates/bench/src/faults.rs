@@ -230,7 +230,7 @@ impl FaultSweepResults {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from `w`.
+    /// Propagates I/O errors from `w`, including the final flush.
     pub fn write_json(&self, mut w: impl Write) -> io::Result<()> {
         writeln!(w, "{{")?;
         writeln!(w, "  \"cells\": [")?;
@@ -259,7 +259,8 @@ impl FaultSweepResults {
             )?;
         }
         writeln!(w, "  ]")?;
-        writeln!(w, "}}")
+        writeln!(w, "}}")?;
+        w.flush()
     }
 
     /// The report as a string (what the determinism tests compare).

@@ -778,7 +778,7 @@ impl PerfReport {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from `w`.
+    /// Propagates I/O errors from `w`, including the final flush.
     pub fn write_json(&self, mut w: impl Write) -> io::Result<()> {
         writeln!(w, "{{")?;
         writeln!(w, "  \"schema\": \"snacknoc-perf-v3\",")?;
@@ -855,7 +855,8 @@ impl PerfReport {
             )?;
         }
         writeln!(w, "  ]")?;
-        writeln!(w, "}}")
+        writeln!(w, "}}")?;
+        w.flush()
     }
 
     /// Prints the human-readable report tables.
@@ -941,6 +942,30 @@ impl PerfReport {
 mod tests {
     use super::*;
     use snacknoc_workloads::kernels::Kernel;
+
+    /// A writer whose every write and flush fails, like a full disk.
+    struct FullDisk;
+
+    impl Write for FullDisk {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::other("no space left on device"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::other("no space left on device"))
+        }
+    }
+
+    #[test]
+    fn write_errors_surface_through_a_buffered_writer() {
+        // The report fits a `BufWriter`'s 8 KiB buffer, so the failing
+        // writer is reached only by the final flush.
+        let report = PerfReport { step: Vec::new(), shard: Vec::new(), kernels: Vec::new() };
+        let mut buf = Vec::new();
+        report.write_json(&mut buf).expect("vec write");
+        assert!(buf.len() < 8 * 1024);
+        assert!(report.write_json(io::BufWriter::new(FullDisk)).is_err());
+    }
 
     #[test]
     fn schedule_is_deterministic_and_respects_rate() {

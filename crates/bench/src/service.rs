@@ -232,7 +232,7 @@ impl ServiceGridResults {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from `w`.
+    /// Propagates I/O errors from `w`, including the final flush.
     pub fn write_json(&self, mut w: impl Write) -> io::Result<()> {
         writeln!(w, "{{")?;
         writeln!(w, "  \"schema\": \"snacknoc-service-v1\",")?;
@@ -302,7 +302,8 @@ impl ServiceGridResults {
             self.qos_protected(),
             self.rejections_at_peak(),
         )?;
-        writeln!(w, "}}")
+        writeln!(w, "}}")?;
+        w.flush()
     }
 
     /// The report as a string (what the determinism tests compare).

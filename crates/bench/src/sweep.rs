@@ -505,7 +505,7 @@ impl SweepResults {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from `w`.
+    /// Propagates I/O errors from `w`, including the final flush.
     pub fn write_json(&self, mut w: impl Write) -> io::Result<()> {
         writeln!(w, "{{")?;
         write!(w, "  \"cells\": [")?;
@@ -559,7 +559,8 @@ impl SweepResults {
                 .join(", ")
         )?;
         writeln!(w, "  }}")?;
-        writeln!(w, "}}")
+        writeln!(w, "}}")?;
+        w.flush()
     }
 
     /// Writes per-cell wall statistics in the harness CSV layout
@@ -568,7 +569,7 @@ impl SweepResults {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from `w`.
+    /// Propagates I/O errors from `w`, including the final flush.
     pub fn write_csv(&self, mut w: impl Write) -> io::Result<()> {
         writeln!(w, "bench,samples,median_ns,p90_ns,min_ns,max_ns")?;
         for c in &self.cells {
@@ -578,7 +579,7 @@ impl SweepResults {
                 c.name, c.wall.samples, c.wall.median_ns, c.wall.p90_ns, c.wall.min_ns, c.wall.max_ns
             )?;
         }
-        Ok(())
+        w.flush()
     }
 
     /// Prints the per-cell summary table and the pool throughput line.

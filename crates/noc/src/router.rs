@@ -24,10 +24,14 @@
 //! transition (head arrival, VC grant, tail traversal, credit return, VC
 //! free) and iterated with `trailing_zeros`, so a cycle's allocation work
 //! is proportional to the *resident* packets, not the configured resource
-//! count. [`NocConfig::validate`] caps `vcs_per_port` at 64 to keep one
-//! word per port. Debug builds cross-check every mask against a fresh
-//! scan of the underlying state, exactly like the incremental occupancy
-//! counters elsewhere in the crate.
+//! count: VA only advances its pointer when no VC is routed, SA stage 1
+//! asks only ports with an active VC to nominate, and stage 2 keeps a
+//! 5-bit request mask over input ports per output (one per class under
+//! priority arbitration), whose winner is the first set bit at or after
+//! the output's round-robin pointer. [`NocConfig::validate`] caps
+//! `vcs_per_port` at 64 to keep one word per port. Debug builds
+//! cross-check every mask against a fresh scan of the underlying state,
+//! exactly like the incremental occupancy counters elsewhere in the crate.
 //!
 //! ## Flat storage
 //!
@@ -412,11 +416,17 @@ impl Router {
     /// port from its VC upward, every later port in full, then the
     /// pointer's port below the pointer. No flit is read: the packet's
     /// vnet and class are cached in the VC record, and an ejecting packet
-    /// keeps its input VC.
+    /// keeps its input VC. Ports without a routed VC are skipped, and a
+    /// router with none only advances the pointer.
     pub(crate) fn vc_allocate(&mut self, cfg: &NocConfig, cycle: u64, tracer: &mut TracerHandle) {
         #[cfg(debug_assertions)]
         debug_assert!(self.consistent());
         let vcs = self.vcs;
+        let (p0, v0) = (self.va_rr / vcs, self.va_rr % vcs);
+        self.va_rr = (self.va_rr + 1) % (Dir::COUNT * vcs);
+        if self.routed_mask == [0; Dir::COUNT] {
+            return;
+        }
         let per_vnet = cfg.vcs_per_vnet as usize;
         // Output VCs `0..vcs_per_vnet`; vnet `v` owns this range shifted
         // up by `v * vcs_per_vnet`.
@@ -427,11 +437,12 @@ impl Router {
         } else {
             &[None]
         };
-        let p0 = self.va_rr / vcs;
-        let v0 = self.va_rr % vcs;
         for &snack_pass in passes {
             for k in 0..=Dir::COUNT {
                 let port = (p0 + k) % Dir::COUNT;
+                if self.routed_mask[port] == 0 {
+                    continue;
+                }
                 let (lo, hi) = match k {
                     0 => (v0, vcs),
                     _ if k == Dir::COUNT => (0, v0),
@@ -477,7 +488,6 @@ impl Router {
                 }
             }
         }
-        self.va_rr = (self.va_rr + 1) % (Dir::COUNT * vcs);
     }
 
     /// SA + ST: separable two-stage switch allocation, then crossbar
@@ -519,21 +529,31 @@ impl Router {
         // A flit spends `pipeline_stages - 1` cycles in the router before
         // link traversal, giving the per-hop latencies of paper §III-D2.
         let extra = cfg.pipeline_extra();
-        // Stage 1: each input port nominates one ready VC.
-        let mut nominees: [Option<Nominee>; Dir::COUNT] = [None; Dir::COUNT];
-        for (port, nominee) in nominees.iter_mut().enumerate() {
-            *nominee = self.pick_input_vc(port, cycle, extra, cfg.priority_arbitration, down);
-        }
-        // Stage 2: each output port grants one nominee.
-        for out_port in 0..Dir::COUNT {
-            if !self.connected[out_port] {
-                continue;
+        // Stage 1: each input port with an active VC nominates one ready
+        // VC and sets its bit in the request mask of the nominee's output:
+        // `requests[1]` for snack requests under priority arbitration,
+        // `requests[0]` for the rest.
+        let (priority, active) = (cfg.priority_arbitration, self.active_mask);
+        let mut nominated_vc = [0; Dir::COUNT];
+        let mut requests = [[0u32; Dir::COUNT]; 2];
+        for port in (0..Dir::COUNT).filter(|&port| active[port] != 0) {
+            if let Some(n) = self.pick_input_vc(port, cycle, extra, priority, down) {
+                nominated_vc[port] = n.vc;
+                requests[usize::from(priority && n.snack)][n.out_port.index()] |= 1 << port;
             }
-            let winner = self.pick_output_winner(out_port, &nominees, cfg.priority_arbitration);
-            let Some(in_port) = winner else { continue };
-            // An input port sends one flit per cycle.
-            let nominee = nominees[in_port].take().expect("winner must have a nominee");
-            out.push(self.traverse(in_port, nominee.vc));
+        }
+        // Stage 2: each output grants the first requesting input port at
+        // or after its round-robin pointer, communication class first. An
+        // input port requests one output, so it sends at most one flit.
+        for out_port in 0..Dir::COUNT {
+            let Some(mask) = requests.iter().map(|class| class[out_port]).find(|&m| m != 0) else {
+                continue;
+            };
+            let rr = self.sa_out_rr[out_port];
+            let rotated = (mask >> rr | mask << (Dir::COUNT - rr)) & ((1 << Dir::COUNT) - 1);
+            let in_port = (rr + rotated.trailing_zeros() as usize) % Dir::COUNT;
+            self.sa_out_rr[out_port] = (in_port + 1) % Dir::COUNT;
+            out.push(self.traverse(in_port, nominated_vc[in_port]));
         }
     }
 
@@ -585,30 +605,6 @@ impl Router {
                     self.sa_in_rr[port] = (idx + 1) % vcs;
                     return Some(Nominee { vc: idx, out_port, snack });
                 }
-            }
-        }
-        None
-    }
-
-    /// Picks the winning input port for output `out` among the nominees.
-    fn pick_output_winner(
-        &mut self,
-        out: usize,
-        nominees: &[Option<Nominee>; Dir::COUNT],
-        priority: bool,
-    ) -> Option<usize> {
-        let passes: &[Option<bool>] = if priority { &[Some(false), Some(true)] } else { &[None] };
-        for &snack_pass in passes {
-            for step in 0..Dir::COUNT {
-                let in_port = (self.sa_out_rr[out] + step) % Dir::COUNT;
-                let Some(nominee) = nominees[in_port] else { continue };
-                if nominee.out_port.index() != out
-                    || snack_pass.is_some_and(|want_snack| nominee.snack != want_snack)
-                {
-                    continue;
-                }
-                self.sa_out_rr[out] = (in_port + 1) % Dir::COUNT;
-                return Some(in_port);
             }
         }
         None
@@ -1039,5 +1035,344 @@ mod tests {
         assert!(sent.iter().all(|&n| n == cap as u64));
         assert_eq!(r.free_slots.len(), total);
         assert_eq!(r.oldest_buffered_queued_at(), None);
+    }
+
+    /// A buffered flit in the reference model.
+    struct RefFlit {
+        id: u64,
+        tail: bool,
+        dst: (usize, usize),
+        arrived: u64,
+    }
+
+    #[derive(Clone, Copy, PartialEq)]
+    enum RefState {
+        Idle,
+        /// Head buffered, no output VC yet; the route is recomputed from
+        /// the head flit whenever VA looks at it.
+        Routed,
+        Active {
+            out: usize,
+            out_vc: usize,
+        },
+    }
+
+    struct RefVc {
+        flits: VecDeque<RefFlit>,
+        state: RefState,
+        snack: bool,
+        vnet: usize,
+    }
+
+    /// A naive single-router allocator written from DESIGN.md's allocator
+    /// description and sharing no code with [`Router`]: a queue and state
+    /// per input VC, a free flag and credit count per output VC, and
+    /// linear round-robin scans. Ports are numbered E, W, N, S, Local.
+    struct RefRouter {
+        at: (usize, usize),
+        vcs: usize,
+        per_vnet: usize,
+        extra: u64,
+        priority: bool,
+        inputs: Vec<Vec<RefVc>>,
+        out_free: Vec<Vec<bool>>,
+        out_credits: Vec<Vec<usize>>,
+        va_rr: usize,
+        sa_in_rr: [usize; 5],
+        sa_out_rr: [usize; 5],
+        /// Output-cycles where more than one input port requested the
+        /// same output in SA stage 2.
+        contested: usize,
+    }
+
+    const LOCAL: usize = 4;
+
+    impl RefRouter {
+        fn new(
+            at: (usize, usize),
+            vcs: usize,
+            per_vnet: usize,
+            depth: usize,
+            stages: u64,
+            priority: bool,
+        ) -> Self {
+            RefRouter {
+                at,
+                vcs,
+                per_vnet,
+                extra: stages - 1,
+                priority,
+                inputs: (0..5)
+                    .map(|_| {
+                        (0..vcs)
+                            .map(|vc| RefVc {
+                                flits: VecDeque::new(),
+                                state: RefState::Idle,
+                                snack: false,
+                                vnet: vc / per_vnet,
+                            })
+                            .collect()
+                    })
+                    .collect(),
+                out_free: vec![vec![true; vcs]; 5],
+                out_credits: vec![vec![depth; vcs]; 5],
+                va_rr: 0,
+                sa_in_rr: [0; 5],
+                sa_out_rr: [0; 5],
+                contested: 0,
+            }
+        }
+
+        /// Dimension order: columns first, then rows (row 0 is north).
+        fn route(&self, dst: (usize, usize)) -> usize {
+            use std::cmp::Ordering::{Greater, Less};
+            let (x, y) = self.at;
+            match (dst.0.cmp(&x), dst.1.cmp(&y)) {
+                (Greater, _) => 0,
+                (Less, _) => 1,
+                (_, Less) => 2,
+                (_, Greater) => 3,
+                _ => LOCAL,
+            }
+        }
+
+        /// The class passes of one allocation: `None` takes every request,
+        /// `Some(snack)` only that class.
+        fn passes(&self) -> Vec<Option<bool>> {
+            if self.priority {
+                vec![Some(false), Some(true)]
+            } else {
+                vec![None]
+            }
+        }
+
+        fn accept(&mut self, port: usize, vc: usize, flit: RefFlit, head: bool, snack: bool) {
+            let v = &mut self.inputs[port][vc];
+            if head {
+                assert!(v.state == RefState::Idle && v.flits.is_empty());
+                v.state = RefState::Routed;
+                v.snack = snack;
+            }
+            v.flits.push_back(flit);
+        }
+
+        /// One cycle of VA then SA/ST: `(in port, in VC, out port, out
+        /// VC, flit id)` per departure, in grant order.
+        fn step(&mut self, cycle: u64, down: [bool; 5]) -> Vec<(usize, usize, usize, usize, u64)> {
+            // VA: flattened (port, VC) order from `va_rr`, lowest free
+            // output VC of the packet's vnet; ejection keeps its VC.
+            let total = 5 * self.vcs;
+            for class in self.passes() {
+                for step in 0..total {
+                    let i = (self.va_rr + step) % total;
+                    let (port, vc) = (i / self.vcs, i % self.vcs);
+                    let v = &self.inputs[port][vc];
+                    if v.state != RefState::Routed || class.is_some_and(|snack| snack != v.snack) {
+                        continue;
+                    }
+                    let out = self.route(v.flits[0].dst);
+                    let out_vc = if out == LOCAL {
+                        vc
+                    } else {
+                        let vnet_vcs = v.vnet * self.per_vnet..(v.vnet + 1) * self.per_vnet;
+                        let Some(out_vc) = vnet_vcs.into_iter().find(|&o| self.out_free[out][o])
+                        else {
+                            continue;
+                        };
+                        self.out_free[out][out_vc] = false;
+                        out_vc
+                    };
+                    self.inputs[port][vc].state = RefState::Active { out, out_vc };
+                }
+            }
+            self.va_rr = (self.va_rr + 1) % total;
+            // SA stage 1: each input port nominates its first ready VC
+            // from `sa_in_rr`, and the pointer moves past it.
+            let mut nominees: [Option<(usize, usize, bool)>; 5] = [None; 5];
+            for (port, nominee) in nominees.iter_mut().enumerate() {
+                'pick: for class in self.passes() {
+                    for step in 0..self.vcs {
+                        let vc = (self.sa_in_rr[port] + step) % self.vcs;
+                        let v = &self.inputs[port][vc];
+                        let RefState::Active { out, out_vc } = v.state else { continue };
+                        let Some(front) = v.flits.front() else { continue };
+                        if class.is_some_and(|snack| snack != v.snack)
+                            || (out != LOCAL && (down[out] || self.out_credits[out][out_vc] == 0))
+                            || cycle < front.arrived + self.extra
+                        {
+                            continue;
+                        }
+                        *nominee = Some((vc, out, v.snack));
+                        self.sa_in_rr[port] = (vc + 1) % self.vcs;
+                        break 'pick;
+                    }
+                }
+            }
+            // SA stage 2: each output grants the first nominating input
+            // port from `sa_out_rr`, and the pointer moves past it; ST.
+            let mut departures = Vec::new();
+            for out in 0..5 {
+                if nominees.iter().flatten().filter(|n| n.1 == out).count() > 1 {
+                    self.contested += 1;
+                }
+                let winner = self.passes().into_iter().find_map(|class| {
+                    (0..5).map(|step| (self.sa_out_rr[out] + step) % 5).find(|&port| {
+                        nominees[port].is_some_and(|(_, o, snack)| {
+                            o == out && class.is_none_or(|c| c == snack)
+                        })
+                    })
+                });
+                let Some(port) = winner else { continue };
+                self.sa_out_rr[out] = (port + 1) % 5;
+                let (vc, ..) = nominees[port].expect("the winner nominated");
+                let v = &mut self.inputs[port][vc];
+                let RefState::Active { out_vc, .. } = v.state else { unreachable!() };
+                let flit = v.flits.pop_front().expect("a nominee holds a flit");
+                if flit.tail {
+                    v.state = RefState::Idle;
+                }
+                if out != LOCAL {
+                    self.out_credits[out][out_vc] -= 1;
+                }
+                departures.push((port, vc, out, out_vc, flit.id));
+            }
+            departures
+        }
+    }
+
+    #[test]
+    fn allocation_matches_a_naive_reference_router() {
+        for (stages, priority) in [(2, false), (2, true), (4, false), (4, true)] {
+            // Two vnets of two VCs, three-flit buffers, at the centre of a
+            // 3×3 mesh so that every port has a link.
+            let cfg = NocConfig::default()
+                .with_vnets(2)
+                .with_vcs_per_vnet(2)
+                .with_buffers_per_vc(3)
+                .with_pipeline_stages(stages)
+                .with_priority_arbitration(priority);
+            let (vcs, per_vnet, cap) =
+                (cfg.vcs_per_port(), cfg.vcs_per_vnet as usize, cfg.buffers_per_vc as usize);
+            let mesh = Mesh::new(3, 3);
+            let mut r = Router::new(&cfg, &mesh, mesh.node_at(1, 1));
+            let mut model = RefRouter::new((1, 1), vcs, per_vnet, cap, u64::from(stages), priority);
+            let mut rng = Rng::new(0x51AC_0018 ^ u64::from(stages) << 8 ^ u64::from(priority));
+            // Flits of each input VC's current packet still to send, and
+            // that packet's destination and class.
+            let mut remaining = vec![vec![0usize; vcs]; 5];
+            let mut packet = vec![vec![((0, 0), TrafficClass::Communication); vcs]; 5];
+            // Per output VC, the downstream's (due cycle, frees the VC)
+            // credit returns, in the order its flits drain.
+            let mut credits: Vec<Vec<VecDeque<(u64, bool)>>> = vec![vec![VecDeque::new(); vcs]; 5];
+            let (mut next_id, mut departed, mut snack_departed, mut rate) =
+                (0u64, 0usize, 0usize, 0);
+            for cycle in 0..6_000u64 {
+                if cycle % 500 == 0 {
+                    // Idle, light and saturating phases.
+                    rate = [0, 15, 40, 80][rng.range_usize(0..4)];
+                }
+                for (out, per_vc) in credits.iter_mut().enumerate() {
+                    for (vc, queue) in per_vc.iter_mut().enumerate() {
+                        while let Some(&(_, frees)) = queue.front().filter(|(due, _)| *due <= cycle)
+                        {
+                            queue.pop_front();
+                            r.return_credit(Dir::from_index(out), vc as u8, cfg.buffers_per_vc);
+                            model.out_credits[out][vc] += 1;
+                            if frees {
+                                r.free_output_vc(Dir::from_index(out), vc as u8);
+                                model.out_free[out][vc] = true;
+                            }
+                        }
+                    }
+                }
+                let mut down = [false; 5];
+                for d in down.iter_mut().take(4) {
+                    *d = rng.range_usize(0..25) == 0;
+                }
+                // At most one arriving flit per input port, within credits.
+                for port in 0..5 {
+                    if rng.range_usize(0..100) >= rate {
+                        continue;
+                    }
+                    let vc = rng.range_usize(0..vcs);
+                    let v = &model.inputs[port][vc];
+                    let head = remaining[port][vc] == 0;
+                    if v.flits.len() == cap || (head && v.state != RefState::Idle) {
+                        continue;
+                    }
+                    if head {
+                        remaining[port][vc] = rng.range_usize(1..5);
+                        let dst = (rng.range_usize(0..3), rng.range_usize(0..3));
+                        let classes = [
+                            TrafficClass::Communication,
+                            TrafficClass::SnackInstruction,
+                            TrafficClass::SnackData,
+                        ];
+                        packet[port][vc] = (dst, *rng.choose(&classes).expect("three classes"));
+                    }
+                    remaining[port][vc] -= 1;
+                    let tail = remaining[port][vc] == 0;
+                    let kind = match (head, tail) {
+                        (true, true) => FlitKind::HeadTail,
+                        (true, false) => FlitKind::Head,
+                        (false, true) => FlitKind::Tail,
+                        (false, false) => FlitKind::Body,
+                    };
+                    let (dst, class) = packet[port][vc];
+                    let vnet = (vc / per_vnet) as u8;
+                    let mut f = Flit::new(
+                        next_id,
+                        0,
+                        kind,
+                        class,
+                        vnet,
+                        NodeId::new(0),
+                        mesh.node_at(dst.0, dst.1),
+                        0,
+                        PayloadRef::NONE,
+                        false,
+                    );
+                    f.set_vc(vc as u8);
+                    r.accept_flit(&mesh, &cfg, Dir::from_index(port), f, cycle, cap);
+                    model.accept(
+                        port,
+                        vc,
+                        RefFlit { id: next_id, tail, dst, arrived: cycle },
+                        head,
+                        class.is_snack(),
+                    );
+                    next_id += 1;
+                }
+                r.vc_allocate(&cfg, cycle, &mut TracerHandle::Nop);
+                let got: Vec<_> = r
+                    .switch_allocate(&cfg, cycle, &down)
+                    .iter()
+                    .map(|d| {
+                        let (in_port, out_port) = (d.in_port.index(), d.out_port.index());
+                        if out_port != LOCAL {
+                            let queue = &mut credits[out_port][usize::from(d.flit.vc())];
+                            let after = queue.back().map_or(cycle, |&(due, _)| due);
+                            queue.push_back((after.max(cycle + rng.range(1..8)), d.was_tail));
+                        }
+                        snack_departed += usize::from(d.flit.class().is_snack());
+                        (
+                            in_port,
+                            usize::from(d.in_vc),
+                            out_port,
+                            usize::from(d.flit.vc()),
+                            d.flit.id,
+                        )
+                    })
+                    .collect();
+                let want = model.step(cycle, down);
+                assert_eq!(got, want, "cycle {cycle}, stages {stages}, priority {priority}");
+                departed += got.len();
+            }
+            assert!(
+                departed > 5_000 && snack_departed > 1_000,
+                "{departed} departures, {snack_departed} snack"
+            );
+            assert!(model.contested > 1_000, "{} contested outputs", model.contested);
+        }
     }
 }

@@ -97,6 +97,18 @@ trap 'rm -f "$smoke_json" "$trace_json" "$perf_json" "$chaos_json" "$service_jso
 cargo run --release --offline -q -p snacknoc-bench --bin snack-faults -- \
   --smoke --json "$smoke_json"
 
+# A report that cannot be written is an error, not a silent success: a
+# write to a full device must exit 1 with a message naming the path.
+echo "+ snack-faults --smoke --json /dev/full (must exit 1)"
+status=0
+full_err=$(cargo run --release --offline -q -p snacknoc-bench --bin snack-faults -- \
+  --smoke --json /dev/full 2>&1 >/dev/null) || status=$?
+if [ "$status" -ne 1 ] || ! echo "$full_err" | grep -q "cannot write /dev/full"; then
+  echo "ERROR: snack-faults --json /dev/full exited $status (want 1 with an error):" >&2
+  echo "$full_err" >&2
+  exit 1
+fi
+
 # Chaos smoke: randomized permanent+transient fault schedules, every cell
 # run in all three stepping modes; the binary exits non-zero unless every
 # invariant holds (termination with a typed verdict, bit-exact outputs,
