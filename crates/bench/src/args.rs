@@ -88,7 +88,8 @@ impl CliArgs {
         match Self::parse_from(std::env::args().skip(1), usage, valued, switches) {
             Ok(a) => a,
             Err(CliError::HelpRequested) => {
-                println!("{usage}");
+                // A reader that hung up (`--help | head -c 1`) is no error.
+                let _ = writeln!(io::stdout().lock(), "{usage}");
                 std::process::exit(0);
             }
             Err(e) => {

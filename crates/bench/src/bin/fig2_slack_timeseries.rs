@@ -8,14 +8,18 @@
 //!
 //! Arguments: `--scale <f>` (default 0.01), `--seed <n>`,
 //! `--csv <prefix>` (also write `<prefix>-<bench>-xbar.csv` /
-//! `-link.csv` series for external plotting).
+//! `-link.csv` series for external plotting; a series that cannot be
+//! written exits 1).
 
+use snacknoc_bench::args::write_or_exit;
 use snacknoc_bench::csv::{write_crossbar_series, write_link_series};
 use snacknoc_bench::experiments::{arg_f64, arg_u64};
 use snacknoc_bench::table::{pct, print_table};
 use snacknoc_noc::NocConfig;
 use snacknoc_workloads::runner::run_benchmark;
 use snacknoc_workloads::suite::{profile, Benchmark};
+
+const BIN: &str = "fig2_slack_timeseries";
 
 fn sketch(series: &[f64], cols: usize, peak: f64) -> String {
     if series.is_empty() || peak <= 0.0 {
@@ -62,13 +66,8 @@ fn main() {
         }
         if let Some(prefix) = &csv {
             let stem = format!("{prefix}-{}", bench.name().to_lowercase());
-            let xbar = std::fs::File::create(format!("{stem}-xbar.csv"))
-                .and_then(|f| write_crossbar_series(&r.stats, f));
-            let link = std::fs::File::create(format!("{stem}-link.csv"))
-                .and_then(|f| write_link_series(&r.stats, f));
-            if let Err(e) = xbar.and(link) {
-                eprintln!("csv export failed for {stem}: {e}");
-            }
+            write_or_exit(BIN, &format!("{stem}-xbar.csv"), |w| write_crossbar_series(&r.stats, w));
+            write_or_exit(BIN, &format!("{stem}-link.csv"), |w| write_link_series(&r.stats, w));
         }
         rows.push(vec![
             bench.name().to_string(),

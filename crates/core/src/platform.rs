@@ -432,17 +432,19 @@ pub struct SnackPlatform {
     ring_next: Vec<NodeId>,
     submitted_at: Vec<u64>,
     nodes: Vec<NodeId>,
-    /// Active-RCU worklist: indices `i` with `!rcus[i].is_idle()`.
-    /// Invariant: `rcu_flag[i]` ⟺ `i ∈ rcu_active` (no duplicates), and
-    /// every RCU with queued or staged work is on the list. An RCU off
-    /// the list is provably quiescent — ticking it is a pure no-op — so
-    /// the per-cycle RCU loop touches only this set. Wake edge:
-    /// instruction delivery ([`Rcu::accept_instruction`]).
-    rcu_active: Vec<usize>,
-    /// Drain scratch for `rcu_active` (ping-pong, keeps capacity).
-    rcu_scratch: Vec<usize>,
-    /// Membership flags mirroring `rcu_active`.
-    rcu_flag: Vec<bool>,
+    /// Ready RCUs, one bit per RCU index in `u64` words: the RCUs the
+    /// per-cycle loop ticks, in ascending index order. Every non-idle
+    /// RCU is ready or parked, never both; an RCU in neither set is
+    /// idle, and ticking it would be a pure no-op.
+    rcu_ready: Vec<u64>,
+    /// Parked RCUs, same layout: a worklist tick left each of them
+    /// stalled (pending work, nothing fireable), so every later tick
+    /// stalls too until a wake edge ([`SnackPlatform::wake_rcu`]) changes
+    /// what it could fire. A parked RCU is not ticked and bounds no clock
+    /// jump; it owes one stall per cycle from `parked_at`.
+    rcu_parked: Vec<u64>,
+    /// `parked_at[i]`: the first cycle parked RCU `i` owes a stall for.
+    parked_at: Vec<u64>,
     /// Reused scratch buffer for [`Rcu::tick_into`] emissions — one
     /// allocation for the whole platform instead of one `Vec` per RCU
     /// per cycle.
@@ -528,9 +530,9 @@ impl SnackPlatform {
             submitted_at: vec![0],
             nodes: mesh.nodes().collect(),
             snack_vnet,
-            rcu_active: Vec::with_capacity(n),
-            rcu_scratch: Vec::with_capacity(n),
-            rcu_flag: vec![false; n],
+            rcu_ready: vec![0; n.div_ceil(64)],
+            rcu_parked: vec![0; n.div_ceil(64)],
+            parked_at: vec![0; n],
             emit_scratch: Vec::new(),
             cmp_specs: Vec::new(),
             delivered: Vec::new(),
@@ -631,9 +633,9 @@ impl SnackPlatform {
     /// Panics if `lanes == 0`.
     pub fn set_rcu_lanes(&mut self, lanes: usize) {
         self.rcus = (0..self.rcus.len()).map(|_| Rcu::with_lanes(lanes)).collect();
-        // Fresh RCUs are idle: reset the worklist to match.
-        self.rcu_active.clear();
-        self.rcu_flag.iter_mut().for_each(|f| *f = false);
+        // Fresh RCUs are idle: neither ready nor parked.
+        self.rcu_ready.fill(0);
+        self.rcu_parked.fill(0);
     }
 
     /// Whether the platform was built for the dense reference loop: every
@@ -652,7 +654,8 @@ impl SnackPlatform {
         self.net.delivered_packets()
     }
 
-    /// Aggregated RCU statistics across all routers.
+    /// Aggregated RCU statistics across all routers, including the stalls
+    /// parked RCUs owe up to the current cycle.
     pub fn rcu_stats(&self) -> RcuStats {
         let mut agg = RcuStats::default();
         for r in &self.rcus {
@@ -660,6 +663,9 @@ impl SnackPlatform {
             agg.captures += r.stats.captures;
             agg.stalled_cycles += r.stats.stalled_cycles;
         }
+        let now = self.net.cycle();
+        agg.stalled_cycles +=
+            set_bits(&self.rcu_parked).map(|i| self.owed_stalls(i, now)).sum::<u64>();
         agg
     }
 
@@ -794,7 +800,7 @@ impl SnackPlatform {
     /// whether one was resident. The same quarantine `run_kernel` applies
     /// to a stalled graceful-degradation attempt: the CPM is reset to
     /// idle, the kernel's namespace is purged from every CPM's overflow
-    /// buffer and every RCU, and the RCU worklist is rebuilt. In-flight
+    /// buffer and every RCU, and every RCU is woken. In-flight
     /// stragglers keep the retired namespace and are dropped at delivery
     /// once the next [`SnackPlatform::submit_kernel_epoch`] re-tags the
     /// CPM. The service layer uses this to enforce its per-kernel cycle
@@ -807,6 +813,14 @@ impl SnackPlatform {
         if self.cpms[i].state() == CpmState::Idle {
             return false;
         }
+        self.quarantine(i);
+        true
+    }
+
+    /// Aborts CPM `i`'s kernel and purges its namespace from every CPM's
+    /// overflow buffer and every RCU. A purge can change what any RCU
+    /// could fire, so it wakes them all.
+    fn quarantine(&mut self, i: usize) {
         let ns = self.cpms[i].namespace();
         self.cpms[i].abort();
         for c in &mut self.cpms {
@@ -815,15 +829,49 @@ impl SnackPlatform {
         for r in &mut self.rcus {
             r.abort_namespace(ns);
         }
-        self.rcu_active.clear();
-        for j in 0..self.rcus.len() {
-            let live = !self.rcus[j].is_idle();
-            self.rcu_flag[j] = live;
-            if live {
-                self.rcu_active.push(j);
+        self.wake_all_rcus();
+    }
+
+    /// Wakes RCU `i` after an edge that may have made it fireable: an
+    /// accepted instruction or a capture. A parked RCU settles the stalls
+    /// it owes for the cycles before this one, then ticks again.
+    fn wake_rcu(&mut self, i: usize) {
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        if self.rcu_parked[w] & bit != 0 {
+            self.rcu_parked[w] &= !bit;
+            self.rcus[i].stats.stalled_cycles += self.owed_stalls(i, self.net.cycle());
+        }
+        self.rcu_ready[w] |= bit;
+    }
+
+    /// The one worklist rebuild: settles every parked RCU's owed stalls at
+    /// the current cycle, parks none, and makes exactly the non-idle RCUs
+    /// ready.
+    fn wake_all_rcus(&mut self) {
+        let now = self.net.cycle();
+        for i in 0..self.rcus.len() {
+            let (w, bit) = (i / 64, 1u64 << (i % 64));
+            if self.rcu_parked[w] & bit != 0 {
+                self.rcus[i].stats.stalled_cycles += self.owed_stalls(i, now);
+            }
+            if self.rcus[i].is_idle() {
+                self.rcu_ready[w] &= !bit;
+            } else {
+                self.rcu_ready[w] |= bit;
             }
         }
-        true
+        self.rcu_parked.fill(0);
+    }
+
+    /// Stalls parked RCU `i` owes at cycle `now`: one per cycle from
+    /// `parked_at[i]` up to `now`, or up to its node's death, since a dead
+    /// RCU never ticks.
+    fn owed_stalls(&self, i: usize, now: u64) -> u64 {
+        let node = self.nodes[i];
+        let until = self.net.fault_plan().map_or(now, |p| {
+            p.dead_rcus.iter().filter(|d| d.node == node).fold(now, |t, d| t.min(d.from))
+        });
+        until.saturating_sub(self.parked_at[i])
     }
 
     /// Kernels run to completion and collected across all CPMs
@@ -902,6 +950,9 @@ impl SnackPlatform {
     /// Rejects invalid plans (out-of-range rates, inverted windows,
     /// off-mesh link coordinates).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), FaultPlanError> {
+        // Parked RCUs owe stalls up to their node's death under the plan
+        // in force: settle them before the plan changes.
+        self.wake_all_rcus();
         self.net.set_fault_plan(plan)
     }
 
@@ -1070,13 +1121,15 @@ impl SnackPlatform {
             }
         }
         // RCU execution. Fault-stall plans charge `stalled_cycles` to
-        // *every* stalled RCU, idle or not, so they force the dense
-        // reference loop; otherwise only the active set is ticked — an
-        // RCU off the worklist has empty `pending` and `staged`, for
-        // which `tick` is a pure no-op (no stats, no state).
+        // *every* stalled RCU, idle or not, so they force the full loop,
+        // which settles parked RCUs first and then ticks every RCU, as
+        // dense stepping always does; otherwise only ready RCUs tick.
+        #[cfg(debug_assertions)]
+        self.check_rcu_sets();
         let has_stalls =
             self.net.fault_plan().is_some_and(|p| !p.rcu_stalls.is_empty());
         if has_stalls || self.dense() {
+            self.wake_all_rcus();
             for i in 0..self.rcus.len() {
                 if dead_active && self.node_dead(self.nodes[i], now) {
                     // A dead RCU never ticks (and never accrues stall
@@ -1097,37 +1150,34 @@ impl SnackPlatform {
                 }
                 self.tick_rcu(i, now);
             }
-            // Rebuild the worklist so a later switch back to active-set
-            // scheduling resumes from a consistent set.
-            self.rcu_active.clear();
-            for i in 0..self.rcus.len() {
-                let live = !self.rcus[i].is_idle();
-                self.rcu_flag[i] = live;
-                if live {
-                    self.rcu_active.push(i);
-                }
-            }
         } else {
-            // Drain the worklist in index order (matching the dense
-            // loop); survivors re-enlist, quiescent RCUs drop off.
-            std::mem::swap(&mut self.rcu_active, &mut self.rcu_scratch);
-            self.rcu_scratch.sort_unstable();
-            for k in 0..self.rcu_scratch.len() {
-                let i = self.rcu_scratch[k];
-                debug_assert!(self.rcu_flag[i], "worklist entry lost its flag");
-                // Dead RCUs are skipped (identically to the dense loop);
-                // their frozen pending work keeps them on the worklist
-                // until escalation purges it.
-                if !(dead_active && self.node_dead(self.nodes[i], now)) {
+            // Tick the ready set in index order (matching the dense loop).
+            // An RCU that goes idle leaves it; one whose tick stalled
+            // parks. Ticks cannot wake an RCU, so each word can be read
+            // once up front.
+            for w in 0..self.rcu_ready.len() {
+                let mut bits = self.rcu_ready[w];
+                while bits != 0 {
+                    let bit = bits & bits.wrapping_neg();
+                    bits ^= bit;
+                    let i = w * 64 + bit.trailing_zeros() as usize;
+                    // Dead RCUs are skipped (identically to the dense
+                    // loop); their frozen pending work keeps them ready
+                    // until escalation purges it.
+                    if dead_active && self.node_dead(self.nodes[i], now) {
+                        continue;
+                    }
+                    let stalls = self.rcus[i].stats.stalled_cycles;
                     self.tick_rcu(i, now);
-                }
-                if self.rcus[i].is_idle() {
-                    self.rcu_flag[i] = false;
-                } else {
-                    self.rcu_active.push(i);
+                    if self.rcus[i].is_idle() {
+                        self.rcu_ready[w] &= !bit;
+                    } else if self.rcus[i].stats.stalled_cycles > stalls {
+                        self.rcu_ready[w] &= !bit;
+                        self.rcu_parked[w] |= bit;
+                        self.parked_at[i] = now + 1;
+                    }
                 }
             }
-            self.rcu_scratch.clear();
         }
         // The network cycle.
         self.net.step();
@@ -1183,13 +1233,9 @@ impl SnackPlatform {
                                 seq: ins.seq,
                             });
                             self.rcus[i].accept_instruction(ins);
-                            // Wake edge: the RCU now has queued work, so
-                            // it must be on next cycle's worklist.
-                            if !self.rcu_flag[i] {
-                                self.rcu_flag[i] = true;
-                                self.rcu_active.push(i);
-                            }
                         }
+                        // Wake edge: the RCU has new work to try.
+                        self.wake_rcu(i);
                     }
                     SnackPayload::Data(token) => {
                         // Quarantine first: tokens from an aborted
@@ -1271,6 +1317,20 @@ impl SnackPlatform {
         self.emit_scratch = emissions;
     }
 
+    /// Checks the RCU sets against a full scan: every non-idle RCU is
+    /// ready or parked, never both, and no parked RCU could fire.
+    #[cfg(debug_assertions)]
+    fn check_rcu_sets(&self) {
+        for (i, rcu) in self.rcus.iter().enumerate() {
+            let (w, bit) = (i / 64, 1u64 << (i % 64));
+            let ready = self.rcu_ready[w] & bit != 0;
+            let parked = self.rcu_parked[w] & bit != 0;
+            assert!(!(ready && parked), "RCU {i} is both ready and parked");
+            assert!(rcu.is_idle() || ready || parked, "busy RCU {i} is neither ready nor parked");
+            assert!(!parked || !rcu.can_fire(), "parked RCU {i} has a fireable instruction");
+        }
+    }
+
     /// Attempts a clock jump: if the platform is provably quiescent at the
     /// current cycle, every component reports its next wake and the clock
     /// jumps to the earliest one (capped at `cap`). Returns whether a jump
@@ -1280,8 +1340,7 @@ impl SnackPlatform {
     /// Cost: while the network holds any work the attempt is a handful of
     /// O(1) worklist checks. A quiescent network adds one poll of the
     /// workload engine (O(1) for the phase model), of each CPM, and of
-    /// each RCU on the active worklist — an RCU off it is idle and has
-    /// no wake.
+    /// each ready RCU — an idle or parked RCU has no wake.
     ///
     /// Soundness: a jump from `now` to `to` is taken only when every
     /// skipped [`SnackPlatform::step`] in `now..to` would have been a
@@ -1289,11 +1348,14 @@ impl SnackPlatform {
     /// at an NI), the workload engine's next response/think-expiry at or
     /// past `to`, every CPM's next effectful tick at or past `to` (the
     /// ALO congestion signal is frozen while the network is quiescent, so
-    /// polling it once is sound), every RCU idle or busy until at least
-    /// `to`, no RCU-stall fault window open or opening before `to`, and
-    /// no fault-plan link-window edge before `to`. The skipped cycles'
-    /// only observable effect — idle statistics accounting — is replayed
-    /// in bulk by [`snacknoc_noc::Network::advance_idle_to`].
+    /// polling it once is sound), every RCU idle, parked or busy until at
+    /// least `to`, no RCU-stall fault window open or opening before `to`,
+    /// and no fault-plan link-window edge before `to`. A parked RCU
+    /// stalls on every skipped cycle, and it owes those stalls lazily:
+    /// its next wake or any [`SnackPlatform::rcu_stats`] read counts them.
+    /// The skipped cycles' only other observable effect — idle statistics
+    /// accounting — is replayed in bulk by
+    /// [`snacknoc_noc::Network::advance_idle_to`].
     fn maybe_jump(&mut self, cap: u64) -> bool {
         let now = self.net.cycle();
         if self.dense() || cap <= now || !self.net.is_quiescent() {
@@ -1339,11 +1401,9 @@ impl SnackPlatform {
                 }
             }
         }
-        debug_assert!(
-            self.rcus.iter().enumerate().all(|(i, r)| r.is_idle() || self.rcu_flag[i]),
-            "every busy RCU is on the worklist"
-        );
-        for &i in &self.rcu_active {
+        // Parked RCUs stall every skipped cycle and owe those stalls
+        // lazily, so only ready RCUs bound the jump.
+        for i in set_bits(&self.rcu_ready) {
             // Dead RCUs never tick, so their frozen pending work must not
             // pin the clock (it would otherwise report a wake at `now`
             // forever and forbid every jump).
@@ -1547,26 +1607,7 @@ impl SnackPlatform {
                         });
                     }
                     report.penalty_cycles += now - attempt_start;
-                    // Quarantine the failed attempt: abort the home CPM,
-                    // purge its namespace from every RCU and every CPM's
-                    // overflow buffer, and rebuild the RCU worklist (purged
-                    // RCUs may have gone idle).
-                    let ns = self.cpms[home].namespace();
-                    self.cpms[home].abort();
-                    for c in &mut self.cpms {
-                        c.purge_overflow_namespace(ns);
-                    }
-                    for r in &mut self.rcus {
-                        r.abort_namespace(ns);
-                    }
-                    self.rcu_active.clear();
-                    for i in 0..self.rcus.len() {
-                        let live = !self.rcus[i].is_idle();
-                        self.rcu_flag[i] = live;
-                        if live {
-                            self.rcu_active.push(i);
-                        }
-                    }
+                    self.quarantine(home);
                     if attempt >= self.pcfg.max_kernel_attempts {
                         return Err(PlatformError::Unrecoverable {
                             resource: DegradedResource::RetryBudget,
@@ -1830,6 +1871,8 @@ impl SnackPlatform {
         let home = ((token.dep >> NAMESPACE_SHIFT) as usize) % self.cpms.len();
         let captured = before - token.dependents;
         if captured > 0 {
+            // Wake edge: the capture may have readied an operand.
+            self.wake_rcu(node.index());
             self.net.tracer_mut().record_with(now, || EventKind::RcuCapture {
                 node: node.index() as u32,
                 dep,
@@ -1859,6 +1902,20 @@ impl SnackPlatform {
     pub fn live_tokens_lower_bound(&self) -> usize {
         self.cpms.iter().map(|c| c.overflow_backlog()).sum()
     }
+}
+
+/// The indices of the set bits in `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -2515,6 +2572,55 @@ mod tests {
             )
         };
         modes_match_dense(run);
+    }
+
+    /// A parked RCU owes its stalls exactly. The consumer of
+    /// `cross_pe_kernel` parks waiting for a token its dead producer
+    /// never sends. Dense stepping ticks it every cycle; serial stepping
+    /// parks it and jumps. Both must read the same `rcu_stats()` at every
+    /// checkpoint when the consumer's node dies later, when a new plan
+    /// revives it mid-park, and when a new plan kills it in the past.
+    #[test]
+    fn parked_rcus_owe_exact_stalls_across_deaths_and_plan_swaps() {
+        let mesh = *platform().mesh();
+        let (producer, consumer) = (mesh.node_at(1, 1), mesh.node_at(2, 3));
+        let plan = FaultPlan::seeded(1).with_dead_rcu(producer, 0);
+        let swaps = [
+            None,
+            Some(FaultPlan::none()),
+            Some(plan.clone().with_dead_rcu(consumer, 2_000)),
+        ];
+        for swap in swaps {
+            let run = |mode: Stepping| {
+                let mut p = platform_in(mode);
+                p.set_fault_plan(plan.clone().with_dead_rcu(consumer, 4_000)).unwrap();
+                p.submit_kernel(&cross_pe_kernel(&mesh)).unwrap();
+                let mut readings = Vec::new();
+                let mut calls = 0;
+                for checkpoint in [1_000, 3_000, 6_000, 9_000] {
+                    while p.cycle() < checkpoint {
+                        p.step_or_jump(checkpoint);
+                        calls += 1;
+                    }
+                    let s = p.rcu_stats();
+                    readings.push((s.executed, s.captures, s.stalled_cycles));
+                    if checkpoint == 3_000 {
+                        if let Some(new_plan) = &swap {
+                            p.set_fault_plan(new_plan.clone()).unwrap();
+                        }
+                    }
+                }
+                (readings, calls)
+            };
+            let (dense, _) = run(Stepping::Dense);
+            let (serial, serial_calls) = run(Stepping::Serial);
+            assert_eq!(serial, dense, "swap {swap:?}: serial stalls diverged from dense");
+            assert!(dense[0].2 > 900, "the consumer stalls from its first tick: {dense:?}");
+            if swap.is_none() {
+                assert_eq!(dense[2], dense[3], "a dead RCU owes no stalls: {dense:?}");
+                assert!(serial_calls < 100, "parked RCUs must not veto jumps: {serial_calls}");
+            }
+        }
     }
 
     #[test]

@@ -148,9 +148,11 @@ impl Rcu {
     /// stepping may sleep indefinitely; delivery of work re-wakes it).
     ///
     /// A busy RCU wakes at its execution-latency horizon (`tick` returns
-    /// untouched before then); a non-idle RCU past that horizon must run
-    /// every cycle — either it fires instructions or it accrues
-    /// `stalled_cycles`, and both change state.
+    /// untouched before then); a non-idle RCU past that horizon answers
+    /// `now`, since its tick either fires or accrues `stalled_cycles`.
+    /// The platform does not ask an RCU whose last tick stalled: it parks
+    /// it, counts its stalls lazily, and wakes it on an edge that could
+    /// make it fireable (see [`Rcu::tick_into`]).
     pub fn next_wake(&self, now: u64) -> Option<u64> {
         if self.is_idle() {
             None
@@ -272,6 +274,16 @@ impl Rcu {
     /// ([`SnackPlatform::step`](crate::SnackPlatform::step) reuses one
     /// buffer across all RCUs and cycles). `out` is appended to; emission
     /// order is identical to the `Vec`-returning forms.
+    ///
+    /// A tick that adds to `stalled_cycles` (past the ALU's busy horizon,
+    /// it fired nothing while instructions were pending) leaves nothing
+    /// staged or in flight. Every later tick then stalls the same way
+    /// until one of three calls
+    /// changes what could fire: [`Rcu::accept_instruction`], an
+    /// [`Rcu::observe_token`] that captures, or [`Rcu::abort_namespace`].
+    /// No other method touches `pending`, `dep_buffer` or the active
+    /// block, so the platform may skip such an RCU and count its stalls
+    /// by the cycle.
     pub fn tick_into(
         &mut self,
         cycle: u64,
@@ -351,6 +363,12 @@ impl Rcu {
             }
         }
         None
+    }
+
+    /// Whether the firing rule allows some pending instruction now.
+    #[cfg(debug_assertions)]
+    pub(crate) fn can_fire(&self) -> bool {
+        self.next_fireable().is_some()
     }
 
     fn operands_ready(&self, ins: &Instruction) -> bool {

@@ -109,6 +109,21 @@ if [ "$status" -ne 1 ] || ! echo "$full_err" | grep -q "cannot write /dev/full";
   exit 1
 fi
 
+# The same holds for the figure binaries' CSV series: a --csv prefix in a
+# directory that does not exist must exit 1 naming the path.
+echo "+ fig2_slack_timeseries --csv into a missing directory (must exit 1)"
+missing_dir=$(mktemp -d)
+rmdir "$missing_dir"
+status=0
+csv_err=$(cargo run --release --offline -q -p snacknoc-bench --bin fig2_slack_timeseries -- \
+  --scale 0.001 --csv "$missing_dir/fig2" 2>&1 >/dev/null) || status=$?
+if [ "$status" -ne 1 ] || ! echo "$csv_err" | grep -q "cannot write $missing_dir/fig2"; then
+  echo "ERROR: fig2_slack_timeseries --csv into a missing directory exited $status" \
+    "(want 1 with an error):" >&2
+  echo "$csv_err" >&2
+  exit 1
+fi
+
 # Chaos smoke: randomized permanent+transient fault schedules, every cell
 # run in all three stepping modes; the binary exits non-zero unless every
 # invariant holds (termination with a typed verdict, bit-exact outputs,

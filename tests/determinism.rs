@@ -323,6 +323,65 @@ fn active_set_matches_dense_under_fault_plan() {
     assert!(dense.contains("rcu="), "fingerprint is non-trivial");
 }
 
+/// Event-driven RCUs (DESIGN.md §11): on the configuration of
+/// `snack_bench`'s kernel-faults workload — BiNoCHS, MAC fusion off, 1%
+/// token drops, aggressive recovery — a stalled RCU parks until a
+/// capture, an instruction or an abort wakes it, and owes its stalls
+/// lazily. The plan has no RCU stall window, so serial and sharded
+/// stepping take the parking path while dense ticks every RCU every
+/// cycle. Driven by `step_or_jump` to fixed checkpoints, all three must
+/// read the same `rcu_stats()` at each checkpoint and at the end, and
+/// finish with the same cycles, outputs, recovery counters and network
+/// statistics.
+#[test]
+fn parked_rcus_match_dense_under_token_drops() {
+    use snacknoc::core::RecoveryConfig;
+    use snacknoc::noc::FaultPlan;
+    use snacknoc_bench::perf::stats_fingerprint;
+    use std::fmt::Write;
+
+    let built = build(Kernel::Sgemm, 8, 3);
+    let run_mode = |mode: Stepping| {
+        let mut p = SnackPlatform::new(NocConfig::preset(NocPreset::BiNoChs).with_stepping(mode))
+            .expect("valid platform");
+        let mapper = MapperConfig::for_mesh(p.mesh()).with_mac_fusion(false);
+        let kernel = built.context.compile(built.root, &mapper).expect("compiles");
+        p.set_fault_plan(FaultPlan::seeded(0x9A4C_0001).with_drop_rate(0.01))
+            .expect("valid fault plan");
+        p.enable_recovery(RecoveryConfig::aggressive());
+        p.submit_kernel(&kernel).expect("idle CPM accepts");
+        let mut readings = String::new();
+        let mut run = None;
+        for checkpoint in [200, 700, 1_500, 2_500, 1_000_000] {
+            while run.is_none() && p.cycle() < checkpoint {
+                p.step_or_jump(checkpoint);
+                run = p.take_kernel_results();
+            }
+            let s = p.rcu_stats();
+            write!(readings, "@{}={}/{}/{} ", p.cycle(), s.executed, s.captures, s.stalled_cycles)
+                .expect("write to String");
+        }
+        let run = run.expect("the kernel finishes under recovery");
+        let rec = p.recovery_stats();
+        let injected = p.net_injected_packets();
+        let delivered = p.net_delivered_packets();
+        format!(
+            "cycles={} outputs={:?} rcu {readings}recovery={}/{}/{} dropped={} {}",
+            run.cycles,
+            run.outputs,
+            rec.detected,
+            rec.recovered,
+            rec.retries,
+            p.fault_counters().dropped_packets,
+            stats_fingerprint(injected, delivered, 0, p.finalize_stats()),
+        )
+    };
+    let [dense, serial, sharded] = Stepping::ALL.map(run_mode);
+    assert_eq!(serial, dense, "serial RCU stalls must match dense under token drops");
+    assert_eq!(sharded, dense, "sharded RCU stalls must match dense under token drops");
+    assert!(!dense.contains(" dropped=0 "), "the plan dropped tokens: {dense}");
+}
+
 /// Graceful degradation, part 1: a kernel that must *remap* (an RCU dies
 /// under it mid-run) and *fail over* (its home-CPM corner is dead at
 /// submission) completes bit-identically in every stepping mode and at

@@ -757,8 +757,12 @@ fn random_chaos_schedules_degrade_identically_in_every_mode() {
                 Err(e) => panic!("unexpected platform error: {e}"),
             };
             let rec = p.recovery_stats();
+            let rcu = p.rcu_stats();
             format!(
-                "{verdict} recovery={}/{}/{} {}",
+                "{verdict} rcu={}/{}/{} recovery={}/{}/{} {}",
+                rcu.executed,
+                rcu.captures,
+                rcu.stalled_cycles,
                 rec.detected,
                 rec.recovered,
                 rec.retries,
