@@ -48,7 +48,7 @@ fn priority_arbitration_jobs(jobs: &mut Vec<TimedJob>) {
                 p.attach_workload(&workload, 3);
                 (p, kernel)
             },
-            |(mut p, kernel)| p.run_multiprogram(Some(&kernel), u64::MAX / 2),
+            |(mut p, kernel)| p.run_multiprogram_capped(Some(&kernel)),
         ));
     }
 }

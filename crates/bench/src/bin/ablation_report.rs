@@ -8,7 +8,7 @@
 //! 3. **Instruction packing**: 2 instructions per flit (32 B channel) vs 1.
 //! 4. **Congestion/overflow threshold** (paper §III-C2) sweep.
 
-use snacknoc_bench::experiments::{arg_f64, arg_u64};
+use snacknoc_bench::args::CliArgs;
 use snacknoc_bench::table::print_table;
 use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::{CpmConfig, DramModel, SnackPlatform};
@@ -16,9 +16,12 @@ use snacknoc_noc::NocConfig;
 use snacknoc_workloads::kernels::Kernel;
 use snacknoc_workloads::suite::{profile, Benchmark};
 
+const USAGE: &str = "usage: ablation_report [--seed N] [--scale F]";
+
 fn main() {
-    let seed = arg_u64("seed", 7);
-    let scale = arg_f64("scale", 0.002);
+    let args = CliArgs::parse(USAGE, &["seed", "scale"], &[]);
+    let seed = args.u64_or("seed", 7);
+    let scale = args.f64_or("scale", 0.002);
 
     println!("Ablation 1: MAC fusion (SGEMM-16, zero-load, cycles lower = better)\n");
     let mut rows = Vec::new();

@@ -15,7 +15,7 @@
 //!
 //! Arguments: `--accesses <n>` per core (default 3000), `--seed <n>`.
 
-use snacknoc_bench::experiments::arg_u64;
+use snacknoc_bench::args::CliArgs;
 use snacknoc_bench::table::{pct, print_table};
 use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::SnackPlatform;
@@ -31,9 +31,12 @@ fn patterns() -> Vec<(&'static str, AccessPattern)> {
     ]
 }
 
+const USAGE: &str = "usage: ext_coherent_traffic [--accesses N] [--seed N]";
+
 fn main() {
-    let accesses = arg_u64("accesses", 3_000);
-    let seed = arg_u64("seed", 19);
+    let args = CliArgs::parse(USAGE, &["accesses", "seed"], &[]);
+    let accesses = args.u64_or("accesses", 3_000);
+    let seed = args.u64_or("seed", 19);
     let cfg = NocConfig::dapper()
         .with_vnets(4)
         .with_priority_arbitration(true)

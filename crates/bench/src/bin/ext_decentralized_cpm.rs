@@ -17,7 +17,7 @@
 //! `snacknoc_service::decentralized_cpm` preset (see the `snack-service`
 //! binary and DESIGN.md §15).
 
-use snacknoc_bench::experiments::{arg_f64, arg_u64};
+use snacknoc_bench::args::CliArgs;
 use snacknoc_bench::table::print_table;
 use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::{CompiledKernel, CpmState, SnackPlatform};
@@ -100,11 +100,15 @@ fn measure(
     }
 }
 
+const USAGE: &str =
+    "usage: ext_decentralized_cpm [--seed N] [--scale F] [--kernel SIZE] [--window CYCLES]";
+
 fn main() {
-    let seed = arg_u64("seed", 9);
-    let scale = arg_f64("scale", 0.004);
-    let size = arg_u64("kernel", 16) as usize;
-    let window = arg_u64("window", 200_000);
+    let args = CliArgs::parse(USAGE, &["seed", "scale", "kernel", "window"], &[]);
+    let seed = args.u64_or("seed", 9);
+    let scale = args.f64_or("scale", 0.004);
+    let size = args.u64_or("kernel", 16) as usize;
+    let window = args.u64_or("window", 200_000);
     println!("Extension: decentralized CPMs (paper §VII), SGEMM-{size} streams\n");
     let built = build(Kernel::Sgemm, size, seed);
     let sample = SnackPlatform::new(NocConfig::dapper()).expect("valid");

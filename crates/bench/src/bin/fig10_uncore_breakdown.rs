@@ -1,11 +1,14 @@
 //! Fig. 10 — uncore power and area breakdown with SnackNoC (16-core CMP).
 
-use snacknoc_bench::experiments::arg_u64;
+use snacknoc_bench::args::CliArgs;
 use snacknoc_bench::table::print_table;
 use snacknoc_cost::uncore_breakdown;
 
+const USAGE: &str = "usage: fig10_uncore_breakdown [--cores N]";
+
 fn main() {
-    let cores = arg_u64("cores", 16) as usize;
+    let args = CliArgs::parse(USAGE, &["cores"], &[]);
+    let cores = args.u64_or("cores", 16) as usize;
     println!("Fig. 10: Uncore power and area with SnackNoC ({cores}-core CMP)\n");
     let slices = uncore_breakdown(cores);
     let paper: &[(&str, f64, f64)] = &[

@@ -7,7 +7,7 @@
 //! Arguments: `--scale <f>` (default 0.01), `--seed <n>`, `--spmv <n>`
 //! (SPMV size, default 96).
 
-use snacknoc_bench::experiments::{arg_f64, arg_u64};
+use snacknoc_bench::args::CliArgs;
 use snacknoc_bench::table::{pct, print_table};
 use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::SnackPlatform;
@@ -15,10 +15,13 @@ use snacknoc_noc::NocConfig;
 use snacknoc_workloads::kernels::Kernel;
 use snacknoc_workloads::suite::{profile, Benchmark};
 
+const USAGE: &str = "usage: fig11_lulesh_spmv [--scale F] [--seed N] [--spmv SIZE]";
+
 fn main() {
-    let scale = arg_f64("scale", 0.01);
-    let seed = arg_u64("seed", 31);
-    let spmv_size = arg_u64("spmv", 96) as usize;
+    let args = CliArgs::parse(USAGE, &["scale", "seed", "spmv"], &[]);
+    let scale = args.f64_or("scale", 0.01);
+    let seed = args.u64_or("seed", 31);
+    let spmv_size = args.u64_or("spmv", 96) as usize;
     let cfg = NocConfig::dapper().with_sample_window(1_000);
     println!("Fig. 11: LULESH crossbar usage with a continually-resubmitted SPMV kernel\n");
 

@@ -16,7 +16,7 @@
 //! application — via the `snacknoc_service::fig12_qos` preset (see the
 //! `snack-service` binary and DESIGN.md §15).
 
-use snacknoc_bench::experiments::{arg_f64, arg_u64};
+use snacknoc_bench::args::CliArgs;
 use snacknoc_bench::table::print_table;
 use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::{CompiledKernel, SnackPlatform};
@@ -48,10 +48,13 @@ fn app_runtime(
     run.app_runtime
 }
 
+const USAGE: &str = "usage: fig12_qos_impact [--scale F] [--seed N] [--kernel-size N]";
+
 fn main() {
-    let scale = arg_f64("scale", 0.004);
-    let seed = arg_u64("seed", 5);
-    let ksize = arg_u64("kernel-size", 0) as usize;
+    let args = CliArgs::parse(USAGE, &["scale", "seed", "kernel-size"], &[]);
+    let scale = args.f64_or("scale", 0.004);
+    let seed = args.u64_or("seed", 5);
+    let ksize = args.u64_or("kernel-size", 0) as usize;
     println!("Fig. 12: Runtime impact (%) of SnackNoC kernels on CMP applications");
     println!("(DAPPER 4x4, workload scale {scale}, seed {seed}; 'P' = priority arbitration)\n");
     let base_cfg = NocConfig::dapper();

@@ -7,7 +7,7 @@
 //! Arguments: `--scale <f>` (default 0.001), `--seed <n>`,
 //! `--sgemm <n>` (SGEMM size, default 20).
 
-use snacknoc_bench::experiments::{arg_f64, arg_u64};
+use snacknoc_bench::args::CliArgs;
 use snacknoc_bench::table::print_table;
 use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::SnackPlatform;
@@ -15,10 +15,13 @@ use snacknoc_noc::NocConfig;
 use snacknoc_workloads::kernels::Kernel;
 use snacknoc_workloads::suite::{profile, Benchmark};
 
+const USAGE: &str = "usage: fig13_scaling [--scale F] [--seed N] [--sgemm SIZE]";
+
 fn main() {
-    let scale = arg_f64("scale", 0.001);
-    let seed = arg_u64("seed", 3);
-    let sgemm = arg_u64("sgemm", 20) as usize;
+    let args = CliArgs::parse(USAGE, &["scale", "seed", "sgemm"], &[]);
+    let scale = args.f64_or("scale", 0.001);
+    let seed = args.u64_or("seed", 3);
+    let sgemm = args.u64_or("sgemm", 20) as usize;
     println!("Fig. 13: Runtime impact (%) of SGEMM as cores and RCUs scale");
     println!("(DAPPER, workload scale {scale}, SGEMM-{sgemm}, seed {seed})\n");
     let meshes: [(u16, u16); 4] = [(4, 4), (8, 4), (8, 8), (16, 8)];

@@ -9,7 +9,7 @@
 //! Arguments: `--scale <f>` (workload scale, default 0.004),
 //! `--seed <n>`.
 
-use snacknoc_bench::experiments::{arg_f64, arg_u64};
+use snacknoc_bench::args::CliArgs;
 use snacknoc_bench::table::print_table;
 use snacknoc_noc::NocConfig;
 use snacknoc_workloads::runner::run_benchmark;
@@ -30,9 +30,12 @@ fn variants() -> Vec<(&'static str, NocConfig)> {
     ]
 }
 
+const USAGE: &str = "usage: fig1_resource_selection [--scale F] [--seed N]";
+
 fn main() {
-    let scale = arg_f64("scale", 0.004);
-    let seed = arg_u64("seed", 7);
+    let args = CliArgs::parse(USAGE, &["scale", "seed"], &[]);
+    let scale = args.f64_or("scale", 0.004);
+    let seed = args.u64_or("seed", 7);
     println!("Fig. 1: Normalised execution slowdown (%) w.r.t. BiNoCHS");
     println!("(workload scale {scale}, seed {seed})\n");
     let vs = variants();

@@ -6,20 +6,21 @@
 //! per-router median crossbar usage plus link usage, and an ASCII sketch
 //! of the max-across-routers series.
 //!
-//! Arguments: `--scale <f>` (default 0.01), `--seed <n>`,
-//! `--csv <prefix>` (also write `<prefix>-<bench>-xbar.csv` /
-//! `-link.csv` series for external plotting; a series that cannot be
-//! written exits 1).
+//! Arguments: `--scale <f>` (default 0.01), `--seed <n>`, `--window <n>`
+//! (sampling window in cycles, default 1000), `--csv <prefix>` (also
+//! write `<prefix>-<bench>-xbar.csv` / `-link.csv` series for external
+//! plotting; a series that cannot be written exits 1).
 
-use snacknoc_bench::args::write_or_exit;
+use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::csv::{write_crossbar_series, write_link_series};
-use snacknoc_bench::experiments::{arg_f64, arg_u64};
 use snacknoc_bench::table::{pct, print_table};
 use snacknoc_noc::NocConfig;
 use snacknoc_workloads::runner::run_benchmark;
 use snacknoc_workloads::suite::{profile, Benchmark};
 
 const BIN: &str = "fig2_slack_timeseries";
+const USAGE: &str =
+    "usage: fig2_slack_timeseries [--scale F] [--seed N] [--window CYCLES] [--csv PREFIX]";
 
 fn sketch(series: &[f64], cols: usize, peak: f64) -> String {
     if series.is_empty() || peak <= 0.0 {
@@ -36,16 +37,12 @@ fn sketch(series: &[f64], cols: usize, peak: f64) -> String {
         .collect()
 }
 
-fn csv_prefix() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == "--csv").and_then(|i| args.get(i + 1)).cloned()
-}
-
 fn main() {
-    let scale = arg_f64("scale", 0.01);
-    let seed = arg_u64("seed", 11);
-    let window = arg_u64("window", 1_000);
-    let csv = csv_prefix();
+    let args = CliArgs::parse(USAGE, &["scale", "seed", "window", "csv"], &[]);
+    let scale = args.f64_or("scale", 0.01);
+    let seed = args.u64_or("seed", 11);
+    let window = args.u64_or("window", 1_000);
+    let csv = args.str_opt("csv");
     println!("Fig. 2: NoC router crossbar and link usage over time (DAPPER)");
     println!("(workload scale {scale}, {window}-cycle windows, seed {seed})\n");
     let selected = [Benchmark::Fmm, Benchmark::Cholesky, Benchmark::Lulesh, Benchmark::Graph500];

@@ -7,15 +7,18 @@
 //!
 //! Arguments: `--scale <f>` (default 0.01), `--seed <n>`.
 
-use snacknoc_bench::experiments::{arg_f64, arg_u64};
+use snacknoc_bench::args::CliArgs;
 use snacknoc_bench::table::{pct, print_table};
 use snacknoc_noc::NocConfig;
 use snacknoc_workloads::runner::run_benchmark;
 use snacknoc_workloads::suite::{profile, Benchmark};
 
+const USAGE: &str = "usage: fig3_buffer_cdf [--scale F] [--seed N]";
+
 fn main() {
-    let scale = arg_f64("scale", 0.01);
-    let seed = arg_u64("seed", 23);
+    let args = CliArgs::parse(USAGE, &["scale", "seed"], &[]);
+    let scale = args.f64_or("scale", 0.01);
+    let seed = args.u64_or("seed", 23);
     println!("Fig. 3: NoC buffer utilization CDF for Raytrace (DAPPER)\n");
     let p = profile(Benchmark::Raytrace).scaled(scale);
     let r = run_benchmark(&p, NocConfig::dapper(), seed).expect("valid config");

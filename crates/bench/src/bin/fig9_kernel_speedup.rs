@@ -8,6 +8,7 @@
 //! of rates, so they are comparable with the paper's full-scale runs as
 //! long as both platforms are in steady state.
 
+use snacknoc_bench::args::CliArgs;
 use snacknoc_bench::table::{print_table, ratio};
 use snacknoc_bench::{kernel_to_cpu, run_snack_kernel, FIG9_SEED};
 use snacknoc_compiler::{op_count, sim_size};
@@ -15,7 +16,10 @@ use snacknoc_cpu::CpuModel;
 use snacknoc_noc::NocConfig;
 use snacknoc_workloads::kernels::Kernel;
 
+const USAGE: &str = "usage: fig9_kernel_speedup";
+
 fn main() {
+    CliArgs::parse(USAGE, &[], &[]);
     println!("Fig. 9: SnackNoC kernel performance vs. CPU cores");
     println!("(normalised to 1 Haswell core; paper values in parentheses)\n");
     let cpu = CpuModel::haswell();

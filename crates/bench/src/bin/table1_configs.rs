@@ -3,10 +3,14 @@
 //! Prints the three state-of-the-art NoC baselines used throughout the
 //! evaluation, exactly as configured in `snacknoc_noc::NocConfig`.
 
+use snacknoc_bench::args::CliArgs;
 use snacknoc_bench::table::print_table;
 use snacknoc_noc::{NocConfig, NocPreset};
 
+const USAGE: &str = "usage: table1_configs";
+
 fn main() {
+    CliArgs::parse(USAGE, &[], &[]);
     println!("Table I: Baseline NoC Configurations\n");
     let rows: Vec<Vec<String>> = NocPreset::ALL
         .iter()

@@ -1,13 +1,17 @@
 //! Table II — area and power per functional unit, platform scaling, and
 //! the Table V CPU comparison.
 
+use snacknoc_bench::args::CliArgs;
 use snacknoc_bench::table::print_table;
 use snacknoc_cost::{
     cpm_cost, platform_cost, rcu_cost, CPM_ITEMS, RCU_ITEMS, TERAFLOPS_POWER_RANGE_W,
     XEON_E5_2660_V3,
 };
 
+const USAGE: &str = "usage: table2_area_power";
+
 fn main() {
+    CliArgs::parse(USAGE, &[], &[]);
     println!("Table II: Area and Power Overhead per Functional Unit (45nm, 1GHz)\n");
     let item_rows = |items: &[snacknoc_cost::CostItem]| {
         items

@@ -331,6 +331,16 @@ pub fn run_chaos_cell(cell: &ChaosCell) -> ChaosCellResult {
     if base.outcome.starts_with("unrecoverable") && !sched.has_permanent() {
         violations.push("unrecoverable verdict without a permanent fault".into());
     }
+    // Every watchdog retry belongs to a record counted once in `detected`,
+    // and a record retries at most `max_retries` times, so retries stay
+    // within that budget per detected loss on every run.
+    let max_retries = RecoveryConfig::aggressive().max_retries;
+    if base.retries > u64::from(max_retries) * base.detected {
+        violations.push(format!(
+            "{} watchdog retries exceed {max_retries} per detected loss ({} detected)",
+            base.retries, base.detected
+        ));
+    }
     ChaosCellResult {
         name: cell.name(),
         outcome: base.outcome,

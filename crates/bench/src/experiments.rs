@@ -9,23 +9,6 @@ use snacknoc_workloads::kernels::Kernel;
 /// The RCU/NoC clock of Table IV, GHz.
 pub const SNACK_FREQ_GHZ: f64 = 1.0;
 
-/// Parses `--<name> <value>` from the process arguments, falling back to
-/// `default`. Used by the experiment binaries for workload scale/seeds.
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    let flag = format!("--{name}");
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| *a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Parses `--<name> <value>` as an integer, falling back to `default`.
-pub fn arg_u64(name: &str, default: u64) -> u64 {
-    arg_f64(name, default as f64) as u64
-}
-
 /// The seed used for Fig. 9 kernel inputs.
 pub const FIG9_SEED: u64 = 42;
 

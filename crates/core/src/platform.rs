@@ -10,9 +10,10 @@ use crate::dram::DramModel;
 use crate::fixed::Fixed;
 use crate::token::{CompiledKernel, DataToken, Instruction, DATA_TOKEN_BYTES, INSTRUCTION_BYTES};
 use crate::rcu::{Emission, Rcu, RcuStats};
+use snacknoc_noc::routing::xy_route;
 use snacknoc_noc::{
-    ConfigError, FaultCounters, FaultPlan, FaultPlanError, LinkFaultKind, Mesh, NetStats, Network,
-    NocConfig, NodeId, Packet, PacketSpec, StallReport, Stepping, TrafficClass,
+    BitSet, ConfigError, FaultCounters, FaultPlan, FaultPlanError, LinkFaultKind, Mesh, NetStats,
+    Network, NocConfig, NodeId, Packet, PacketSpec, StallReport, Stepping, TrafficClass,
 };
 use snacknoc_trace::{EventKind, TracerHandle};
 use snacknoc_workloads::coherence::{AccessPattern, CohMessage, CoherentEngine};
@@ -266,12 +267,6 @@ pub struct PlatformConfig {
     /// canonical budget instead of an ad-hoc magic number. Must be at
     /// least [`PlatformConfig::no_progress_window`].
     pub kernel_cycle_cap: u64,
-    /// Safety cap for [`SnackPlatform::run_multiprogram_capped`]: the
-    /// hard deadline a multi-program run is bounded by when the caller
-    /// does not supply one (previously the `u64::MAX / 2` magic constant
-    /// scattered across examples and experiment binaries). Must be at
-    /// least [`PlatformConfig::no_progress_window`].
-    pub multiprogram_cycle_cap: u64,
 }
 
 impl Default for PlatformConfig {
@@ -280,7 +275,6 @@ impl Default for PlatformConfig {
             no_progress_window: SnackPlatform::NO_PROGRESS_WINDOW,
             max_kernel_attempts: 4,
             kernel_cycle_cap: SnackPlatform::KERNEL_CYCLE_CAP,
-            multiprogram_cycle_cap: SnackPlatform::MULTIPROGRAM_CYCLE_CAP,
         }
     }
 }
@@ -318,12 +312,6 @@ impl PlatformConfig {
                 window: self.no_progress_window,
             });
         }
-        if self.multiprogram_cycle_cap < self.no_progress_window {
-            return Err(PlatformConfigError::CycleCapBelowWindow {
-                cap: self.multiprogram_cycle_cap,
-                window: self.no_progress_window,
-            });
-        }
         Ok(())
     }
 }
@@ -348,8 +336,7 @@ pub enum PlatformConfigError {
         /// The largest accepted budget.
         max: u32,
     },
-    /// A cycle cap ([`PlatformConfig::kernel_cycle_cap`] or
-    /// [`PlatformConfig::multiprogram_cycle_cap`]) is smaller than the
+    /// [`PlatformConfig::kernel_cycle_cap`] is smaller than the
     /// no-progress window — the hang detector could never fire before
     /// the cap, making the cap the *only* backstop and the window dead
     /// configuration.
@@ -432,17 +419,16 @@ pub struct SnackPlatform {
     ring_next: Vec<NodeId>,
     submitted_at: Vec<u64>,
     nodes: Vec<NodeId>,
-    /// Ready RCUs, one bit per RCU index in `u64` words: the RCUs the
-    /// per-cycle loop ticks, in ascending index order. Every non-idle
-    /// RCU is ready or parked, never both; an RCU in neither set is
-    /// idle, and ticking it would be a pure no-op.
-    rcu_ready: Vec<u64>,
-    /// Parked RCUs, same layout: a worklist tick left each of them
-    /// stalled (pending work, nothing fireable), so every later tick
-    /// stalls too until a wake edge ([`SnackPlatform::wake_rcu`]) changes
-    /// what it could fire. A parked RCU is not ticked and bounds no clock
-    /// jump; it owes one stall per cycle from `parked_at`.
-    rcu_parked: Vec<u64>,
+    /// Ready RCUs: the RCUs the per-cycle loop ticks, in ascending index
+    /// order. Every non-idle RCU is ready or parked, never both; an RCU
+    /// in neither set is idle, and ticking it would be a pure no-op.
+    rcu_ready: BitSet,
+    /// Parked RCUs: a worklist tick left each of them stalled (pending
+    /// work, nothing fireable), so every later tick stalls too until a
+    /// wake edge ([`SnackPlatform::wake_rcu`]) changes what it could
+    /// fire. A parked RCU is not ticked and bounds no clock jump; it owes
+    /// one stall per cycle from `parked_at`.
+    rcu_parked: BitSet,
     /// `parked_at[i]`: the first cycle parked RCU `i` owes a stall for.
     parked_at: Vec<u64>,
     /// Reused scratch buffer for [`Rcu::tick_into`] emissions — one
@@ -530,8 +516,8 @@ impl SnackPlatform {
             submitted_at: vec![0],
             nodes: mesh.nodes().collect(),
             snack_vnet,
-            rcu_ready: vec![0; n.div_ceil(64)],
-            rcu_parked: vec![0; n.div_ceil(64)],
+            rcu_ready: BitSet::new(n),
+            rcu_parked: BitSet::new(n),
             parked_at: vec![0; n],
             emit_scratch: Vec::new(),
             cmp_specs: Vec::new(),
@@ -634,8 +620,8 @@ impl SnackPlatform {
     pub fn set_rcu_lanes(&mut self, lanes: usize) {
         self.rcus = (0..self.rcus.len()).map(|_| Rcu::with_lanes(lanes)).collect();
         // Fresh RCUs are idle: neither ready nor parked.
-        self.rcu_ready.fill(0);
-        self.rcu_parked.fill(0);
+        self.rcu_ready.clear();
+        self.rcu_parked.clear();
     }
 
     /// Whether the platform was built for the dense reference loop: every
@@ -664,8 +650,7 @@ impl SnackPlatform {
             agg.stalled_cycles += r.stats.stalled_cycles;
         }
         let now = self.net.cycle();
-        agg.stalled_cycles +=
-            set_bits(&self.rcu_parked).map(|i| self.owed_stalls(i, now)).sum::<u64>();
+        agg.stalled_cycles += self.rcu_parked.iter().map(|i| self.owed_stalls(i, now)).sum::<u64>();
         agg
     }
 
@@ -836,12 +821,10 @@ impl SnackPlatform {
     /// accepted instruction or a capture. A parked RCU settles the stalls
     /// it owes for the cycles before this one, then ticks again.
     fn wake_rcu(&mut self, i: usize) {
-        let (w, bit) = (i / 64, 1u64 << (i % 64));
-        if self.rcu_parked[w] & bit != 0 {
-            self.rcu_parked[w] &= !bit;
+        if self.rcu_parked.remove(i) {
             self.rcus[i].stats.stalled_cycles += self.owed_stalls(i, self.net.cycle());
         }
-        self.rcu_ready[w] |= bit;
+        self.rcu_ready.insert(i);
     }
 
     /// The one worklist rebuild: settles every parked RCU's owed stalls at
@@ -850,17 +833,16 @@ impl SnackPlatform {
     fn wake_all_rcus(&mut self) {
         let now = self.net.cycle();
         for i in 0..self.rcus.len() {
-            let (w, bit) = (i / 64, 1u64 << (i % 64));
-            if self.rcu_parked[w] & bit != 0 {
+            if self.rcu_parked.contains(i) {
                 self.rcus[i].stats.stalled_cycles += self.owed_stalls(i, now);
             }
             if self.rcus[i].is_idle() {
-                self.rcu_ready[w] &= !bit;
+                self.rcu_ready.remove(i);
             } else {
-                self.rcu_ready[w] |= bit;
+                self.rcu_ready.insert(i);
             }
         }
-        self.rcu_parked.fill(0);
+        self.rcu_parked.clear();
     }
 
     /// Stalls parked RCU `i` owes at cycle `now`: one per cycle from
@@ -1153,29 +1135,25 @@ impl SnackPlatform {
         } else {
             // Tick the ready set in index order (matching the dense loop).
             // An RCU that goes idle leaves it; one whose tick stalled
-            // parks. Ticks cannot wake an RCU, so each word can be read
-            // once up front.
-            for w in 0..self.rcu_ready.len() {
-                let mut bits = self.rcu_ready[w];
-                while bits != 0 {
-                    let bit = bits & bits.wrapping_neg();
-                    bits ^= bit;
-                    let i = w * 64 + bit.trailing_zeros() as usize;
-                    // Dead RCUs are skipped (identically to the dense
-                    // loop); their frozen pending work keeps them ready
-                    // until escalation purges it.
-                    if dead_active && self.node_dead(self.nodes[i], now) {
-                        continue;
-                    }
-                    let stalls = self.rcus[i].stats.stalled_cycles;
-                    self.tick_rcu(i, now);
-                    if self.rcus[i].is_idle() {
-                        self.rcu_ready[w] &= !bit;
-                    } else if self.rcus[i].stats.stalled_cycles > stalls {
-                        self.rcu_ready[w] &= !bit;
-                        self.rcu_parked[w] |= bit;
-                        self.parked_at[i] = now + 1;
-                    }
+            // parks. Ticks cannot wake an RCU, so the walk only removes
+            // the RCU it just ticked.
+            let mut at = 0;
+            while let Some(i) = self.rcu_ready.next_from(at) {
+                at = i + 1;
+                // Dead RCUs are skipped (identically to the dense loop);
+                // their frozen pending work keeps them ready until
+                // escalation purges it.
+                if dead_active && self.node_dead(self.nodes[i], now) {
+                    continue;
+                }
+                let stalls = self.rcus[i].stats.stalled_cycles;
+                self.tick_rcu(i, now);
+                if self.rcus[i].is_idle() {
+                    self.rcu_ready.remove(i);
+                } else if self.rcus[i].stats.stalled_cycles > stalls {
+                    self.rcu_ready.remove(i);
+                    self.rcu_parked.insert(i);
+                    self.parked_at[i] = now + 1;
                 }
             }
         }
@@ -1322,9 +1300,7 @@ impl SnackPlatform {
     #[cfg(debug_assertions)]
     fn check_rcu_sets(&self) {
         for (i, rcu) in self.rcus.iter().enumerate() {
-            let (w, bit) = (i / 64, 1u64 << (i % 64));
-            let ready = self.rcu_ready[w] & bit != 0;
-            let parked = self.rcu_parked[w] & bit != 0;
+            let (ready, parked) = (self.rcu_ready.contains(i), self.rcu_parked.contains(i));
             assert!(!(ready && parked), "RCU {i} is both ready and parked");
             assert!(rcu.is_idle() || ready || parked, "busy RCU {i} is neither ready nor parked");
             assert!(!parked || !rcu.can_fire(), "parked RCU {i} has a fireable instruction");
@@ -1337,10 +1313,10 @@ impl SnackPlatform {
     /// happened; `false` means the caller must take a real
     /// [`SnackPlatform::step`]. Dense mode never jumps.
     ///
-    /// Cost: while the network holds any work the attempt is a handful of
-    /// O(1) worklist checks. A quiescent network adds one poll of the
-    /// workload engine (O(1) for the phase model), of each CPM, and of
-    /// each ready RCU — an idle or parked RCU has no wake.
+    /// Cost: while the network holds any work the attempt is a few word
+    /// tests of the network's worklists. A quiescent network adds one
+    /// poll of the workload engine (O(1) for the phase model), of each
+    /// CPM, and of each ready RCU — an idle or parked RCU has no wake.
     ///
     /// Soundness: a jump from `now` to `to` is taken only when every
     /// skipped [`SnackPlatform::step`] in `now..to` would have been a
@@ -1403,7 +1379,7 @@ impl SnackPlatform {
         }
         // Parked RCUs stall every skipped cycle and owe those stalls
         // lazily, so only ready RCUs bound the jump.
-        for i in set_bits(&self.rcu_ready) {
+        for i in self.rcu_ready.iter() {
             // Dead RCUs never tick, so their frozen pending work must not
             // pin the clock (it would otherwise report a wake at `now`
             // forever and forbid every jump).
@@ -1679,9 +1655,8 @@ impl SnackPlatform {
     /// including watchdog recovery and graceful-degradation retries).
     pub const KERNEL_CYCLE_CAP: u64 = 50_000_000;
 
-    /// Default for [`PlatformConfig::multiprogram_cycle_cap`]: the
-    /// effectively-unbounded safety deadline multi-program runs were
-    /// historically given via a `u64::MAX / 2` magic constant.
+    /// The deadline of [`SnackPlatform::run_multiprogram_capped`]:
+    /// effectively unbounded, so the workload's completion ends the run.
     pub const MULTIPROGRAM_CYCLE_CAP: u64 = u64::MAX / 2;
 
     /// A deterministic fingerprint of kernel-level forward progress:
@@ -1758,16 +1733,15 @@ impl SnackPlatform {
         }
     }
 
-    /// [`SnackPlatform::run_multiprogram`] bounded by the validated
-    /// [`PlatformConfig::multiprogram_cycle_cap`] instead of a caller
+    /// [`SnackPlatform::run_multiprogram`] bounded by
+    /// [`SnackPlatform::MULTIPROGRAM_CYCLE_CAP`] instead of a caller
     /// magic number.
     ///
     /// # Panics
     ///
     /// Panics if no workload is attached.
     pub fn run_multiprogram_capped(&mut self, kernel: Option<&CompiledKernel>) -> MultiProgramRun {
-        let cap = self.pcfg.multiprogram_cycle_cap;
-        self.run_multiprogram(kernel, cap)
+        self.run_multiprogram(kernel, Self::MULTIPROGRAM_CYCLE_CAP)
     }
 
     /// Launches a data token from `node` to the next node on the static
@@ -1798,11 +1772,10 @@ impl SnackPlatform {
                 // them on a later lap once the link heals, and permanently
                 // unreachable captures are the watchdog's job.
                 let mesh = *self.net.mesh();
-                let routing = self.net.config().routing;
                 let route_blocked = |dst: NodeId| -> bool {
                     let mut cur = node;
                     while cur != dst {
-                        let dir = routing.route(&mesh, cur, dst);
+                        let dir = xy_route(&mesh, cur, dst);
                         if plan.link_is_down(cur, dir, now) {
                             return true;
                         }
@@ -1902,20 +1875,6 @@ impl SnackPlatform {
     pub fn live_tokens_lower_bound(&self) -> usize {
         self.cpms.iter().map(|c| c.overflow_backlog()).sum()
     }
-}
-
-/// The indices of the set bits in `words`, ascending.
-fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(w, &word)| {
-        let mut bits = word;
-        std::iter::from_fn(move || {
-            (bits != 0).then(|| {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                w * 64 + b
-            })
-        })
-    })
 }
 
 #[cfg(test)]
@@ -2808,16 +2767,6 @@ mod tests {
             }),
             Err(PlatformConfigError::CycleCapBelowWindow {
                 cap: SnackPlatform::NO_PROGRESS_WINDOW - 1,
-                window: SnackPlatform::NO_PROGRESS_WINDOW,
-            })
-        );
-        assert_eq!(
-            p.set_platform_config(PlatformConfig {
-                multiprogram_cycle_cap: 0,
-                ..PlatformConfig::default()
-            }),
-            Err(PlatformConfigError::CycleCapBelowWindow {
-                cap: 0,
                 window: SnackPlatform::NO_PROGRESS_WINDOW,
             })
         );

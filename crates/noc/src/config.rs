@@ -1,7 +1,6 @@
 //! NoC configuration: router resources, pipeline depth, and the three
 //! baseline presets of the paper (Table I).
 
-use crate::routing::RoutingAlgorithm;
 use std::fmt;
 
 /// The three state-of-the-art NoC baselines analysed in §II of the paper
@@ -104,13 +103,9 @@ pub struct NocConfig {
     /// When `true`, communication-class flits are arbitrated strictly before
     /// SnackNoC flits at the VC and switch allocators (paper §III-D3).
     pub priority_arbitration: bool,
-    /// Deterministic routing algorithm (XY default, YX dual).
-    pub routing: RoutingAlgorithm,
     /// Statistics sampling window in cycles (the paper samples utilization
     /// every 10 K cycles).
     pub sample_window: u64,
-    /// Network-interface injection bandwidth in flits per cycle.
-    pub ni_flits_per_cycle: u8,
     /// How the network steps; see [`Stepping`].
     pub stepping: Stepping,
 }
@@ -201,12 +196,6 @@ impl NocConfig {
         self
     }
 
-    /// Selects the dimension-order routing algorithm.
-    pub fn with_routing(mut self, routing: RoutingAlgorithm) -> Self {
-        self.routing = routing;
-        self
-    }
-
     /// Sets the statistics sampling window, in cycles.
     pub fn with_sample_window(mut self, cycles: u64) -> Self {
         self.sample_window = cycles;
@@ -268,9 +257,6 @@ impl NocConfig {
         if self.sample_window == 0 {
             return Err(ConfigError::ZeroSampleWindow);
         }
-        if self.ni_flits_per_cycle == 0 {
-            return Err(ConfigError::ZeroNiBandwidth);
-        }
         if let Stepping::Sharded(shards) = self.stepping {
             if shards == 0 {
                 return Err(ConfigError::ZeroShards);
@@ -297,9 +283,7 @@ impl Default for NocConfig {
             buffers_per_vc: 4,
             pipeline_stages: 2,
             priority_arbitration: false,
-            routing: RoutingAlgorithm::Xy,
             sample_window: 10_000,
-            ni_flits_per_cycle: 1,
             stepping: Stepping::Serial,
         }
     }
@@ -331,8 +315,6 @@ pub enum ConfigError {
     BadPipelineDepth(u8),
     /// Statistics sampling window of zero cycles.
     ZeroSampleWindow,
-    /// Network-interface bandwidth of zero flits per cycle.
-    ZeroNiBandwidth,
     /// Sharded stepping with zero shards.
     ZeroShards,
     /// More shards than mesh rows: a shard is a band of whole rows.
@@ -361,7 +343,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "pipeline depth {d} unsupported (expected 2-4 stages)")
             }
             ConfigError::ZeroSampleWindow => write!(f, "sample window must be non-zero"),
-            ConfigError::ZeroNiBandwidth => write!(f, "ni bandwidth must be non-zero"),
             ConfigError::ZeroShards => write!(f, "sharded stepping needs at least one shard"),
             ConfigError::TooManyShards { shards, rows } => {
                 write!(f, "{shards} shards requested but the mesh has only {rows} rows")
@@ -454,7 +435,6 @@ mod tests {
             ConfigError::NoBuffers,
             ConfigError::BadPipelineDepth(9),
             ConfigError::ZeroSampleWindow,
-            ConfigError::ZeroNiBandwidth,
             ConfigError::TooManyVirtualChannels(65),
             ConfigError::MeshTooLarge { cols: 300, rows: 300 },
             ConfigError::ZeroShards,

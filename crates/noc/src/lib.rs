@@ -54,6 +54,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+pub mod bitset;
 pub mod config;
 pub mod fault;
 pub mod flit;
@@ -65,6 +66,7 @@ pub mod routing;
 pub mod stats;
 pub mod topology;
 
+pub use bitset::BitSet;
 pub use config::{ConfigError, NocConfig, NocPreset, Stepping};
 pub use fault::{
     DeadRcu, FaultCounters, FaultPlan, FaultPlanError, FaultTargets, LinkFault, LinkFaultKind,
@@ -74,6 +76,6 @@ pub use flit::{Flit, FlitKind, TrafficClass};
 pub use network::{Network, StallReport};
 pub use packet::{Packet, PacketId, PacketSpec};
 pub use pool::{PayloadPool, PayloadRef, PoolExhausted};
-pub use routing::{Dir, RoutingAlgorithm};
+pub use routing::Dir;
 pub use stats::{LatencyHistogram, NetStats, OccupancyCdf, ProtocolErrors, SeriesSample};
 pub use topology::{Mesh, NodeId};

@@ -46,8 +46,6 @@ struct NetIf {
     rr: usize,
     /// Flits queued across all vnets, kept incrementally.
     backlog: u64,
-    /// Whether the node is on its lane's NI worklist.
-    listed: bool,
 }
 
 /// Reassembly state for one in-flight packet at its destination NI.
@@ -124,9 +122,6 @@ pub struct Network<P> {
     /// Packets in `ejected` not yet drained, so [`Network::has_ejected`]
     /// need not scan every node.
     ejected_count: usize,
-    /// Dedup flags for the router worklists: `work[r]` ⟺ `r` is on its
-    /// lane's active list.
-    work: Vec<bool>,
     /// `node_bounds[t]..node_bounds[t + 1]` = the nodes of lane `t`: the
     /// whole mesh for serial and dense stepping, one row band per shard
     /// for sharded stepping (DESIGN.md §13).
@@ -223,7 +218,7 @@ impl<P> Network<P> {
         let lanes = (0..tiles)
             .map(|t| {
                 let nodes = node_bounds[t + 1] - node_bounds[t];
-                Lane::with_capacity(nodes, link_bounds[t + 1] - link_bounds[t])
+                Lane::new(nodes, link_bounds[t + 1] - link_bounds[t])
             })
             .collect();
         let mail = if tiles > 1 {
@@ -237,7 +232,6 @@ impl<P> Network<P> {
                 streaming: vec![None; cfg.vnets as usize],
                 rr: 0,
                 backlog: 0,
-                listed: false,
             })
             .collect();
         let per_router_capacity = (Dir::COUNT * cfg.vcs_per_port()) as f64
@@ -253,7 +247,6 @@ impl<P> Network<P> {
             link_of,
             ejected: (0..n).map(|_| Vec::new()).collect(),
             ejected_count: 0,
-            work: vec![false; n],
             node_bounds,
             link_bounds,
             lanes,
@@ -397,8 +390,7 @@ impl<P> Network<P> {
     /// Queues a packet for injection at its source NI.
     ///
     /// The packet is segmented into flits immediately; flits enter the
-    /// network as the NI wins buffer space, at most
-    /// [`NocConfig::ni_flits_per_cycle`] per cycle.
+    /// network as the NI wins buffer space, at most one per cycle.
     ///
     /// # Errors
     ///
@@ -430,14 +422,13 @@ impl<P> Network<P> {
             flits: nf as u32,
         });
         let src = spec.src.index();
-        let lane = &mut self.lanes[shard_of(&self.node_bounds, src)];
+        let tile = shard_of(&self.node_bounds, src);
+        let lane = &mut self.lanes[tile];
         let ni = &mut self.nis[src];
         lane.ni_backlog += nf as u64;
         ni.backlog += nf as u64;
-        if nf > 0 && !ni.listed {
-            ni.listed = true;
-            lane.ni_active.push(src);
-        }
+        // Every packet has at least one flit (`NocConfig::flits_for`).
+        lane.ni_active.insert(src - self.node_bounds[tile]);
         let queue = &mut ni.queues[spec.vnet as usize];
         for i in 0..nf {
             let kind = match (i, nf) {
@@ -617,7 +608,8 @@ impl<P> Network<P> {
     /// components that can make progress (worklists maintained by the
     /// previous phases), and **allocation-free in steady state** (every
     /// transient buffer is a reusable scratch). Dense stepping
-    /// ([`Stepping::Dense`]) walks every component instead; the two are
+    /// ([`Stepping::Dense`]) scans every link, NI and router's occupancy
+    /// instead of the worklists in Phases 2, 3 and 5; the two are
     /// bit-identical because a skipped component is provably quiescent —
     /// see DESIGN.md §11 for the invariants and the wakeup edges. A
     /// sharded network runs its shards' phases in turn, without threads
@@ -898,28 +890,6 @@ mod tests {
         // shares physical links, so allow generous slack).
         assert!(lat < 2_000, "vnet-1 latency {lat} under vnet-0 saturation");
         assert!(n.run_until_drained(200_000).is_ok());
-    }
-
-    #[test]
-    fn yx_routing_delivers_everything_too() {
-        use crate::routing::RoutingAlgorithm;
-        let mut n = net(NocConfig::binochs().with_routing(RoutingAlgorithm::Yx));
-        let nodes: Vec<_> = n.mesh().nodes().collect();
-        for (i, &src) in nodes.iter().enumerate() {
-            for (j, &dst) in nodes.iter().enumerate() {
-                n.inject(comm(src, dst, 32, (i * 16 + j) as u64)).unwrap();
-            }
-        }
-        assert!(n.run_until_drained(100_000).is_ok());
-        let mut got = 0;
-        for &node in &nodes {
-            for p in n.drain_ejected(node) {
-                assert_eq!(p.dst, node);
-                assert_eq!(p.hops as usize, hop_count(n.mesh(), p.src, p.dst), "minimal route");
-                got += 1;
-            }
-        }
-        assert_eq!(got, 256);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! contiguous node range, and links are built per source node in the same
 //! order, so each view owns contiguous `split_at_mut` slices of all
 //! per-node and per-link state. A view touches only its own slices and
-//! its own lane: the worklists, reassembly map, fault memo and counters,
-//! and the payload-pool work it stages for the calling thread.
+//! its own lane: the worklists (band-relative [`BitSet`]s, walked in
+//! ascending index order), reassembly map, fault memo and counters, and
+//! the payload-pool work it stages for the calling thread.
 //!
 //! ## Boundary exchange
 //!
@@ -55,6 +56,7 @@
 //! [`TracerHandle::Nop`]); install a tracer on serial or dense networks.
 
 use super::*;
+use crate::bitset::BitSet;
 use crate::stats::{Tally, TallyDelta, WindowSeries};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
@@ -100,15 +102,16 @@ enum PoolWork {
 
 /// One view's private half of the network: the worklists, reassembly
 /// map and fault memo restricted to the routers, links and NIs the view
-/// owns, plus live counts the network sums across lanes on demand.
+/// owns, plus live counts the network sums across lanes on demand. The
+/// worklists hold indices relative to the view's first node or link.
 #[derive(Debug, Default)]
 pub(super) struct Lane {
-    /// Routers that can make progress next Phase 4 (`work[r]` ⟺ listed).
-    active: Vec<usize>,
-    /// Nodes with a nonzero NI backlog (`NetIf::listed` ⟺ listed).
-    pub(super) ni_active: Vec<usize>,
-    /// Own links whose slot is occupied, one entry per filled slot.
-    occupied_links: Vec<usize>,
+    /// Routers that can make progress next Phase 4.
+    active: BitSet,
+    /// Nodes with a nonzero NI backlog.
+    pub(super) ni_active: BitSet,
+    /// Own links whose slot is occupied.
+    occupied_links: BitSet,
     /// Credits for own routers, applied next Phase 1.
     pending_credits: Vec<CreditMsg>,
     /// Phase-4 scratch for one router's departures.
@@ -134,11 +137,11 @@ pub(super) struct Lane {
 }
 
 impl Lane {
-    pub(super) fn with_capacity(nodes: usize, links: usize) -> Self {
+    pub(super) fn new(nodes: usize, links: usize) -> Self {
         Lane {
-            active: Vec::with_capacity(nodes),
-            ni_active: Vec::with_capacity(nodes),
-            occupied_links: Vec::with_capacity(links),
+            active: BitSet::new(nodes),
+            ni_active: BitSet::new(nodes),
+            occupied_links: BitSet::new(links),
             ..Lane::default()
         }
     }
@@ -172,6 +175,12 @@ pub(super) fn lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
 pub(super) fn shard_of(bounds: &[usize], index: usize) -> usize {
     debug_assert!(bounds.len() >= 2 && index < bounds[bounds.len() - 1]);
     bounds.partition_point(|&b| b <= index) - 1
+}
+
+/// Debug cross-check of a worklist against a fresh scan: `set` holds
+/// exactly the indices below `len` that `member` picks.
+fn same_members(set: &BitSet, len: usize, member: impl Fn(usize) -> bool) -> bool {
+    (0..len).all(|i| set.contains(i) == member(i))
 }
 
 /// Splits `slice` into the consecutive bands `bounds` delimits (a
@@ -214,7 +223,6 @@ impl Shared<'_> {
 struct Parts<'a> {
     routers: &'a mut [Router],
     nis: &'a mut [NetIf],
-    work: &'a mut [bool],
     links: &'a mut [Link],
     xbar: &'a mut [WindowSeries],
     linkser: &'a mut [WindowSeries],
@@ -233,7 +241,6 @@ impl<'a> Parts<'a> {
             links_base: 0,
             routers: self.routers,
             nis: self.nis,
-            work: self.work,
             links: self.links,
             xbar: self.xbar,
             linkser: self.linkser,
@@ -265,7 +272,6 @@ impl<'a> Parts<'a> {
         let (nb, lb) = (self.node_bounds, self.link_bounds);
         let mut routers = bands(self.routers, nb);
         let mut nis = bands(self.nis, nb);
-        let mut work = bands(self.work, nb);
         let mut links = bands(self.links, lb);
         let mut xbar = bands(self.xbar, nb);
         let mut linkser = bands(self.linkser, lb);
@@ -277,7 +283,6 @@ impl<'a> Parts<'a> {
                 links_base: lb[tile],
                 routers: routers.next().expect(band),
                 nis: nis.next().expect(band),
-                work: work.next().expect(band),
                 links: links.next().expect(band),
                 xbar: xbar.next().expect(band),
                 linkser: linkser.next().expect(band),
@@ -294,7 +299,6 @@ struct View<'a> {
     links_base: usize,
     routers: &'a mut [Router],
     nis: &'a mut [NetIf],
-    work: &'a mut [bool],
     links: &'a mut [Link],
     xbar: &'a mut [WindowSeries],
     linkser: &'a mut [WindowSeries],
@@ -308,11 +312,7 @@ impl View<'_> {
 
     /// Marks router `r` as having work next Phase 4 (idempotent).
     fn mark_router(&mut self, r: usize) {
-        let rel = r - self.node_start;
-        if !self.work[rel] {
-            self.work[rel] = true;
-            self.lane.active.push(r);
-        }
+        self.lane.active.insert(r - self.node_start);
     }
 
     /// Queues a credit for next Phase 1, locally or through the mailbox.
@@ -364,41 +364,29 @@ impl View<'_> {
         self.mark_router(msg.router);
     }
 
-    /// Debug invariant: `occupied_links` lists exactly the filled slots
-    /// (boundary links never fill a slot; their flits travel as mail).
-    fn links_list_consistent(&self) -> bool {
-        let filled = self.links.iter().filter(|l| l.slot.is_some()).count();
-        filled == self.lane.occupied_links.len()
-            && self
-                .lane
-                .occupied_links
-                .iter()
-                .all(|&lid| self.links[lid - self.links_base].slot.is_some())
-    }
-
     /// Phase 2: link traversal, delivering flits sent last cycle. Own
     /// occupied links go in ascending id order (dense stepping scans
-    /// every own link instead), then boundary flits per sender in link-id
+    /// every own slot instead), then boundary flits per sender in link-id
     /// order. Fault verdicts are per `(link, packet)` and deliveries land
     /// in distinct `(port, vc)` queues, so the order is canonical only.
-    /// Links only fill in Phase 4, so the list is drained in place.
+    /// Links only fill in Phase 4, so every slot ends this phase empty.
     fn links(&mut self, sh: &Shared<'_>, cycle: u64) {
-        debug_assert!(self.links_list_consistent());
-        if sh.dense {
-            let (base, links) = (self.links_base, &self.links);
-            self.lane.occupied_links.clear();
-            self.lane
-                .occupied_links
-                .extend((0..links.len()).filter(|&i| links[i].slot.is_some()).map(|i| base + i));
-        } else {
-            self.lane.occupied_links.sort_unstable();
-        }
-        for i in 0..self.lane.occupied_links.len() {
-            let lid = self.lane.occupied_links[i];
-            let link = &mut self.links[lid - self.links_base];
-            let flit = link.slot.take().expect("occupied-list entry holds a flit");
+        // Boundary links never fill a slot: their flits travel as mail.
+        let filled = |l: usize| self.links[l].slot.is_some();
+        debug_assert!(same_members(&self.lane.occupied_links, self.links.len(), filled));
+        let mut at = 0;
+        loop {
+            let next = if sh.dense {
+                (at..self.links.len()).find(|&l| self.links[l].slot.is_some())
+            } else {
+                self.lane.occupied_links.next_from(at)
+            };
+            let Some(rel) = next else { break };
+            at = rel + 1;
+            let link = &mut self.links[rel];
+            let flit = link.slot.take().expect("occupied link holds a flit");
             let (to, in_port) = (link.to_router, link.in_port);
-            self.deliver(sh, lid, to, in_port, flit, cycle);
+            self.deliver(sh, self.links_base + rel, to, in_port, flit, cycle);
         }
         self.lane.occupied_links.clear();
         for from in sh.peers(self.tile) {
@@ -475,76 +463,67 @@ impl View<'_> {
     /// stepping visits every own NI). A node with empty queues is a pure
     /// no-op, round-robin pointer included, so skipping it is exact.
     fn inject(&mut self, sh: &Shared<'_>, tally: &mut Tally<'_>, cycle: u64) {
-        if sh.dense {
-            self.lane.ni_active.clear();
-            self.lane.ni_active.extend(self.node_start..self.node_start + self.nis.len());
-        } else {
-            self.lane.ni_active.sort_unstable();
-        }
-        let mut kept = 0;
-        for i in 0..self.lane.ni_active.len() {
-            let node = self.lane.ni_active[i];
-            let backlog = self.inject_node(sh, tally, node, cycle);
-            self.nis[node - self.node_start].listed = backlog;
-            if backlog {
-                self.lane.ni_active[kept] = node;
-                kept += 1;
+        let backlogged = |n: usize| self.nis[n].backlog > 0;
+        debug_assert!(same_members(&self.lane.ni_active, self.nis.len(), backlogged));
+        let mut at = 0;
+        loop {
+            let next = if sh.dense {
+                (at < self.nis.len()).then_some(at)
+            } else {
+                self.lane.ni_active.next_from(at)
+            };
+            let Some(rel) = next else { break };
+            at = rel + 1;
+            if !self.inject_node(sh, tally, rel, cycle) {
+                self.lane.ni_active.remove(rel);
             }
         }
-        self.lane.ni_active.truncate(kept);
     }
 
-    /// Drains up to `ni_flits_per_cycle` flits from one NI into its local
-    /// router. Returns whether the NI still has backlogged flits.
+    /// Moves at most one flit from own NI `rel` into its local router,
+    /// trying the vnets round-robin. Returns whether the NI still has
+    /// backlogged flits.
     fn inject_node(
         &mut self,
         sh: &Shared<'_>,
         tally: &mut Tally<'_>,
-        node: usize,
+        rel: usize,
         cycle: u64,
     ) -> bool {
-        let rel = node - self.node_start;
         let vnets = sh.cfg.vnets as usize;
         let k = sh.cfg.vcs_per_vnet as usize;
         let cap = sh.cfg.buffers_per_vc as usize;
-        for _ in 0..sh.cfg.ni_flits_per_cycle {
-            let mut pushed = false;
-            for step in 0..vnets {
-                let v = (self.nis[rel].rr + step) % vnets;
-                let ni = &mut self.nis[rel];
-                let Some(front) = ni.queues[v].front() else {
-                    continue;
-                };
-                let router = &self.routers[rel];
-                let vc = match ni.streaming[v] {
-                    Some(vc) => {
-                        debug_assert!(!front.kind().is_head());
-                        router.local_vc_accepts(vc as usize, false, cap).then_some(vc)
-                    }
-                    None => {
-                        debug_assert!(front.kind().is_head());
-                        (v * k..(v + 1) * k)
-                            .find(|&vc| router.local_vc_accepts(vc, true, cap))
-                            .map(|vc| vc as u8)
-                    }
-                };
-                let Some(vc) = vc else { continue };
-                let mut flit = ni.queues[v].pop_front().expect("front checked above");
-                flit.set_vc(vc);
-                ni.streaming[v] = if flit.kind().is_tail() { None } else { Some(vc) };
-                ni.backlog -= 1;
-                ni.rr = (v + 1) % vnets;
-                self.routers[rel].accept_flit(sh.mesh, sh.cfg, Dir::Local, flit, cycle, cap);
-                self.lane.buffered += 1;
-                self.lane.ni_backlog -= 1;
-                *tally.injected_flits += 1;
-                self.mark_router(node);
-                pushed = true;
-                break;
-            }
-            if !pushed {
-                break;
-            }
+        for step in 0..vnets {
+            let v = (self.nis[rel].rr + step) % vnets;
+            let ni = &mut self.nis[rel];
+            let Some(front) = ni.queues[v].front() else {
+                continue;
+            };
+            let router = &self.routers[rel];
+            let vc = match ni.streaming[v] {
+                Some(vc) => {
+                    debug_assert!(!front.kind().is_head());
+                    router.local_vc_accepts(vc as usize, false, cap).then_some(vc)
+                }
+                None => {
+                    debug_assert!(front.kind().is_head());
+                    (v * k..(v + 1) * k)
+                        .find(|&vc| router.local_vc_accepts(vc, true, cap))
+                        .map(|vc| vc as u8)
+                }
+            };
+            let Some(vc) = vc else { continue };
+            let mut flit = ni.queues[v].pop_front().expect("front checked above");
+            flit.set_vc(vc);
+            ni.streaming[v] = if flit.kind().is_tail() { None } else { Some(vc) };
+            ni.backlog -= 1;
+            ni.rr = (v + 1) % vnets;
+            self.routers[rel].accept_flit(sh.mesh, sh.cfg, Dir::Local, flit, cycle, cap);
+            self.lane.buffered += 1;
+            self.lane.ni_backlog -= 1;
+            *tally.injected_flits += 1;
+            self.lane.active.insert(rel);
+            break;
         }
         self.nis[rel].backlog > 0
     }
@@ -562,10 +541,9 @@ impl View<'_> {
 
     /// Phase 4: router pipelines (VA, SA/ST) plus ejection for own routers
     /// with work, ascending, leaving `active` holding the survivors (the
-    /// routers still buffering flits) in ascending order for Phase 5. No
-    /// same-phase wakeups exist: credits wait for next Phase 1 and link
-    /// fills for next Phase 2, so the list is compacted in place. Dense
-    /// stepping scans every flag instead of the list.
+    /// routers still buffering flits) for Phase 5. No same-phase wakeups
+    /// exist: credits wait for next Phase 1 and link fills for next
+    /// Phase 2, so the walk only removes the router it just ran.
     fn routers(
         &mut self,
         sh: &Shared<'_>,
@@ -573,27 +551,13 @@ impl View<'_> {
         tracer: &mut TracerHandle,
         cycle: u64,
     ) {
-        if sh.dense {
-            let (start, work) = (self.node_start, &self.work);
-            self.lane.active.clear();
-            self.lane
-                .active
-                .extend((0..work.len()).filter(|&rel| work[rel]).map(|rel| start + rel));
-        } else {
-            self.lane.active.sort_unstable();
-        }
-        let mut kept = 0;
-        for i in 0..self.lane.active.len() {
-            let r = self.lane.active[i];
-            debug_assert!(self.work[r - self.node_start], "worklist entry without its flag");
-            let still = self.run_router(sh, tally, tracer, r, cycle);
-            self.work[r - self.node_start] = still;
-            if still {
-                self.lane.active[kept] = r;
-                kept += 1;
+        let mut at = 0;
+        while let Some(rel) = self.lane.active.next_from(at) {
+            at = rel + 1;
+            if !self.run_router(sh, tally, tracer, self.node_start + rel, cycle) {
+                self.lane.active.remove(rel);
             }
         }
-        self.lane.active.truncate(kept);
     }
 
     /// One router's pipeline: VA, then SA/ST, then its departures
@@ -664,7 +628,7 @@ impl View<'_> {
                 let slot = &mut self.links[rel_lid].slot;
                 debug_assert!(slot.is_none(), "link carries one flit per cycle");
                 *slot = Some(dep.flit);
-                self.lane.occupied_links.push(lid);
+                self.lane.occupied_links.insert(rel_lid);
             } else {
                 let flit = BoundaryFlit { lid, to, in_port, flit: dep.flit };
                 sh.cell(self.tile, shard_of(sh.node_bounds, to)).flits.push(flit);
@@ -743,6 +707,11 @@ impl View<'_> {
     /// same nonzero samples as a full scan, then credits the zeros in one
     /// batched call.
     fn occupancy(&mut self, sh: &Shared<'_>, tally: &mut Tally<'_>) {
+        let occupied = |r: usize| self.routers[r].buffered_flits() > 0;
+        debug_assert!(
+            same_members(&self.lane.active, self.routers.len(), occupied),
+            "post-Phase-4 worklist must equal the set of occupied routers"
+        );
         let mut zeros = self.routers.len() as u64;
         let mut record = |buffered: usize| {
             tally.occupancy.record(buffered as f64 / sh.per_router_capacity);
@@ -755,13 +724,8 @@ impl View<'_> {
                 .filter(|&b| b > 0)
                 .for_each(&mut record);
         } else {
-            debug_assert_eq!(
-                self.lane.active.len(),
-                self.routers.iter().filter(|r| r.buffered_flits() > 0).count(),
-                "post-Phase-4 worklist must equal the set of occupied routers"
-            );
-            for &r in &self.lane.active {
-                record(self.routers[r - self.node_start].buffered_flits());
+            for rel in self.lane.active.iter() {
+                record(self.routers[rel].buffered_flits());
             }
         }
         tally.occupancy.record_zeros(zeros);
@@ -875,7 +839,6 @@ impl<P> Network<P> {
         let parts = Parts {
             routers: &mut self.routers,
             nis: &mut self.nis,
-            work: &mut self.work,
             links: &mut self.links,
             xbar,
             linkser,

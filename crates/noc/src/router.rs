@@ -44,7 +44,7 @@
 
 use crate::config::NocConfig;
 use crate::flit::Flit;
-use crate::routing::Dir;
+use crate::routing::{xy_route, Dir};
 use crate::topology::{Mesh, NodeId};
 use snacknoc_trace::{EventKind, TracerHandle};
 
@@ -281,7 +281,7 @@ impl Router {
             debug_assert!(vc.len == 0, "idle VC with buffered flits");
             debug_assert!(flit.kind().is_head(), "non-head flit arrived at an idle VC");
             debug_assert_eq!(usize::from(flit.vnet()), vc_idx / cfg.vcs_per_vnet as usize);
-            let out_port = cfg.routing.route(mesh, self.node, flit.dst());
+            let out_port = xy_route(mesh, self.node, flit.dst());
             vc.state = VcState::Routed { out_port };
             vc.snack = flit.class().is_snack();
             vc.vnet = flit.vnet();

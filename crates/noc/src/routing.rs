@@ -76,29 +76,6 @@ impl fmt::Display for Dir {
     }
 }
 
-/// A deterministic dimension-order routing algorithm. Both orders are
-/// deadlock-free on a mesh; they differ in how traffic concentrates on the
-/// centre rows vs. columns.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum RoutingAlgorithm {
-    /// X (east/west) first, then Y — the common default, and what the
-    /// paper's baselines use.
-    #[default]
-    Xy,
-    /// Y (north/south) first, then X.
-    Yx,
-}
-
-impl RoutingAlgorithm {
-    /// The output port for a flit at `cur` destined for `dst`.
-    pub fn route(self, mesh: &Mesh, cur: NodeId, dst: NodeId) -> Dir {
-        match self {
-            RoutingAlgorithm::Xy => xy_route(mesh, cur, dst),
-            RoutingAlgorithm::Yx => yx_route(mesh, cur, dst),
-        }
-    }
-}
-
 /// Computes the dimension-order (XY) output port for a flit currently at
 /// `cur` and destined for `dst`: travel east/west until the column matches,
 /// then north/south, then eject at `Local`.
@@ -117,23 +94,6 @@ pub fn xy_route(mesh: &Mesh, cur: NodeId, dst: NodeId) -> Dir {
         Dir::South
     } else if dy < cy {
         Dir::North
-    } else {
-        Dir::Local
-    }
-}
-
-/// The YX dual of [`xy_route`]: rows first, then columns.
-pub fn yx_route(mesh: &Mesh, cur: NodeId, dst: NodeId) -> Dir {
-    let (cx, cy) = mesh.coords(cur);
-    let (dx, dy) = mesh.coords(dst);
-    if dy > cy {
-        Dir::South
-    } else if dy < cy {
-        Dir::North
-    } else if dx > cx {
-        Dir::East
-    } else if dx < cx {
-        Dir::West
     } else {
         Dir::Local
     }
@@ -185,36 +145,24 @@ mod tests {
     }
 
     #[test]
-    fn both_walks_terminate_at_destination_in_minimal_hops() {
+    fn xy_walks_terminate_at_destination_in_minimal_hops() {
         let m = Mesh::new(8, 4);
-        for algo in [RoutingAlgorithm::Xy, RoutingAlgorithm::Yx] {
-            for src in m.nodes() {
-                for dst in m.nodes() {
-                    let mut cur = src;
-                    let mut hops = 0;
-                    loop {
-                        let dir = algo.route(&m, cur, dst);
-                        if dir == Dir::Local {
-                            break;
-                        }
-                        cur = m.neighbor(cur, dir).expect("route must follow links");
-                        hops += 1;
-                        assert!(hops <= m.node_count(), "routing loop");
+        for src in m.nodes() {
+            for dst in m.nodes() {
+                let mut cur = src;
+                let mut hops = 0;
+                loop {
+                    let dir = xy_route(&m, cur, dst);
+                    if dir == Dir::Local {
+                        break;
                     }
-                    assert_eq!(cur, dst);
-                    assert_eq!(hops, hop_count(&m, src, dst), "{algo:?} is minimal");
+                    cur = m.neighbor(cur, dir).expect("route must follow links");
+                    hops += 1;
+                    assert!(hops <= m.node_count(), "routing loop");
                 }
+                assert_eq!(cur, dst);
+                assert_eq!(hops, hop_count(&m, src, dst), "XY is minimal");
             }
         }
-    }
-
-    #[test]
-    fn yx_goes_y_first() {
-        let m = Mesh::new(4, 4);
-        let dst = m.node_at(3, 2);
-        assert_eq!(yx_route(&m, m.node_at(0, 0), dst), Dir::South);
-        assert_eq!(yx_route(&m, m.node_at(0, 2), dst), Dir::East);
-        assert_eq!(yx_route(&m, dst, dst), Dir::Local);
-        assert_eq!(RoutingAlgorithm::default(), RoutingAlgorithm::Xy);
     }
 }

@@ -405,6 +405,30 @@ cmp "$chaos_capture" BENCH_chaos.json || {
   echo "ERROR: snack-chaos no longer reproduces BENCH_chaos.json byte for byte" >&2
   exit 1
 }
+# Watchdog retry bound: every retry belongs to a watchdog record counted
+# once in `detected`, and a record retries at most max_retries times
+# (16, RecoveryConfig::default().max_retries, which the chaos grid's
+# RecoveryConfig::aggressive() keeps). snack-chaos checks the bound
+# itself; this re-asserts it from the shell on every cell of the
+# regenerated capture, so a broken in-binary check cannot pass CI.
+awk -v RS='}' -v max_retries=16 '
+  /"watchdog_retries":/ {
+    match($0, /"watchdog_retries": [0-9]+/)
+    split(substr($0, RSTART, RLENGTH), retries, ": ")
+    match($0, /"detected": [0-9]+/)
+    split(substr($0, RSTART, RLENGTH), detected, ": ")
+    if (retries[2] + 0 > max_retries * (detected[2] + 0)) {
+      print "ERROR: a chaos cell made " retries[2] " watchdog retries for " detected[2] \
+            " detected losses (bound: " max_retries " per loss)" > "/dev/stderr"
+      bad = 1
+      exit 1
+    }
+    cells++
+  }
+  END {
+    if (bad) exit 1
+    if (!cells) { print "ERROR: no watchdog_retries field in chaos JSON" > "/dev/stderr"; exit 1 }
+  }' "$chaos_capture"
 cargo run --release --offline -q -p snacknoc-bench --bin snack-service -- \
   --json "$service_capture" >/dev/null
 cmp "$service_capture" BENCH_service.json || {

@@ -453,6 +453,98 @@ fn remap_and_failover_are_bit_identical_across_modes_and_shards() {
     }
 }
 
+/// Worklists wider than one 64-bit word (DESIGN.md §11, §13): a bare
+/// 12×9 network (108 routers, 390 links) under near-saturated random
+/// traffic, with one link-down window and one drop window, steps
+/// identically dense, serial and sharded into 2, 3 and 4 row bands. The
+/// serial sets span two words, and no band after the first starts on a
+/// 64-node boundary. Sharded(2) and Sharded(4) advance in `step_until`
+/// segments (threaded batches); Sharded(3) advances by `step` (the
+/// inline driver).
+#[test]
+fn multi_word_worklists_step_identically_in_every_mode() {
+    use snacknoc::noc::{
+        Dir, FaultPlan, FaultTargets, LinkFaultKind, Network, NodeId, PacketSpec,
+    };
+    use snacknoc::prng::Rng;
+    use snacknoc_bench::perf::stats_fingerprint;
+
+    const SEGMENT: u64 = 16;
+    const TRAFFIC_CYCLES: u64 = 1_200;
+    let run = |stepping: Stepping, per_cycle: bool| {
+        let cfg = NocConfig::default()
+            .with_mesh(12, 9)
+            .with_sample_window(200)
+            .with_stepping(stepping);
+        let mut net: Network<u64> = Network::new(cfg).expect("valid 12x9 config");
+        let every_class = FaultTargets { data: true, instructions: true, communication: true };
+        let plan = FaultPlan::seeded(0x51AC_1209)
+            .with_targets(every_class)
+            .with_link_fault(NodeId::new(41), Dir::East, 150, 500, LinkFaultKind::Down)
+            .with_link_fault(NodeId::new(78), Dir::North, 300, 800, LinkFaultKind::Drop {
+                rate: 0.5,
+            });
+        net.set_fault_plan(plan).expect("valid fault plan");
+        let nodes = net.mesh().node_count();
+        let mut rng = Rng::new(0x51AC_1209);
+        let mut log = Vec::new();
+        let advance = |net: &mut Network<u64>, log: &mut Vec<(u64, usize, u64, u32)>| {
+            let target = net.cycle() + SEGMENT;
+            if per_cycle {
+                while net.cycle() < target {
+                    net.step();
+                }
+            } else {
+                net.step_until(target);
+            }
+            for node in 0..nodes {
+                for p in net.drain_ejected(NodeId::new(node)) {
+                    log.push((p.id, node, p.delivered_at, p.hops));
+                }
+            }
+        };
+        while net.cycle() < TRAFFIC_CYCLES {
+            // 0.14 packets of 1-4 flits per node per cycle: about 0.35
+            // flits, near the mesh's uniform-traffic saturation rate.
+            for _ in 0..nodes * SEGMENT as usize * 14 / 100 {
+                let src = NodeId::new(rng.range_usize(0..nodes));
+                let dst = NodeId::new(rng.range_usize(0..nodes));
+                let vnet = rng.range(0..3) as u8;
+                let bytes = 32 * (1 + rng.range(0..4) as u32);
+                let tag = rng.next_u64();
+                let spec = PacketSpec::new(src, dst, vnet, TrafficClass::Communication, bytes, tag);
+                net.inject(spec).expect("valid packet");
+            }
+            advance(&mut net, &mut log);
+        }
+        while net.pending_packets() > 0 {
+            assert!(net.cycle() < 200_000, "{stepping} failed to drain: {}", net.stall_report());
+            advance(&mut net, &mut log);
+        }
+        assert_eq!(net.payload_pool_live(), 0, "{stepping} leaked pooled payloads");
+        let (injected, delivered) = (net.injected_packets(), net.delivered_packets());
+        let lost = net.lost_packets();
+        let faults = net.fault_counters();
+        let fingerprint = stats_fingerprint(injected, delivered, 0, net.finalize_stats());
+        (fingerprint, log, lost, faults)
+    };
+    let dense = run(Stepping::Dense, false);
+    assert!(dense.2 > 0 && dense.3.dropped_flits > 0, "the drop window fired");
+    assert!(dense.1.len() > 10_000, "traffic was heavy: {} deliveries", dense.1.len());
+    for (stepping, per_cycle) in [
+        (Stepping::Serial, false),
+        (Stepping::Sharded(2), false),
+        (Stepping::Sharded(4), false),
+        (Stepping::Sharded(3), true),
+    ] {
+        let other = run(stepping, per_cycle);
+        assert_eq!(other.0, dense.0, "{stepping} statistics diverged from dense");
+        assert!(other.1 == dense.1, "{stepping} delivery log diverged from dense");
+        assert_eq!(other.2, dense.2, "{stepping} lost packets diverged from dense");
+        assert_eq!(other.3, dense.3, "{stepping} fault counters diverged from dense");
+    }
+}
+
 /// Graceful degradation, part 2: the chaos grid — randomized permanent +
 /// transient schedules, each cell already spanning all three stepping
 /// modes internally — merges to identical bytes on 1 and 4 workers, with
