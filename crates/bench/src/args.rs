@@ -130,6 +130,16 @@ impl CliArgs {
         self.parsed_or(name, default)
     }
 
+    /// `--name` parsed as a positive integer, or `default`; zero or a
+    /// malformed value is a usage error (exit 2) that names the flag.
+    pub fn positive_or(&self, name: &str, default: usize) -> usize {
+        let v = self.parsed_or(name, default);
+        if v == 0 {
+            self.fail(&format!("--{name} must be positive, got 0"));
+        }
+        v
+    }
+
     /// `--name` parsed as `f64`, or `default`; a malformed value is a
     /// usage error (exit 2).
     pub fn f64_or(&self, name: &str, default: f64) -> f64 {
@@ -210,6 +220,8 @@ mod tests {
     fn last_occurrence_wins_and_defaults_parse() {
         let a = parse(&["--size", "3", "--size", "9"]).unwrap();
         assert_eq!(a.u64_or("size", 0), 9);
+        assert_eq!(a.positive_or("size", 1), 9);
+        assert_eq!(a.positive_or("missing", 4), 4);
         assert_eq!(a.f64_or("missing", 1.5), 1.5);
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Throws seeded randomized fault schedules (permanent RCU/link/CPM
 //! deaths mixed with transient drop/corrupt windows) at every kernel,
-//! runs each cell in **all three stepping modes**, and asserts the
+//! runs each cell in **both stepping modes**, and asserts the
 //! robustness invariants on every run: termination with a typed verdict,
 //! bit-exact outputs on completion, transient-loss recovery, consistent
-//! degradation reports, and three-mode bit-identity. Prints the per-cell
+//! degradation reports, and bit-identity across the modes. Prints the per-cell
 //! table and writes `BENCH_chaos.json` (override with `--json <path>`);
 //! the simulation output is bit-identical for any `--threads` value.
 //!
@@ -24,6 +24,7 @@
 
 use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::chaos::{run_chaos, ChaosSpec};
+use snacknoc_noc::Stepping;
 use snacknoc_workloads::kernels::Kernel;
 
 const USAGE: &str = "usage: snack-chaos [--kernels all|sgemm,spmv,...] [--size N]
@@ -67,14 +68,15 @@ fn main() {
             .with_threads(threads)
     } else {
         let kernels = parse_kernels(&args.str_or("kernels", "all"));
-        let size = args.u64_or("size", 10) as usize;
+        let size = args.positive_or("size", 10);
         let seeds: Vec<u64> = (1..=args.u64_or("seeds", 4).max(1)).collect();
         ChaosSpec::grid(&kernels, size, &seeds).with_threads(threads)
     };
 
     println!(
-        "chaos grid: {} cells x 3 stepping modes on {} thread(s){}",
+        "chaos grid: {} cells x {} stepping modes on {} thread(s){}",
         spec.cells.len(),
+        Stepping::ALL.len(),
         spec.threads,
         if smoke { " [smoke]" } else { "" },
     );

@@ -116,7 +116,7 @@ fn main() {
         .with_threads(threads)
     } else {
         let kernels = parse_kernels(&args.str_or("kernels", "all"));
-        let size = args.u64_or("size", 12) as usize;
+        let size = args.positive_or("size", 12);
         let rates = parse_rates(&args.str_or("rates", "0.01,0.05"));
         let mode = args.str_or("mode", "both");
         let seeds: Vec<u64> = (1..=args.u64_or("seeds", 1).max(1)).collect();

@@ -4,9 +4,8 @@
 //! think-heavy closed-loop platform scenario, and full
 //! `Platform::run_kernel` for three compiler kernels, each under the
 //! dense reference loop and serial stepping (the default: active sets
-//! plus clock jumps), times sharded stepping against serial stepping on
-//! saturated meshes, and writes `BENCH_perf.json`
-//! (`snacknoc-perf-v3`) — the perf trajectory's committed baseline. The
+//! plus clock jumps), and writes `BENCH_perf.json`
+//! (`snacknoc-perf-v4`) — the perf trajectory's committed baseline. The
 //! dense numbers in the same file *are* the baseline future PRs compare
 //! against.
 //!
@@ -25,8 +24,7 @@
 
 use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::perf::{
-    default_shard_scenarios, default_step_scenarios, host_threads, smoke_shard_scenarios,
-    smoke_step_scenarios, time_closed_loop, time_kernel, time_shard_scenario,
+    default_step_scenarios, host_threads, smoke_step_scenarios, time_closed_loop, time_kernel,
     time_step_scenario, PerfReport,
 };
 use snacknoc_workloads::kernels::Kernel;
@@ -40,10 +38,9 @@ fn main() {
     let json_path = args.str_or("json", "BENCH_perf.json");
     let samples = args.u64_or("samples", if smoke { 3 } else { 9 }).max(1) as u32;
     let seed = args.u64_or("seed", 42);
-    let kernel_size = args.u64_or("kernel-size", if smoke { 10 } else { 24 }) as usize;
+    let kernel_size = args.positive_or("kernel-size", if smoke { 10 } else { 24 });
 
     let scenarios = if smoke { smoke_step_scenarios() } else { default_step_scenarios() };
-    let shard_scenarios = if smoke { smoke_shard_scenarios() } else { default_shard_scenarios() };
     let kernels = if smoke {
         vec![Kernel::Mac]
     } else {
@@ -51,21 +48,18 @@ fn main() {
     };
 
     println!(
-        "perf: {} step + {} shard scenario(s) + {} kernel(s), {samples} sample(s) per mode{} \
+        "perf: {} step scenario(s) + {} kernel(s), {samples} sample(s) per mode{} \
          (host threads: {})",
         scenarios.len(),
-        shard_scenarios.len(),
         kernels.len(),
         if smoke { " [smoke]" } else { "" },
         host_threads(),
     );
     let mut step: Vec<_> = scenarios.iter().map(|s| time_step_scenario(s, samples)).collect();
     step.push(time_closed_loop(if smoke { 20_000 } else { 200_000 }, samples));
-    let shard: Vec<_> =
-        shard_scenarios.iter().flat_map(|s| time_shard_scenario(s, samples)).collect();
     let kernel_results =
         kernels.iter().map(|&k| time_kernel(k, kernel_size, seed, samples)).collect();
-    let report = PerfReport { step, shard, kernels: kernel_results };
+    let report = PerfReport { step, kernels: kernel_results };
     report.print_tables();
 
     write_or_exit("snack-perf", &json_path, |w| report.write_json(w));
@@ -73,13 +67,6 @@ fn main() {
 
     if let Some(speedup) = report.idle_speedup() {
         println!("idle-speedup: {speedup:.2}x (serial over dense baseline)");
-    }
-    if let Some((name, workers, speedup)) = report.best_shard_speedup() {
-        println!(
-            "shard-speedup: {speedup:.2}x ({name} at {workers} worker(s) over serial, \
-             {} host thread(s))",
-            host_threads(),
-        );
     }
     if !report.all_identical() {
         eprintln!(

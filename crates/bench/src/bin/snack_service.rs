@@ -2,7 +2,7 @@
 //!
 //! Drives the `snacknoc-service` SLO scenario (six open-loop tenants,
 //! two per QoS class, on a two-CPM DAPPER mesh) across load levels, each
-//! level in **all three stepping modes**, and reports per-class/per-tenant
+//! level in **both stepping modes**, and reports per-class/per-tenant
 //! p50/p90/p99 latency, throughput, Jain fairness and typed admission
 //! rejections. Writes `BENCH_service.json` (override with
 //! `--json <path>`); the simulation output is bit-identical for any
@@ -17,13 +17,14 @@
 //! knee), seed 5, threads = available parallelism.
 //!
 //! `--smoke` runs a reduced three-level sweep and exits non-zero unless
-//! every level is violation-free and three-mode bit-identical, the
+//! every level is violation-free and bit-identical across the modes, the
 //! Guaranteed class's p99 stays below BestEffort's at peak load, and the
 //! peak level rejects at least one submission — CI uses this via
 //! `scripts/verify.sh`.
 
 use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::service::{run_service_grid, ServiceGridSpec};
+use snacknoc_service::Stepping;
 
 const USAGE: &str =
     "usage: snack-service [--loads 40,100,180] [--seed N] [--threads N] [--json PATH] [--smoke]";
@@ -65,8 +66,9 @@ fn main() {
     let spec = ServiceGridSpec::new(&loads, seed).with_threads(threads);
 
     println!(
-        "service sweep: {} load level(s) x 3 stepping modes x 3 QoS classes on {} thread(s){}",
+        "service sweep: {} load level(s) x {} stepping modes x 3 QoS classes on {} thread(s){}",
         spec.loads.len(),
+        Stepping::ALL.len(),
         spec.threads,
         if smoke { " [smoke]" } else { "" },
     );

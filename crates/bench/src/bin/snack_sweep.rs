@@ -122,7 +122,7 @@ fn main() {
     let presets = parse_presets(&args.str_or("configs", "all"));
     let seeds: Vec<u64> = (1..=args.u64_or("seeds", 1).max(1)).collect();
     let scale = args.f64_or("scale", 0.002);
-    let kernel_size = args.u64_or("kernel-size", 16) as usize;
+    let kernel_size = args.positive_or("kernel-size", 16);
     let threads = args.u64_or(
         "threads",
         std::thread::available_parallelism().map_or(1, |n| n.get() as u64),

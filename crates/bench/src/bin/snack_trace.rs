@@ -77,7 +77,7 @@ fn main() {
             .unwrap_or_default();
         (
             kernel,
-            args.u64_or("size", 12) as usize,
+            args.positive_or("size", 12),
             args.u64_or("seed", 7),
             cfg,
             args.u64_or("capacity", DEFAULT_TRACE_CAPACITY as u64) as usize,

@@ -1,5 +1,5 @@
 //! Deterministic chaos harness: randomized permanent+transient fault
-//! schedules × kernels × **all three stepping modes**, with invariants
+//! schedules × kernels × **both stepping modes**, with invariants
 //! asserted on every run.
 //!
 //! The graceful-degradation companion to [`crate::faults`]: where the
@@ -17,7 +17,7 @@
 //!    retry recovered every watchdog-detected loss;
 //! 4. **reports are consistent** — degradation reports agree with the
 //!    schedule and with the run's own cycle accounting;
-//! 5. **mode-invariant** — all three stepping modes produce the identical
+//! 5. **mode-invariant** — both stepping modes produce the identical
 //!    outcome (common-random-number schedules make this a paired
 //!    comparison).
 //!
@@ -160,7 +160,7 @@ impl ChaosCell {
 }
 
 /// Everything one stepping mode's run could legally vary in — compared
-/// for exact equality across the three modes.
+/// for exact equality across the modes.
 #[derive(Clone, Debug, PartialEq)]
 struct ModeOutcome {
     outcome: String,
@@ -233,7 +233,7 @@ fn run_mode(cell: &ChaosCell, mode: Stepping) -> (ModeOutcome, ChaosSchedule, Ve
     )
 }
 
-/// The merged outcome of one chaos cell across all three stepping modes.
+/// The merged outcome of one chaos cell across both stepping modes.
 #[derive(Clone, Debug)]
 pub struct ChaosCellResult {
     /// Cell display name (`kernel-size/s<seed>`).
@@ -263,13 +263,13 @@ pub struct ChaosCellResult {
     pub detected: u64,
     /// Detected tokens that subsequently retired normally.
     pub recovered: u64,
-    /// Whether all three stepping modes produced the identical outcome.
+    /// Whether both stepping modes produced the identical outcome.
     pub modes_agree: bool,
     /// Invariant violations found (empty on a healthy run).
     pub violations: Vec<String>,
 }
 
-/// Runs one chaos cell in all three stepping modes and checks every
+/// Runs one chaos cell in both stepping modes and checks every
 /// invariant. Violations are *recorded*, not panicked — the harness
 /// reports them so CI can fail with the full picture.
 pub fn run_chaos_cell(cell: &ChaosCell) -> ChaosCellResult {
@@ -408,7 +408,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosResults {
 impl ChaosResults {
     /// Zero invariant violations across the grid (every run terminated,
     /// verified, recovered its transients, reported consistently, and was
-    /// bit-identical in all three stepping modes).
+    /// bit-identical in both stepping modes).
     pub fn all_invariants_hold(&self) -> bool {
         self.cells.iter().all(|c| c.violations.is_empty())
     }
@@ -513,7 +513,7 @@ impl ChaosResults {
         print_table(
             &[
                 "cell", "outcome", "cycles", "verified", "dead", "remap/fo", "recovered",
-                "3-mode", "viol",
+                "modes", "viol",
             ],
             &rows,
         );

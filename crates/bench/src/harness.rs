@@ -1,38 +1,12 @@
-//! Minimal wall-clock benchmark harness (the offline `criterion`
-//! replacement).
-//!
-//! Each benchmark runs a short warmup followed by `N` timed iterations and
-//! reports **median** and **p90** nanoseconds — robust statistics that
-//! tolerate scheduler noise without criterion's sampling machinery. Results
-//! print as a fixed-width table and, when `SNACKNOC_BENCH_CSV` names a
-//! directory, are also emitted as `<group>.csv` in the same
-//! header-plus-rows CSV layout the figure binaries emit (`src/csv.rs`), so
-//! bench numbers can be re-plotted alongside figure data.
-//!
-//! Knobs (environment):
-//! * `SNACKNOC_BENCH_SAMPLES` — timed iterations per benchmark
-//!   (default 11).
-//! * `SNACKNOC_BENCH_CSV` — directory to write `<group>.csv` into.
-//!
-//! A positional CLI argument acts as a substring filter on benchmark
-//! names, mirroring `cargo bench <filter>`; `-`-prefixed flags that cargo
-//! forwards (e.g. `--bench`) are ignored.
+//! Wall-clock summary statistics shared by the timing drivers
+//! (`snack-perf`, `snack-sweep`): the median and p90 of a set of
+//! per-iteration timings, robust to scheduler noise, and an adaptive
+//! nanosecond formatter for their report tables.
 
-use crate::table::print_table;
-use std::hint::black_box;
-use std::io::Write;
-use std::time::Instant;
-
-/// Default timed iterations per benchmark (odd, for a clean median).
-pub const DEFAULT_SAMPLES: u32 = 11;
-
-/// Warmup iterations before timing starts.
-pub const WARMUP: u32 = 2;
-
-/// Summary statistics of one benchmark, in nanoseconds per iteration.
+/// Summary statistics of one measurement, in nanoseconds per iteration.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BenchStats {
-    /// Benchmark name (`group/case` style, as criterion printed them).
+    /// Measurement name (`group/case` style).
     pub name: String,
     /// Number of timed iterations.
     pub samples: u32,
@@ -87,147 +61,6 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// A benchmark group: registers cases, times them, and reports at the end.
-pub struct Harness {
-    group: String,
-    filter: Option<String>,
-    samples: u32,
-    results: Vec<BenchStats>,
-}
-
-impl Harness {
-    /// Creates a harness for `group`, reading the CLI filter and
-    /// `SNACKNOC_BENCH_SAMPLES` from the environment (see module docs).
-    #[must_use]
-    pub fn from_env(group: &str) -> Self {
-        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        let samples = std::env::var("SNACKNOC_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_SAMPLES);
-        Self::with_config(group, filter, samples)
-    }
-
-    /// Creates a harness with explicit configuration (used by tests).
-    #[must_use]
-    pub fn with_config(group: &str, filter: Option<String>, samples: u32) -> Self {
-        assert!(samples > 0, "need at least one sample");
-        Harness { group: group.to_string(), filter, samples, results: Vec::new() }
-    }
-
-    fn skipped(&self, name: &str) -> bool {
-        self.filter.as_deref().is_some_and(|f| !name.contains(f))
-    }
-
-    /// Times `routine` (one iteration per sample) under `name`.
-    pub fn bench<R>(&mut self, name: &str, mut routine: impl FnMut() -> R) {
-        self.bench_with_setup(name, || (), |()| routine());
-    }
-
-    /// Times `routine` with a fresh untimed `setup` product per iteration
-    /// (the criterion `iter_batched` pattern — used when the routine
-    /// consumes its input, e.g. stepping a network to completion).
-    pub fn bench_with_setup<S, R>(
-        &mut self,
-        name: &str,
-        mut setup: impl FnMut() -> S,
-        mut routine: impl FnMut(S) -> R,
-    ) {
-        if self.skipped(name) {
-            return;
-        }
-        for _ in 0..WARMUP {
-            black_box(routine(setup()));
-        }
-        let mut timings = Vec::with_capacity(self.samples as usize);
-        for _ in 0..self.samples {
-            let input = setup();
-            let t0 = Instant::now();
-            black_box(routine(input));
-            let dt = t0.elapsed();
-            timings.push(u64::try_from(dt.as_nanos()).unwrap_or(u64::MAX));
-        }
-        self.results.push(summarize(name, &timings));
-    }
-
-    /// Times a batch of [`crate::sweep::TimedJob`]s over the deterministic
-    /// worker pool ([`crate::sweep::time_jobs`]) and appends their stats.
-    ///
-    /// Thread count comes from `SNACKNOC_BENCH_THREADS` (default 1:
-    /// serial timing is the most comparable). Jobs not matching the CLI
-    /// filter are skipped before the pool starts. Results land in
-    /// registration order regardless of the thread count.
-    pub fn bench_jobs(&mut self, jobs: Vec<crate::sweep::TimedJob>) {
-        let threads = std::env::var("SNACKNOC_BENCH_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1);
-        let kept: Vec<_> = jobs.into_iter().filter(|j| !self.skipped(j.name())).collect();
-        self.results
-            .extend(crate::sweep::time_jobs(kept, threads, WARMUP, self.samples));
-    }
-
-    /// Results accumulated so far.
-    #[must_use]
-    pub fn results(&self) -> &[BenchStats] {
-        &self.results
-    }
-
-    /// Writes results as CSV (`bench,samples,median_ns,p90_ns,min_ns,max_ns`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_csv(&self, mut w: impl Write) -> std::io::Result<()> {
-        writeln!(w, "bench,samples,median_ns,p90_ns,min_ns,max_ns")?;
-        for r in &self.results {
-            writeln!(
-                w,
-                "{},{},{},{},{},{}",
-                r.name, r.samples, r.median_ns, r.p90_ns, r.min_ns, r.max_ns
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Prints the report table and, if `SNACKNOC_BENCH_CSV` is set,
-    /// writes `<dir>/<group>.csv`. Call once, at the end of `main`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the CSV directory is not writable.
-    pub fn finish(self) {
-        println!("\n== {} ({} samples/bench) ==", self.group, self.samples);
-        if self.results.is_empty() {
-            println!("(no benchmarks matched the filter)");
-            return;
-        }
-        let rows: Vec<Vec<String>> = self
-            .results
-            .iter()
-            .map(|r| {
-                vec![
-                    r.name.clone(),
-                    fmt_ns(r.median_ns),
-                    fmt_ns(r.p90_ns),
-                    fmt_ns(r.min_ns),
-                    fmt_ns(r.max_ns),
-                ]
-            })
-            .collect();
-        print_table(&["benchmark", "median", "p90", "min", "max"], &rows);
-        if let Ok(dir) = std::env::var("SNACKNOC_BENCH_CSV") {
-            let path = std::path::Path::new(&dir).join(format!("{}.csv", self.group));
-            std::fs::create_dir_all(&dir).expect("create CSV dir");
-            let file = std::fs::File::create(&path).expect("create CSV file");
-            self.write_csv(file).expect("write CSV");
-            println!("csv: {}", path.display());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,66 +75,6 @@ mod tests {
         assert_eq!(s.p90_ns, 50, "ceil(5*0.9)=5th order stat");
         let one = summarize("y", &[7]);
         assert_eq!((one.median_ns, one.p90_ns), (7, 7));
-    }
-
-    #[test]
-    fn bench_runs_and_records() {
-        let mut h = Harness::with_config("test", None, 3);
-        let mut calls = 0u32;
-        h.bench("counting", || {
-            calls += 1;
-            calls
-        });
-        assert_eq!(calls, WARMUP + 3, "warmup + samples");
-        assert_eq!(h.results().len(), 1);
-        assert_eq!(h.results()[0].name, "counting");
-        assert!(h.results()[0].median_ns <= h.results()[0].p90_ns);
-        assert!(h.results()[0].p90_ns <= h.results()[0].max_ns);
-    }
-
-    #[test]
-    fn filter_skips_nonmatching() {
-        let mut h = Harness::with_config("test", Some("keep".into()), 2);
-        let mut ran = false;
-        h.bench("skip/this", || 0);
-        h.bench("keep/this", || {
-            ran = true;
-            0
-        });
-        assert!(ran);
-        assert_eq!(h.results().len(), 1);
-        assert_eq!(h.results()[0].name, "keep/this");
-    }
-
-    #[test]
-    fn setup_is_untimed_input_per_iteration() {
-        let mut h = Harness::with_config("test", None, 4);
-        let mut setups = 0u32;
-        h.bench_with_setup(
-            "batched",
-            || {
-                setups += 1;
-                vec![1u64; 8]
-            },
-            |v| v.iter().sum::<u64>(),
-        );
-        assert_eq!(setups, WARMUP + 4);
-    }
-
-    #[test]
-    fn csv_layout_matches_figure_emitters() {
-        let mut h = Harness::with_config("grp", None, 2);
-        h.bench("a", || 1);
-        h.bench("b", || 2);
-        let mut buf = Vec::new();
-        h.write_csv(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(lines.next().unwrap(), "bench,samples,median_ns,p90_ns,min_ns,max_ns");
-        for line in lines {
-            assert_eq!(line.split(',').count(), 6);
-        }
-        assert_eq!(text.lines().count(), 3);
     }
 
     #[test]

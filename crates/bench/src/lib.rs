@@ -1,9 +1,8 @@
 //! # snacknoc-bench
 //!
 //! The experiment harness of the SnackNoC reproduction: one binary per
-//! table/figure of the paper (see `src/bin/`), plus in-repo wall-clock
-//! microbenchmarks (see `benches/`, built on [`harness`]) and the shared
-//! drivers in this library.
+//! table/figure of the paper and the `snack-*` drivers (see `src/bin/`),
+//! and the shared drivers in this library.
 //!
 //! Every binary prints the rows/series the corresponding paper artifact
 //! reports, next to the paper's published values where applicable, and is

@@ -2,7 +2,7 @@
 //! trajectory). Every network and platform here is built in its stepping
 //! mode ([`NocConfig::stepping`]); nothing switches modes mid-run.
 //!
-//! Four families of measurements:
+//! Three families of measurements:
 //!
 //! * **`Network::step` scenarios** — a bare network driven by a
 //!   pre-generated uniform-random injection schedule at idle / low /
@@ -17,10 +17,6 @@
 //!   clock jumps compress real dead time between request bursts.
 //! * **`SnackPlatform::run_kernel` timings** — full compiler kernels run to
 //!   completion under both modes, with outputs and statistics compared.
-//! * **Shard scaling** — saturated burst drains on big meshes under
-//!   [`Stepping::Sharded`] at several worker counts against serial
-//!   stepping; each `step_until` stretch runs one worker thread per
-//!   shard (DESIGN.md §13), and the fingerprints must match.
 //!
 //! Wall-clock numbers (median/p90 ns) are machine-dependent and are *not*
 //! covered by any determinism guarantee; the simulation fingerprints are.
@@ -380,219 +376,13 @@ pub fn time_step_scenario(s: &StepScenario, samples: u32) -> StepTiming {
     }
 }
 
-/// One shard-scaling scenario: a mesh pre-loaded with a saturated burst
-/// of NI backlog, then drained in a single batched
-/// [`Network::step_until`] call — the regime the sharded stepper
-/// (DESIGN.md §13) is built for, where per-cycle router work dominates
-/// and boundary traffic is a surface term.
-#[derive(Clone, Debug)]
-pub struct ShardScenario {
-    /// Mesh columns.
-    pub cols: usize,
-    /// Mesh rows.
-    pub rows: usize,
-    /// Packets pre-loaded into the NI backlogs before timing starts.
-    pub packets: usize,
-    /// Cycles stepped in one batch.
-    pub cycles: u64,
-    /// Burst seed.
-    pub seed: u64,
-    /// Worker counts to scale across (each becomes one report row).
-    pub workers: Vec<usize>,
-}
-
-impl ShardScenario {
-    /// `shard/COLSxROWS` display label.
-    #[must_use]
-    pub fn label(&self) -> String {
-        format!("shard/{}x{}", self.cols, self.rows)
-    }
-}
-
-/// The canonical shard-scaling grid behind `BENCH_perf.json`: saturated
-/// 32×32 and 64×64 meshes at 1/2/4/8 workers.
-#[must_use]
-pub fn default_shard_scenarios() -> Vec<ShardScenario> {
-    vec![
-        ShardScenario {
-            cols: 32,
-            rows: 32,
-            packets: 8_000,
-            cycles: 1_000,
-            seed: 21,
-            workers: vec![1, 2, 4, 8],
-        },
-        ShardScenario {
-            cols: 64,
-            rows: 64,
-            packets: 24_000,
-            cycles: 1_000,
-            seed: 22,
-            workers: vec![1, 2, 4, 8],
-        },
-    ]
-}
-
-/// CI-sized shard grid: one small saturated mesh at 1/2/4 workers,
-/// enough to gate bit-identity and the JSON schema without meaningful
-/// wall-clock cost.
-#[must_use]
-pub fn smoke_shard_scenarios() -> Vec<ShardScenario> {
-    vec![ShardScenario {
-        cols: 8,
-        rows: 8,
-        packets: 400,
-        cycles: 400,
-        seed: 21,
-        workers: vec![1, 2, 4],
-    }]
-}
-
 /// The host's hardware thread count, as recorded into `BENCH_perf.json`
-/// so a committed capture carries the context its shard speedups were
-/// measured under (a single-core CI box cannot show parallel speedup;
-/// the bit-identity columns are machine-independent, the wall-clock
-/// columns are not).
+/// so a committed capture carries the context its timings were measured
+/// under (the bit-identity columns are machine-independent, the
+/// wall-clock columns are not).
 #[must_use]
 pub fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Pre-generates the uniform-random saturation burst for `s`.
-#[must_use]
-pub fn build_burst(s: &ShardScenario, cfg: &NocConfig) -> Vec<(usize, usize, u8)> {
-    let n = s.cols * s.rows;
-    let mut rng = Rng::new(s.seed ^ 0x5AAD_9E37_79B9_7F4A);
-    (0..s.packets)
-        .map(|_| {
-            let src = rng.range_usize(0..n);
-            let dst = {
-                let d = rng.range_usize(0..n - 1);
-                if d >= src {
-                    d + 1
-                } else {
-                    d
-                }
-            };
-            (src, dst, rng.range(0..u64::from(cfg.vnets)) as u8)
-        })
-        .collect()
-}
-
-/// Runs `s` once with `shards` worker shards (`0` = the serial
-/// stepping baseline), returning the wall time of the batched
-/// stepping call (ns) and the simulation fingerprint.
-fn run_shard_once(
-    s: &ShardScenario,
-    cfg: &NocConfig,
-    burst: &[(usize, usize, u8)],
-    shards: usize,
-) -> (u64, String) {
-    let stepping = if shards > 0 { Stepping::Sharded(shards) } else { Stepping::Serial };
-    let mut net: Network<u64> =
-        Network::new(cfg.clone().with_stepping(stepping)).expect("worker count fits the mesh rows");
-    for (i, &(src, dst, vnet)) in burst.iter().enumerate() {
-        let spec = PacketSpec::new(
-            NodeId::new(src),
-            NodeId::new(dst),
-            vnet,
-            TrafficClass::Communication,
-            16,
-            i as u64,
-        );
-        net.inject(spec).expect("burst produces valid packets");
-    }
-    let t0 = Instant::now();
-    net.step_until(s.cycles);
-    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let injected = net.injected_packets();
-    let delivered = net.delivered_packets();
-    let pending = net.pending_packets();
-    let fp = stats_fingerprint(injected, delivered, pending, net.finalize_stats());
-    (ns, fp)
-}
-
-/// Timing + bit-identity result for one shard-scaling row (one worker
-/// count of one scenario).
-#[derive(Clone, Debug)]
-pub struct ShardTiming {
-    /// Scenario label (`shard/COLSxROWS`).
-    pub name: String,
-    /// Worker-shard count for this row.
-    pub workers: usize,
-    /// Simulated cycles per iteration.
-    pub sim_cycles: u64,
-    /// Packets in the pre-loaded burst.
-    pub injected_packets: u64,
-    /// Serial-stepping baseline timings (shared across the
-    /// scenario's rows).
-    pub serial: BenchStats,
-    /// Sharded timings at this worker count.
-    pub sharded: BenchStats,
-    /// Whether every iteration at this worker count reproduced the
-    /// serial fingerprint byte-for-byte.
-    pub stats_identical: bool,
-}
-
-impl ShardTiming {
-    /// Sharded speedup over the serial-stepping baseline
-    /// (median-based). Below 1.0 on hosts without spare hardware
-    /// threads — the determinism contract is machine-independent, the
-    /// speedup is not.
-    #[must_use]
-    pub fn shard_speedup(&self) -> f64 {
-        self.serial.median_ns as f64 / self.sharded.median_ns.max(1) as f64
-    }
-}
-
-/// Times `s` at every configured worker count (`samples` iterations
-/// each, interleaved with the serial baseline to decorrelate from
-/// machine noise) and checks that every sharded iteration produced the
-/// serial fingerprint.
-///
-/// Worker counts exceeding the mesh's row count are skipped (a band
-/// must span at least one full row).
-///
-/// # Panics
-///
-/// Panics if the scenario's mesh config is invalid.
-#[must_use]
-pub fn time_shard_scenario(s: &ShardScenario, samples: u32) -> Vec<ShardTiming> {
-    let cfg = NocConfig::default().with_mesh(s.cols as u16, s.rows as u16);
-    let burst = build_burst(s, &cfg);
-    let workers: Vec<usize> = s.workers.iter().copied().filter(|&w| w <= s.rows).collect();
-    // One untimed warmup per configuration; serial is the reference.
-    let (_, fp_serial) = run_shard_once(s, &cfg, &burst, 0);
-    let mut identical: Vec<bool> =
-        workers.iter().map(|&w| run_shard_once(s, &cfg, &burst, w).1 == fp_serial).collect();
-    let mut serial_ns = Vec::with_capacity(samples as usize);
-    let mut sharded_ns: Vec<Vec<u64>> = vec![Vec::with_capacity(samples as usize); workers.len()];
-    for _ in 0..samples {
-        let (ns, fp) = run_shard_once(s, &cfg, &burst, 0);
-        serial_ns.push(ns);
-        let serial_ok = fp == fp_serial;
-        for (i, &w) in workers.iter().enumerate() {
-            let (ns, fp) = run_shard_once(s, &cfg, &burst, w);
-            sharded_ns[i].push(ns);
-            identical[i] &= serial_ok && fp == fp_serial;
-        }
-    }
-    let label = s.label();
-    let serial = summarize(&format!("{label}/serial"), &serial_ns);
-    workers
-        .iter()
-        .zip(sharded_ns)
-        .zip(identical)
-        .map(|((&w, ns), ok)| ShardTiming {
-            name: label.clone(),
-            workers: w,
-            sim_cycles: s.cycles,
-            injected_packets: burst.len() as u64,
-            serial: serial.clone(),
-            sharded: summarize(&format!("{label}/x{w}"), &ns),
-            stats_identical: ok,
-        })
-        .collect()
 }
 
 /// Timing + bit-identity result for one full-kernel run.
@@ -735,32 +525,17 @@ pub fn time_closed_loop(cycles: u64, samples: u32) -> StepTiming {
 pub struct PerfReport {
     /// `Network::step` scenario results.
     pub step: Vec<StepTiming>,
-    /// Shard-scaling rows (one per worker count per scenario).
-    pub shard: Vec<ShardTiming>,
     /// Full-kernel results.
     pub kernels: Vec<KernelTiming>,
 }
 
 impl PerfReport {
     /// Every scenario and kernel reported byte-identical simulation
-    /// statistics under all stepping modes and worker counts.
+    /// statistics under both stepping modes.
     #[must_use]
     pub fn all_identical(&self) -> bool {
         self.step.iter().all(|s| s.stats_identical)
-            && self.shard.iter().all(|s| s.stats_identical)
             && self.kernels.iter().all(|k| k.stats_identical && k.verified)
-    }
-
-    /// The best sharded speedup among rows of the largest shard mesh,
-    /// if any shard scaling ran.
-    #[must_use]
-    pub fn best_shard_speedup(&self) -> Option<(String, usize, f64)> {
-        let largest = self.shard.iter().map(|s| s.name.clone()).max()?;
-        self.shard
-            .iter()
-            .filter(|s| s.name == largest)
-            .max_by(|a, b| a.shard_speedup().total_cmp(&b.shard_speedup()))
-            .map(|s| (s.name.clone(), s.workers, s.shard_speedup()))
     }
 
     /// The idle-mesh speedup (serial vs dense), if an `idle` scenario ran.
@@ -769,10 +544,11 @@ impl PerfReport {
         self.step.iter().find(|s| s.name.starts_with("idle")).map(StepTiming::speedup)
     }
 
-    /// Writes the `snacknoc-perf-v3` JSON document (v2 added per-row
+    /// Writes the `snacknoc-perf-v4` JSON document (v2 added per-row
     /// `flits_per_sec` and the `saturation/32x32` scaling row, DESIGN.md
     /// §16; v3 folded the `active_*` and `event_*` columns into
-    /// `serial_*`, DESIGN.md §12). Wall-clock fields are
+    /// `serial_*`, DESIGN.md §12; v4 dropped the `shard` array with the
+    /// stepping mode it timed). Wall-clock fields are
     /// machine-dependent; the `stats_identical` fields are the
     /// determinism contract.
     ///
@@ -781,7 +557,7 @@ impl PerfReport {
     /// Propagates I/O errors from `w`, including the final flush.
     pub fn write_json(&self, mut w: impl Write) -> io::Result<()> {
         writeln!(w, "{{")?;
-        writeln!(w, "  \"schema\": \"snacknoc-perf-v3\",")?;
+        writeln!(w, "  \"schema\": \"snacknoc-perf-v4\",")?;
         writeln!(w, "  \"host_threads\": {},", host_threads())?;
         writeln!(w, "  \"step\": [")?;
         for (i, s) in self.step.iter().enumerate() {
@@ -807,29 +583,6 @@ impl PerfReport {
                 s.dense_cycles_per_sec(),
                 s.flits_per_sec(),
                 s.speedup(),
-                s.stats_identical,
-            )?;
-        }
-        writeln!(w, "  ],")?;
-        writeln!(w, "  \"shard\": [")?;
-        for (i, s) in self.shard.iter().enumerate() {
-            let comma = if i + 1 == self.shard.len() { "" } else { "," };
-            writeln!(
-                w,
-                "    {{\"name\": \"{}\", \"workers\": {}, \"sim_cycles\": {}, \
-                 \"injected_packets\": {}, \
-                 \"serial_median_ns\": {}, \"serial_p90_ns\": {}, \
-                 \"median_ns\": {}, \"p90_ns\": {}, \
-                 \"shard_speedup\": {:.3}, \"stats_identical\": {}}}{comma}",
-                crate::sweep::json_escape(&s.name),
-                s.workers,
-                s.sim_cycles,
-                s.injected_packets,
-                s.serial.median_ns,
-                s.serial.p90_ns,
-                s.sharded.median_ns,
-                s.sharded.p90_ns,
-                s.shard_speedup(),
                 s.stats_identical,
             )?;
         }
@@ -888,35 +641,6 @@ impl PerfReport {
             ],
             &step_rows,
         );
-        if !self.shard.is_empty() {
-            let shard_rows: Vec<Vec<String>> = self
-                .shard
-                .iter()
-                .map(|s| {
-                    vec![
-                        s.name.clone(),
-                        s.workers.to_string(),
-                        s.sim_cycles.to_string(),
-                        crate::harness::fmt_ns(s.serial.median_ns),
-                        crate::harness::fmt_ns(s.sharded.median_ns),
-                        format!("{:.2}x", s.shard_speedup()),
-                        if s.stats_identical { "yes".into() } else { "NO".into() },
-                    ]
-                })
-                .collect();
-            print_table(
-                &[
-                    "shard scenario",
-                    "workers",
-                    "cycles",
-                    "serial median",
-                    "sharded median",
-                    "shard speedup",
-                    "bit-identical",
-                ],
-                &shard_rows,
-            );
-        }
         let kernel_rows: Vec<Vec<String>> = self
             .kernels
             .iter()
@@ -960,7 +684,7 @@ mod tests {
     fn write_errors_surface_through_a_buffered_writer() {
         // The report fits a `BufWriter`'s 8 KiB buffer, so the failing
         // writer is reached only by the final flush.
-        let report = PerfReport { step: Vec::new(), shard: Vec::new(), kernels: Vec::new() };
+        let report = PerfReport { step: Vec::new(), kernels: Vec::new() };
         let mut buf = Vec::new();
         report.write_json(&mut buf).expect("vec write");
         assert!(buf.len() < 8 * 1024);
@@ -1014,24 +738,12 @@ mod tests {
     #[test]
     fn json_schema_has_required_fields() {
         let s = StepScenario { name: "idle", cols: 4, rows: 4, injection: 0.0, cycles: 200, seed: 1 };
-        let sh = ShardScenario {
-            cols: 4,
-            rows: 4,
-            packets: 40,
-            cycles: 150,
-            seed: 21,
-            workers: vec![1, 2],
-        };
-        let report = PerfReport {
-            step: vec![time_step_scenario(&s, 1)],
-            shard: time_shard_scenario(&sh, 1),
-            kernels: Vec::new(),
-        };
+        let report = PerfReport { step: vec![time_step_scenario(&s, 1)], kernels: Vec::new() };
         let mut buf = Vec::new();
         report.write_json(&mut buf).expect("vec write");
         let json = String::from_utf8(buf).expect("utf-8");
         for field in [
-            "\"schema\": \"snacknoc-perf-v3\"",
+            "\"schema\": \"snacknoc-perf-v4\"",
             "\"host_threads\"",
             "\"injected_flits\"",
             "\"flits_per_sec\"",
@@ -1040,49 +752,13 @@ mod tests {
             "\"dense_median_ns\"",
             "\"serial_p90_ns\"",
             "\"speedup\"",
-            "\"shard\": [",
-            "\"workers\": 1",
-            "\"workers\": 2",
             "\"serial_median_ns\"",
-            "\"shard_speedup\"",
             "\"stats_identical\": true",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }
+        assert!(!json.contains("\"shard"), "v4 has no shard rows: {json}");
         assert!(report.all_identical());
         assert!(report.idle_speedup().is_some());
-        let (name, workers, speedup) = report.best_shard_speedup().expect("shard rows present");
-        assert_eq!(name, "shard/4x4");
-        assert!(workers == 1 || workers == 2);
-        assert!(speedup.is_finite() && speedup > 0.0);
-    }
-
-    #[test]
-    fn shard_scaling_rows_are_bit_identical_to_serial() {
-        let s = ShardScenario {
-            cols: 8,
-            rows: 8,
-            packets: 200,
-            cycles: 300,
-            seed: 5,
-            workers: vec![1, 2, 4, 64], // 64 > rows: skipped, not an error
-        };
-        let rows = time_shard_scenario(&s, 1);
-        assert_eq!(rows.len(), 3, "impossible worker counts are dropped");
-        for row in &rows {
-            assert!(row.stats_identical, "{} x{} diverged from serial", row.name, row.workers);
-            assert_eq!(row.injected_packets, 200);
-        }
-    }
-
-    #[test]
-    fn shard_burst_is_deterministic_and_saturating() {
-        let s = smoke_shard_scenarios().remove(0);
-        let cfg = NocConfig::default().with_mesh(s.cols as u16, s.rows as u16);
-        let a = build_burst(&s, &cfg);
-        assert_eq!(a, build_burst(&s, &cfg), "same seed, same burst");
-        assert_eq!(a.len(), s.packets);
-        let n = s.cols * s.rows;
-        assert!(a.iter().all(|&(src, dst, _)| src != dst && src < n && dst < n));
     }
 }

@@ -1,5 +1,5 @@
 //! The multi-tenant service SLO sweep: the `snacknoc-service` SLO
-//! scenario run across load levels, every level in **all three stepping
+//! scenario run across load levels, every level in **both stepping
 //! modes**, with the per-class latency percentiles, throughput, fairness
 //! and rejection rates the `snack-service` binary reports as
 //! `BENCH_service.json`.
@@ -85,14 +85,14 @@ pub struct TenantRow {
 }
 
 /// One load level's outcome (stats from the dense reference mode; the
-/// other two modes are fingerprint-compared against it).
+/// serial run is fingerprint-compared against it).
 #[derive(Clone, Debug)]
 pub struct LoadLevel {
     /// The level, in percent of the saturation knee.
     pub load: u32,
     /// Service-loop cycles.
     pub cycles: u64,
-    /// Whether all three stepping modes produced bit-identical reports.
+    /// Whether both stepping modes produced bit-identical reports.
     pub modes_identical: bool,
     /// Jain's fairness index over per-tenant service cycles.
     pub fairness: f64,
@@ -162,7 +162,7 @@ fn level_from(load: u32, report: &ServiceReport, modes_identical: bool) -> LoadL
     }
 }
 
-/// Runs the sweep: every load level in all three stepping modes on the
+/// Runs the sweep: every load level in both stepping modes on the
 /// seeded worker pool, fingerprint-comparing the modes and reporting the
 /// dense reference's stats.
 pub fn run_service_grid(spec: &ServiceGridSpec) -> ServiceGridResults {
@@ -194,8 +194,8 @@ pub fn run_service_grid(spec: &ServiceGridSpec) -> ServiceGridResults {
 }
 
 impl ServiceGridResults {
-    /// Whether every level is violation-free and three-mode
-    /// bit-identical.
+    /// Whether every level is violation-free and bit-identical across
+    /// the stepping modes.
     pub fn all_invariants_hold(&self) -> bool {
         self.levels.iter().all(|l| l.violations.is_empty() && l.modes_identical)
     }

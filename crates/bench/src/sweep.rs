@@ -9,14 +9,11 @@
 //! (`tests/determinism.rs` and `tests/properties.rs` prove
 //! `threads = 1 == threads = N`).
 //!
-//! Three layers, lowest first:
+//! Two layers, lowest first:
 //!
 //! 1. [`parallel_map`] — deterministic order-preserving parallel map over
 //!    job indices (also used by `examples/multiprogram.rs`).
-//! 2. [`time_jobs`] / [`TimedJob`] — wall-clock timing of named jobs
-//!    across the pool; the `benches/` targets register their cases here
-//!    via [`crate::harness::Harness::bench_jobs`].
-//! 3. [`SweepSpec`] / [`run_sweep`] — the declarative grid the
+//! 2. [`SweepSpec`] / [`run_sweep`] — the declarative grid the
 //!    `snack-sweep` binary exposes: benchmark and kernel cells over the
 //!    Table I presets, with JSON (`BENCH_sweep.json`) and CSV emission.
 //!
@@ -83,70 +80,7 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Layer 2: wall-clock timing of named jobs across the pool.
-// ---------------------------------------------------------------------------
-
-/// A named benchmark job: one call of `iter` performs one iteration and
-/// returns its self-measured duration in nanoseconds (setup excluded).
-pub struct TimedJob {
-    name: String,
-    iter: Box<dyn FnMut() -> u64 + Send>,
-}
-
-impl TimedJob {
-    /// A job with per-iteration untimed setup (the `iter_batched`
-    /// pattern): `setup` runs off the clock, `routine` on it.
-    pub fn batched<S, R>(
-        name: &str,
-        mut setup: impl FnMut() -> S + Send + 'static,
-        mut routine: impl FnMut(S) -> R + Send + 'static,
-    ) -> Self {
-        TimedJob {
-            name: name.to_string(),
-            iter: Box::new(move || {
-                let input = setup();
-                let t0 = Instant::now();
-                std::hint::black_box(routine(input));
-                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-            }),
-        }
-    }
-
-    /// A job timing `routine` directly (no setup).
-    pub fn simple<R>(name: &str, mut routine: impl FnMut() -> R + Send + 'static) -> Self {
-        Self::batched(name, || (), move |()| routine())
-    }
-
-    /// The job's display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// Times each job (`warmup` untimed + `samples` timed iterations, all on
-/// one worker so per-job timings stay comparable) across up to `threads`
-/// workers, returning [`BenchStats`] in job order.
-///
-/// With `threads == 1` this reproduces the serial harness behaviour
-/// exactly. With more threads, jobs share cores — wall-clock per job gets
-/// noisier while total harness runtime shrinks, which is the right trade
-/// for CI-style "did anything regress massively" sweeps.
-pub fn time_jobs(jobs: Vec<TimedJob>, threads: usize, warmup: u32, samples: u32) -> Vec<BenchStats> {
-    assert!(samples > 0, "need at least one timed sample");
-    let n = jobs.len();
-    let slots: Vec<Mutex<Option<TimedJob>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    parallel_map(n, threads, |i| {
-        let mut job = slots[i].lock().expect("job slot poisoned").take().expect("job claimed once");
-        for _ in 0..warmup {
-            std::hint::black_box((job.iter)());
-        }
-        let timings: Vec<u64> = (0..samples).map(|_| (job.iter)()).collect();
-        summarize(&job.name, &timings)
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Layer 3: the declarative sweep grid.
+// Layer 2: the declarative sweep grid.
 // ---------------------------------------------------------------------------
 
 /// What a sweep cell simulates.
@@ -563,9 +497,8 @@ impl SweepResults {
         w.flush()
     }
 
-    /// Writes per-cell wall statistics in the harness CSV layout
-    /// (`bench,samples,median_ns,p90_ns,min_ns,max_ns`), so sweep numbers
-    /// re-plot alongside `benches/` data.
+    /// Writes per-cell wall statistics as CSV
+    /// (`bench,samples,median_ns,p90_ns,min_ns,max_ns`).
     ///
     /// # Errors
     ///
@@ -624,23 +557,6 @@ mod tests {
             assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
         }
         assert!(parallel_map(0, 4, |i| i).is_empty());
-    }
-
-    #[test]
-    fn time_jobs_runs_warmup_plus_samples_per_job() {
-        use std::sync::atomic::AtomicU32;
-        let calls = std::sync::Arc::new(AtomicU32::new(0));
-        let c = calls.clone();
-        let jobs = vec![
-            TimedJob::simple("a", move || c.fetch_add(1, Ordering::Relaxed)),
-            TimedJob::batched("b", || 21u64, |x| x * 2),
-        ];
-        let stats = time_jobs(jobs, 2, 2, 3);
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].name, "a");
-        assert_eq!(stats[1].name, "b");
-        assert_eq!(stats[0].samples, 3);
-        assert_eq!(calls.load(Ordering::Relaxed), 2 + 3, "warmup + samples");
     }
 
     #[test]

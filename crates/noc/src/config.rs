@@ -35,8 +35,7 @@ impl fmt::Display for NocPreset {
 }
 
 /// How [`crate::Network::step`] walks the mesh each cycle. Fixed when the
-/// network is built; every mode is bit-identical to every other
-/// (DESIGN.md §12–§13).
+/// network is built; the two modes are bit-identical (DESIGN.md §12).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Stepping {
     /// Reference loop: every router, link and NI each cycle, and the
@@ -46,16 +45,12 @@ pub enum Stepping {
     /// stretches (the default).
     #[default]
     Serial,
-    /// The mesh split into this many horizontal row bands. Single steps
-    /// run the bands in turn on the calling thread; `step_until` stretches
-    /// run one worker thread per band.
-    Sharded(usize),
 }
 
 impl Stepping {
-    /// One of each mode, with two shards: the matrix the determinism
-    /// suites and the served-system binaries run.
-    pub const ALL: [Stepping; 3] = [Stepping::Dense, Stepping::Serial, Stepping::Sharded(2)];
+    /// Both modes, oracle first: the matrix the determinism suites and
+    /// the served-system binaries run.
+    pub const ALL: [Stepping; 2] = [Stepping::Dense, Stepping::Serial];
 }
 
 impl fmt::Display for Stepping {
@@ -63,7 +58,6 @@ impl fmt::Display for Stepping {
         match self {
             Stepping::Dense => f.write_str("dense"),
             Stepping::Serial => f.write_str("serial"),
-            Stepping::Sharded(n) => write!(f, "sharded({n})"),
         }
     }
 }
@@ -257,15 +251,6 @@ impl NocConfig {
         if self.sample_window == 0 {
             return Err(ConfigError::ZeroSampleWindow);
         }
-        if let Stepping::Sharded(shards) = self.stepping {
-            if shards == 0 {
-                return Err(ConfigError::ZeroShards);
-            }
-            let rows = usize::from(self.rows);
-            if shards > rows {
-                return Err(ConfigError::TooManyShards { shards, rows });
-            }
-        }
         Ok(())
     }
 }
@@ -315,15 +300,6 @@ pub enum ConfigError {
     BadPipelineDepth(u8),
     /// Statistics sampling window of zero cycles.
     ZeroSampleWindow,
-    /// Sharded stepping with zero shards.
-    ZeroShards,
-    /// More shards than mesh rows: a shard is a band of whole rows.
-    TooManyShards {
-        /// Requested shard count.
-        shards: usize,
-        /// Mesh rows available to tile.
-        rows: usize,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -343,10 +319,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "pipeline depth {d} unsupported (expected 2-4 stages)")
             }
             ConfigError::ZeroSampleWindow => write!(f, "sample window must be non-zero"),
-            ConfigError::ZeroShards => write!(f, "sharded stepping needs at least one shard"),
-            ConfigError::TooManyShards { shards, rows } => {
-                write!(f, "{shards} shards requested but the mesh has only {rows} rows")
-            }
         }
     }
 }
@@ -408,14 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_impossible_tilings() {
-        let sharded = |n| NocConfig::binochs().with_stepping(Stepping::Sharded(n)); // 4 rows
-        assert_eq!(sharded(0).validate(), Err(ConfigError::ZeroShards));
-        assert_eq!(sharded(5).validate(), Err(ConfigError::TooManyShards { shards: 5, rows: 4 }));
-        for stepping in [Stepping::Dense, Stepping::Serial, Stepping::Sharded(1), Stepping::Sharded(4)] {
-            let cfg = NocConfig::binochs().with_stepping(stepping);
-            assert!(cfg.validate().is_ok(), "{stepping}");
-        }
+    fn serial_stepping_is_the_default() {
         assert_eq!(NocConfig::default().stepping, Stepping::Serial);
     }
 
@@ -437,8 +402,6 @@ mod tests {
             ConfigError::ZeroSampleWindow,
             ConfigError::TooManyVirtualChannels(65),
             ConfigError::MeshTooLarge { cols: 300, rows: 300 },
-            ConfigError::ZeroShards,
-            ConfigError::TooManyShards { shards: 5, rows: 4 },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

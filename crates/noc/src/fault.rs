@@ -467,16 +467,6 @@ pub struct FaultCounters {
     pub corrupted_packets: u64,
 }
 
-impl FaultCounters {
-    /// Adds another lane's counters into these.
-    pub(crate) fn merge(&mut self, other: &FaultCounters) {
-        self.injected += other.injected;
-        self.dropped_flits += other.dropped_flits;
-        self.dropped_packets += other.dropped_packets;
-        self.corrupted_packets += other.corrupted_packets;
-    }
-}
-
 /// What the fault layer decides for one flit on one link.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum FaultAction {
@@ -503,6 +493,11 @@ pub struct FaultState {
     /// as a wake cycle so a clock jump can never silently cross (and thus
     /// skip) a fault window contained inside the jumped interval.
     edges: Vec<u64>,
+    /// Mid-packet drop memo: the `(link, packet)` pairs whose head was
+    /// dropped and whose tail has not yet crossed.
+    dropping: HashSet<(usize, PacketId)>,
+    /// What this plan has done to the network so far.
+    counters: FaultCounters,
 }
 
 impl FaultState {
@@ -544,7 +539,14 @@ impl FaultState {
             drops,
             corrupts,
             edges,
+            dropping: HashSet::new(),
+            counters: FaultCounters::default(),
         })
+    }
+
+    /// What this plan has done to the network so far.
+    pub(crate) fn counters(&self) -> FaultCounters {
+        self.counters
     }
 
     /// Every distinct down/drop/corrupt window edge (starts and exclusive
@@ -585,23 +587,17 @@ impl FaultState {
     /// Decides the fate of one flit crossing link `lid` at `cycle`.
     ///
     /// Drop decisions are made at head flits only; later flits of a
-    /// dropped packet follow via `dropping`, the caller's mid-packet drop
-    /// memo, so a wormhole packet never splits across a window edge.
-    /// Each network lane keeps its own memo and counters: a link is
-    /// delivered by exactly one lane, so a `(link, packet)` entry lives
-    /// and dies inside it, and the counters are sums. Drop and corrupt
-    /// rolls hash `(seed, link, packet)` (common random numbers), so the
-    /// verdict is independent of evaluation order and of which thread
-    /// asks.
+    /// dropped packet follow via the mid-packet drop memo, so a wormhole
+    /// packet never splits across a window edge. Drop and corrupt rolls
+    /// hash `(seed, link, packet)` (common random numbers), so the
+    /// verdict is independent of evaluation order.
     pub(crate) fn on_link_flit(
-        &self,
+        &mut self,
         lid: usize,
         cycle: u64,
         flit: &crate::flit::Flit,
-        dropping: &mut HashSet<(usize, PacketId)>,
-        counters: &mut FaultCounters,
     ) -> FaultAction {
-        let plan = &self.plan;
+        let (plan, dropping, counters) = (&self.plan, &mut self.dropping, &mut self.counters);
         let (kind, class, protected, already_corrupted, packet_id) =
             (flit.kind(), flit.class(), flit.protected(), flit.corrupted(), flit.packet_id);
         if !kind.is_head() {
@@ -679,23 +675,9 @@ mod tests {
         f
     }
 
-    /// A compiled plan plus the per-lane drop memo and counters the
-    /// network keeps beside it.
-    struct Lane {
-        st: FaultState,
-        dropping: HashSet<(usize, PacketId)>,
-        counters: FaultCounters,
-    }
-
-    impl Lane {
-        fn compile(plan: FaultPlan, lid: usize) -> Self {
-            let st = FaultState::compile(plan, |_, _| Some(lid)).unwrap();
-            Lane { st, dropping: HashSet::new(), counters: FaultCounters::default() }
-        }
-
-        fn on_link_flit(&mut self, lid: usize, cycle: u64, flit: &crate::flit::Flit) -> FaultAction {
-            self.st.on_link_flit(lid, cycle, flit, &mut self.dropping, &mut self.counters)
-        }
+    /// Compiles `plan` with every link fault resolved to link `lid`.
+    fn compile(plan: FaultPlan, lid: usize) -> FaultState {
+        FaultState::compile(plan, |_, _| Some(lid)).unwrap()
     }
 
     #[test]
@@ -762,7 +744,7 @@ mod tests {
     #[test]
     fn drop_decision_is_head_keyed_and_deterministic() {
         let plan = FaultPlan::seeded(42).with_drop_rate(1.0);
-        let mut st = Lane::compile(plan.clone(), 0);
+        let mut st = compile(plan.clone(), 0);
         // Multi-flit packet: head decides, body/tail follow the memo.
         assert_eq!(
             st.on_link_flit(3, 10, &probe(FlitKind::Head, TrafficClass::SnackData, false, false, 7)),
@@ -785,7 +767,7 @@ mod tests {
             FaultAction::Deliver
         );
         // Replay is bit-identical.
-        let mut st2 = Lane::compile(plan, 0);
+        let mut st2 = compile(plan, 0);
         assert_eq!(
             st2.on_link_flit(3, 10, &probe(FlitKind::Head, TrafficClass::SnackData, false, false, 7)),
             FaultAction::Drop
@@ -794,7 +776,7 @@ mod tests {
 
     #[test]
     fn targeting_and_protection_exempt_traffic() {
-        let mut st = Lane::compile(FaultPlan::seeded(1).with_drop_rate(1.0), 0);
+        let mut st = compile(FaultPlan::seeded(1).with_drop_rate(1.0), 0);
         // Default targets: data only.
         assert_eq!(
             st.on_link_flit(0, 0, &probe(FlitKind::HeadTail, TrafficClass::Communication, false, false, 1)),
@@ -818,7 +800,7 @@ mod tests {
 
     #[test]
     fn corruption_marks_but_delivers() {
-        let mut st = Lane::compile(FaultPlan::seeded(5).with_corrupt_rate(1.0), 0);
+        let mut st = compile(FaultPlan::seeded(5).with_corrupt_rate(1.0), 0);
         assert_eq!(
             st.on_link_flit(0, 0, &probe(FlitKind::HeadTail, TrafficClass::SnackData, false, false, 1)),
             FaultAction::DeliverCorrupted
@@ -831,7 +813,7 @@ mod tests {
     fn windowed_drop_rate_composes_with_global() {
         let plan = FaultPlan::seeded(3)
             .with_link_fault(NodeId::new(0), Dir::East, 10, 20, LinkFaultKind::Drop { rate: 1.0 });
-        let mut st = Lane::compile(plan, 4);
+        let mut st = compile(plan, 4);
         // Outside the window: no drops at rate 0.
         assert_eq!(
             st.on_link_flit(4, 9, &probe(FlitKind::HeadTail, TrafficClass::SnackData, false, false, 1)),

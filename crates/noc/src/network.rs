@@ -2,59 +2,18 @@
 //! packet segmentation/reassembly and the per-cycle evaluation loop.
 
 use crate::config::{ConfigError, NocConfig, Stepping};
-use crate::fault::{FaultAction, FaultCounters, FaultPlan, FaultPlanError, FaultState};
+use crate::fault::{FaultCounters, FaultPlan, FaultPlanError, FaultState};
 use crate::flit::{Flit, FlitKind};
 use crate::packet::{Packet, PacketId, PacketSpec};
 use crate::pool::{PayloadPool, PayloadRef};
-use crate::router::{Departure, Router};
-use crate::routing::Dir;
+use crate::router::Router;
 use crate::stats::NetStats;
 use crate::topology::{Mesh, NodeId};
 use snacknoc_trace::{EventKind, TracerHandle};
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::sync::Mutex;
 
 mod cycle;
-use cycle::{lock, shard_of, Lane, MailCell};
-
-/// A one-cycle-latency directed link between two routers.
-#[derive(Clone, Debug)]
-struct Link {
-    to_router: usize,
-    in_port: Dir,
-    slot: Option<Flit>,
-}
-
-/// A credit / VC-free signal in flight back to an upstream router.
-#[derive(Clone, Copy, Debug)]
-struct CreditMsg {
-    router: usize,
-    port: Dir,
-    vc: u8,
-    frees_vc: bool,
-}
-
-/// Per-node network interface: per-vnet injection FIFOs.
-#[derive(Clone, Debug)]
-struct NetIf {
-    /// Per-vnet queues of pre-segmented flits.
-    queues: Vec<VecDeque<Flit>>,
-    /// Per-vnet: the Local input VC currently receiving a packet's flits.
-    streaming: Vec<Option<u8>>,
-    /// Round-robin pointer over vnets.
-    rr: usize,
-    /// Flits queued across all vnets, kept incrementally.
-    backlog: u64,
-}
-
-/// Reassembly state for one in-flight packet at its destination NI.
-#[derive(Debug, Default)]
-struct Partial {
-    head: Option<Flit>,
-    flits: u64,
-    corrupted: bool,
-}
+use cycle::{Core, PoolWork};
 
 /// A structured snapshot of why a network failed to drain: which routers
 /// still hold flits, how many packets are starved for output VCs, and how
@@ -106,49 +65,21 @@ impl fmt::Display for StallReport {
 /// See the [crate-level documentation](crate) for the model and an example.
 #[derive(Debug)]
 pub struct Network<P> {
-    cfg: NocConfig,
-    mesh: Mesh,
-    routers: Vec<Router>,
-    nis: Vec<NetIf>,
-    links: Vec<Link>,
+    /// Everything a cycle reads and writes except the payloads.
+    core: Core,
     /// Slab storage for in-flight packet payloads; head flits carry only
     /// a [`PayloadRef`] (DESIGN.md §16). Inserts happen at injection,
-    /// takes/releases when the calling thread resolves the lanes' staged
-    /// pool work after each step or batch.
+    /// takes and releases when a step resolves the core's staged pool
+    /// work.
     pool: PayloadPool<P>,
-    /// `link_of[router][dir]` = outgoing link id.
-    link_of: Vec<[Option<usize>; 4]>,
     ejected: Vec<Vec<Packet<P>>>,
     /// Packets in `ejected` not yet drained, so [`Network::has_ejected`]
     /// need not scan every node.
     ejected_count: usize,
-    /// `node_bounds[t]..node_bounds[t + 1]` = the nodes of lane `t`: the
-    /// whole mesh for serial and dense stepping, one row band per shard
-    /// for sharded stepping (DESIGN.md §13).
-    node_bounds: Vec<usize>,
-    /// The same for link ids (contiguous per lane: links are built per
-    /// source node in node order).
-    link_bounds: Vec<usize>,
-    /// Per-lane worklists, reassembly, fault memo and live counts.
-    lanes: Vec<Lane>,
-    /// `mail[from * lanes + to]` = the directed boundary mailbox between
-    /// two shards; empty when one lane covers the mesh.
-    mail: Vec<Mutex<MailCell>>,
-    cycle: u64,
     next_packet_id: PacketId,
     next_flit_id: u64,
-    /// Input-buffer slots per router, the denominator of Phase 5's
-    /// occupancy samples.
-    per_router_capacity: f64,
     injected_packets: u64,
     delivered_packets: u64,
-    /// Fault-injection state; `None` (the default) keeps every hot path
-    /// byte-identical to a fault-free build.
-    fault: Option<FaultState>,
-    stats: NetStats,
-    /// Structured event tracer; [`TracerHandle::Nop`] (the default) keeps
-    /// every hook a single discriminant branch with no event construction.
-    tracer: TracerHandle,
 }
 
 /// Error returned by [`Network::inject`] for malformed packet specs.
@@ -190,76 +121,17 @@ impl<P> Network<P> {
     /// Returns [`ConfigError`] if the configuration is invalid.
     pub fn new(cfg: NocConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let mesh = Mesh::new(cfg.cols, cfg.rows);
-        let n = mesh.node_count();
-        let routers: Vec<Router> =
-            mesh.nodes().map(|node| Router::new(&cfg, &mesh, node)).collect();
-        let tiles = match cfg.stepping {
-            Stepping::Sharded(shards) => shards,
-            Stepping::Dense | Stepping::Serial => 1,
-        };
-        let bands = mesh.row_bands(tiles).expect("validated shard count fits the rows");
-        let mut node_bounds = vec![0];
-        let mut link_bounds = vec![0];
-        let mut links = Vec::new();
-        let mut link_of = vec![[None; 4]; n];
-        for node in mesh.nodes() {
-            for d in Dir::ROUTER_DIRS {
-                if let Some(nb) = mesh.neighbor(node, d) {
-                    link_of[node.index()][d.index()] = Some(links.len());
-                    links.push(Link { to_router: nb.index(), in_port: d.opposite(), slot: None });
-                }
-            }
-            if bands[node_bounds.len() - 1].end == node.index() + 1 {
-                node_bounds.push(node.index() + 1);
-                link_bounds.push(links.len());
-            }
-        }
-        let lanes = (0..tiles)
-            .map(|t| {
-                let nodes = node_bounds[t + 1] - node_bounds[t];
-                Lane::new(nodes, link_bounds[t + 1] - link_bounds[t])
-            })
-            .collect();
-        let mail = if tiles > 1 {
-            (0..tiles * tiles).map(|_| Mutex::default()).collect()
-        } else {
-            Vec::new()
-        };
-        let nis = (0..n)
-            .map(|_| NetIf {
-                queues: (0..cfg.vnets).map(|_| VecDeque::new()).collect(),
-                streaming: vec![None; cfg.vnets as usize],
-                rr: 0,
-                backlog: 0,
-            })
-            .collect();
-        let per_router_capacity = (Dir::COUNT * cfg.vcs_per_port()) as f64
-            * f64::from(cfg.buffers_per_vc);
-        let stats = NetStats::new(n, links.len(), cfg.sample_window);
+        let core = Core::new(cfg);
+        let ejected = (0..core.mesh.node_count()).map(|_| Vec::new()).collect();
         Ok(Network {
-            cfg,
-            mesh,
-            routers,
-            nis,
-            links,
+            core,
             pool: PayloadPool::new(),
-            link_of,
-            ejected: (0..n).map(|_| Vec::new()).collect(),
+            ejected,
             ejected_count: 0,
-            node_bounds,
-            link_bounds,
-            lanes,
-            mail,
-            cycle: 0,
             next_packet_id: 0,
             next_flit_id: 0,
-            per_router_capacity,
             injected_packets: 0,
             delivered_packets: 0,
-            fault: None,
-            stats,
-            tracer: TracerHandle::Nop,
         })
     }
 
@@ -268,7 +140,7 @@ impl<P> Network<P> {
     /// A disabled plan ([`FaultPlan::none`]) removes all fault state, so
     /// the per-cycle cost returns to exactly zero. Scheduled link faults
     /// are resolved against this network's link table up front. Either
-    /// way the fault counters and mid-packet drop memos start afresh.
+    /// way the fault counters and the mid-packet drop memo start afresh.
     ///
     /// # Errors
     ///
@@ -277,65 +149,56 @@ impl<P> Network<P> {
     pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), FaultPlanError> {
         if !plan.enabled() {
             plan.validate()?;
-            self.fault = None;
-        } else {
-            for d in &plan.dead_rcus {
-                if d.node.index() >= self.mesh.node_count() {
-                    return Err(FaultPlanError::BadNode { node: d.node });
-                }
+            self.core.fault = None;
+            return Ok(());
+        }
+        for d in &plan.dead_rcus {
+            if d.node.index() >= self.core.mesh.node_count() {
+                return Err(FaultPlanError::BadNode { node: d.node });
             }
-            let link_of = &self.link_of;
-            let state =
-                FaultState::compile(plan, |node, dir| link_of[node.index()][dir.index()])?;
-            self.fault = Some(state);
         }
-        for lane in &mut self.lanes {
-            lane.dropping.clear();
-            lane.fault = FaultCounters::default();
-        }
+        let link_of = &self.core.link_of;
+        let state = FaultState::compile(plan, |node, dir| link_of[node.index()][dir.index()])?;
+        self.core.fault = Some(state);
         Ok(())
     }
 
     /// The installed fault plan, if any faults are enabled.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref().map(|f| f.plan())
+        self.core.fault.as_ref().map(|f| f.plan())
     }
 
     /// What the fault layer did so far (all zeros when disabled).
     pub fn fault_counters(&self) -> FaultCounters {
-        let mut total = FaultCounters::default();
-        for lane in &self.lanes {
-            total.merge(&lane.fault);
-        }
-        total
+        self.core.fault.as_ref().map_or_else(FaultCounters::default, FaultState::counters)
     }
 
     /// Packets destroyed by fault injection or protocol-error discard;
     /// they will never be delivered and are excluded from
     /// [`Network::pending_packets`].
     pub fn lost_packets(&self) -> u64 {
-        self.lanes.iter().map(|l| l.lost).sum()
+        self.core.lost
     }
 
     /// The mesh topology.
     pub fn mesh(&self) -> &Mesh {
-        &self.mesh
+        &self.core.mesh
     }
 
     /// The configuration this network was built with, stepping mode
     /// included.
     pub fn config(&self) -> &NocConfig {
-        &self.cfg
+        &self.core.cfg
     }
 
     /// The current simulation cycle.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.core.cycle
     }
 
     /// Gathered statistics.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Flushes the trailing partial sampling window (see
@@ -344,9 +207,8 @@ impl<P> Network<P> {
     /// window still report utilization samples. Safe to call repeatedly
     /// and safe to keep stepping the network afterwards.
     pub fn finalize_stats(&mut self) -> &NetStats {
-        let cycle = self.cycle;
-        self.stats.finalize(cycle);
-        &self.stats
+        self.core.stats.finalize(self.core.cycle);
+        &self.core.stats
     }
 
     /// Installs a tracer; pass [`TracerHandle::Nop`] to disable tracing.
@@ -355,25 +217,24 @@ impl<P> Network<P> {
     /// build without tracing hooks: events are never constructed and no
     /// heap traffic occurs. With a [`snacknoc_trace::RingTracer`] the
     /// simulated behavior is unchanged — only observations are recorded.
-    /// Sharded stepping records no network events.
     pub fn set_tracer(&mut self, tracer: TracerHandle) {
-        self.tracer = tracer;
+        self.core.tracer = tracer;
     }
 
     /// The installed tracer handle.
     pub fn tracer(&self) -> &TracerHandle {
-        &self.tracer
+        &self.core.tracer
     }
 
     /// Mutable access for instrumentation layered above the network
     /// (the SnackNoC platform records RCU/CPM events through this).
     pub fn tracer_mut(&mut self) -> &mut TracerHandle {
-        &mut self.tracer
+        &mut self.core.tracer
     }
 
     /// Takes the tracer out (leaving `Nop`), e.g. to export a trace.
     pub fn take_tracer(&mut self) -> TracerHandle {
-        std::mem::take(&mut self.tracer)
+        std::mem::take(&mut self.core.tracer)
     }
 
     /// Number of packets with reassembly in flight at destination NIs
@@ -384,7 +245,7 @@ impl<P> Network<P> {
     /// indicate a reassembly-map leak (an entry whose tail never ejects),
     /// which would otherwise grow silently.
     pub fn stuck_packets(&self) -> usize {
-        self.lanes.iter().map(|l| l.reassembly.len()).sum()
+        self.core.reassembly.len()
     }
 
     /// Queues a packet for injection at its source NI.
@@ -396,10 +257,10 @@ impl<P> Network<P> {
     ///
     /// Returns [`InjectError`] if the vnet or either node is out of range.
     pub fn inject(&mut self, spec: PacketSpec<P>) -> Result<PacketId, InjectError> {
-        if spec.vnet >= self.cfg.vnets {
+        if spec.vnet >= self.core.cfg.vnets {
             return Err(InjectError::BadVnet(spec.vnet));
         }
-        let n = self.mesh.node_count();
+        let n = self.core.mesh.node_count();
         if spec.src.index() >= n || spec.dst.index() >= n {
             return Err(InjectError::BadNode);
         }
@@ -412,8 +273,9 @@ impl<P> Network<P> {
         let id = self.next_packet_id;
         self.next_packet_id += 1;
         self.injected_packets += 1;
-        let nf = self.cfg.flits_for(spec.size_bytes);
-        self.tracer.record_with(self.cycle, || EventKind::PacketInject {
+        let nf = self.core.cfg.flits_for(spec.size_bytes);
+        let cycle = self.core.cycle;
+        self.core.tracer.record_with(cycle, || EventKind::PacketInject {
             packet: id,
             src: spec.src.index() as u32,
             dst: spec.dst.index() as u32,
@@ -421,15 +283,8 @@ impl<P> Network<P> {
             class: spec.class.code(),
             flits: nf as u32,
         });
-        let src = spec.src.index();
-        let tile = shard_of(&self.node_bounds, src);
-        let lane = &mut self.lanes[tile];
-        let ni = &mut self.nis[src];
-        lane.ni_backlog += nf as u64;
-        ni.backlog += nf as u64;
         // Every packet has at least one flit (`NocConfig::flits_for`).
-        lane.ni_active.insert(src - self.node_bounds[tile]);
-        let queue = &mut ni.queues[spec.vnet as usize];
+        let queue = self.core.ni_queue(spec.src.index(), spec.vnet, nf as u64);
         for i in 0..nf {
             let kind = match (i, nf) {
                 (0, 1) => FlitKind::HeadTail,
@@ -445,7 +300,7 @@ impl<P> Network<P> {
                 spec.vnet,
                 spec.src,
                 spec.dst,
-                self.cycle,
+                cycle,
                 if kind.is_head() { payload } else { PayloadRef::NONE },
                 spec.protected,
             ));
@@ -502,7 +357,7 @@ impl<P> Network<P> {
     /// Flits waiting in the injection queue of `node` (all vnets).
     /// O(1): maintained incrementally at inject/transfer time.
     pub fn ni_backlog(&self, node: NodeId) -> usize {
-        let ni = &self.nis[node.index()];
+        let ni = &self.core.nis[node.index()];
         debug_assert_eq!(
             ni.backlog,
             ni.queues.iter().map(|q| q.len() as u64).sum::<u64>(),
@@ -512,25 +367,24 @@ impl<P> Network<P> {
     }
 
     /// Network-wide NI injection backlog in flits, all nodes and vnets.
-    /// O(1) per lane: maintained incrementally.
+    /// O(1): maintained incrementally.
     pub fn total_ni_backlog(&self) -> u64 {
-        let total = self.lanes.iter().map(|l| l.ni_backlog).sum();
         debug_assert_eq!(
-            total,
-            self.nis.iter().map(|ni| ni.backlog).sum::<u64>(),
+            self.core.ni_backlog,
+            self.core.nis.iter().map(|ni| ni.backlog).sum::<u64>(),
             "incremental NI backlog total out of sync"
         );
-        total
+        self.core.ni_backlog
     }
 
     /// Whether a [`Network::step`] right now would be a provable no-op
     /// apart from stats bookkeeping: no credits in flight (Phase 1), no
-    /// occupied links (Phase 2), no NI injection backlog (Phase 3), no
-    /// router with buffered flits (Phase 4) and no boundary mail. While
-    /// this holds, nothing in the network can change until either an
-    /// external injection or a scheduled wake event.
+    /// occupied links (Phase 2), no NI injection backlog (Phase 3) and no
+    /// router with buffered flits (Phase 4). While this holds, nothing in
+    /// the network can change until either an external injection or a
+    /// scheduled wake event.
     pub fn is_quiescent(&self) -> bool {
-        self.lanes.iter().all(Lane::is_idle) && self.mail.iter().all(|cell| lock(cell).is_empty())
+        self.core.is_quiescent()
     }
 
     /// The next fault-plan window edge strictly after the current cycle,
@@ -540,8 +394,8 @@ impl<P> Network<P> {
     /// [is quiescent](Network::is_quiescent); an active network wakes
     /// every cycle by definition.
     pub fn next_wake(&self) -> Option<u64> {
-        let edges = self.fault.as_ref()?.window_edges();
-        edges.get(edges.partition_point(|&edge| edge <= self.cycle)).copied()
+        let edges = self.core.fault.as_ref()?.window_edges();
+        edges.get(edges.partition_point(|&edge| edge <= self.core.cycle)).copied()
     }
 
     /// Jumps the clock directly to `cycle`, accounting for the skipped
@@ -557,52 +411,45 @@ impl<P> Network<P> {
     /// the current cycle.
     pub fn advance_idle_to(&mut self, cycle: u64) {
         assert!(self.is_quiescent(), "clock jump while the network has work");
-        assert!(cycle > self.cycle, "clock jump must move forward");
+        assert!(cycle > self.core.cycle, "clock jump must move forward");
         debug_assert_eq!(self.buffered_flits(), 0, "quiescent network holds no flits");
         debug_assert_eq!(self.total_ni_backlog(), 0, "quiescent network has no NI backlog");
-        let delta = cycle - self.cycle;
-        self.stats.advance_idle(self.cycle, delta, self.routers.len() as u64);
-        self.cycle = cycle;
+        let core = &mut self.core;
+        core.stats.advance_idle(core.cycle, cycle - core.cycle, core.routers.len() as u64);
+        core.cycle = cycle;
     }
 
     /// Advances the clock to exactly `target`, stepping active cycles and
     /// jumping over provably-dead stretches (landing on every scheduled
     /// wake event in between). Dense stepping steps every cycle to
-    /// `target`; sharded stepping runs each active stretch on one worker
-    /// thread per shard.
+    /// `target`.
     pub fn step_until(&mut self, target: u64) {
-        while self.cycle < target {
-            if self.cfg.stepping != Stepping::Dense && self.is_quiescent() {
+        let dense = self.core.cfg.stepping == Stepping::Dense;
+        while self.core.cycle < target {
+            if !dense && self.is_quiescent() {
                 let to = self.next_wake().map_or(target, |w| w.min(target));
-                if to > self.cycle {
+                if to > self.core.cycle {
                     self.advance_idle_to(to);
                     continue;
                 }
             }
-            if let Stepping::Sharded(_) = self.cfg.stepping {
-                // Amortize the thread-scope setup over the whole stretch.
-                // The batch returns early once every shard is provably
-                // quiescent, handing control back to the clock jump.
-                self.step_batch(target - self.cycle);
-            } else {
-                self.step();
-            }
+            self.step();
         }
     }
 
     /// Flits currently resident in router input buffers, network-wide.
     pub fn buffered_flits(&self) -> u64 {
-        self.lanes.iter().map(|l| l.buffered).sum()
+        self.core.buffered
     }
 
     /// ALO-style congestion signal at `node`: `(useful_free, total)` output
     /// VCs that are unallocated and hold at least one credit
     /// (paper §III-C2).
     pub fn useful_free_output_vcs(&self, node: NodeId) -> (usize, usize) {
-        self.routers[node.index()].useful_free_output_vcs()
+        self.core.routers[node.index()].useful_free_output_vcs()
     }
 
-    /// Advances the network by one cycle on the calling thread.
+    /// Advances the network by one cycle.
     ///
     /// The loop is **activity-driven**: each phase visits only the
     /// components that can make progress (worklists maintained by the
@@ -611,16 +458,55 @@ impl<P> Network<P> {
     /// ([`Stepping::Dense`]) scans every link, NI and router's occupancy
     /// instead of the worklists in Phases 2, 3 and 5; the two are
     /// bit-identical because a skipped component is provably quiescent —
-    /// see DESIGN.md §11 for the invariants and the wakeup edges. A
-    /// sharded network runs its shards' phases in turn, without threads
-    /// (DESIGN.md §13).
+    /// see DESIGN.md §11 for the invariants and the wakeup edges. After
+    /// the phases, the payloads of packets the cycle delivered or
+    /// destroyed are resolved against the pool, in the order it staged
+    /// them.
     pub fn step(&mut self) {
-        self.step_inline();
+        self.core.step();
+        self.resolve_pool_work();
+    }
+
+    /// Delivers the packets the last cycle completed (or counts a missing
+    /// payload) and releases destroyed heads' slots, in staging order.
+    fn resolve_pool_work(&mut self) {
+        for work in self.core.pool_work.drain(..) {
+            let (node, delivered_at, flits, corrupted, head) = match work {
+                PoolWork::Free(r) => {
+                    self.pool.release(r);
+                    continue;
+                }
+                PoolWork::Deliver { node, delivered_at, flits, corrupted, head } => {
+                    (node, delivered_at, flits, corrupted, head)
+                }
+            };
+            let Some(payload) = self.pool.take(head.payload) else {
+                self.core.stats.protocol_errors.missing_payload += 1;
+                self.core.lost += 1;
+                continue;
+            };
+            let packet = Packet {
+                id: head.packet_id,
+                src: head.src(),
+                dst: head.dst(),
+                vnet: head.vnet(),
+                class: head.class(),
+                queued_at: head.queued_at,
+                delivered_at,
+                hops: head.hops(),
+                corrupted,
+                payload,
+            };
+            self.core.stats.record_delivery(packet.class, flits, packet.latency());
+            self.delivered_packets += 1;
+            self.ejected[node].push(packet);
+            self.ejected_count += 1;
+        }
     }
 
     /// Runs `cycles` steps (jumping dead stretches unless dense).
     pub fn run(&mut self, cycles: u64) {
-        self.step_until(self.cycle + cycles);
+        self.step_until(self.core.cycle + cycles);
     }
 
     /// Steps until every non-lost injected packet is delivered, up to
@@ -631,8 +517,8 @@ impl<P> Network<P> {
     /// Returns a [`StallReport`] describing the blocked state if packets
     /// remain undelivered when the cycle budget runs out.
     pub fn run_until_drained(&mut self, max_cycles: u64) -> Result<(), StallReport> {
-        let deadline = self.cycle + max_cycles;
-        while self.pending_packets() > 0 && self.cycle < deadline {
+        let deadline = self.core.cycle + max_cycles;
+        while self.pending_packets() > 0 && self.core.cycle < deadline {
             self.step();
         }
         if self.pending_packets() == 0 {
@@ -650,7 +536,7 @@ impl<P> Network<P> {
         let mut blocked_routers = Vec::new();
         let mut starved_vcs = 0;
         let mut oldest: Option<u64> = None;
-        for (i, r) in self.routers.iter().enumerate() {
+        for (i, r) in self.core.routers.iter().enumerate() {
             if r.buffered_flits() > 0 {
                 blocked_routers.push(i);
             }
@@ -659,21 +545,22 @@ impl<P> Network<P> {
                 oldest = Some(oldest.map_or(q, |o| o.min(q)));
             }
         }
-        for ni in &self.nis {
+        for ni in &self.core.nis {
             for q in &ni.queues {
                 if let Some(f) = q.front() {
                     oldest = Some(oldest.map_or(f.queued_at, |o| o.min(f.queued_at)));
                 }
             }
         }
+        let cycle = self.core.cycle;
         StallReport {
-            cycle: self.cycle,
+            cycle,
             pending_packets: self.pending_packets(),
             lost_packets: self.lost_packets(),
             buffered_flits: self.buffered_flits(),
             blocked_routers,
             starved_vcs,
-            oldest_packet_age: oldest.map_or(0, |q| self.cycle.saturating_sub(q)),
+            oldest_packet_age: oldest.map_or(0, |q| cycle.saturating_sub(q)),
             ni_backlog: self.total_ni_backlog(),
         }
     }
@@ -714,16 +601,15 @@ impl<P> Network<P> {
     /// wrapping (network-wide; normally zero — a mesh path is far
     /// shorter, so a nonzero value flags a routing livelock).
     pub fn hops_saturations(&self) -> u64 {
-        self.routers.iter().map(Router::hops_saturations).sum()
+        self.core.routers.iter().map(Router::hops_saturations).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::NocConfig;
     use crate::flit::TrafficClass;
-    use crate::routing::hop_count;
+    use crate::routing::{hop_count, Dir};
 
     fn net(cfg: NocConfig) -> Network<u64> {
         Network::new(cfg).expect("valid config")
@@ -1247,7 +1133,7 @@ mod tests {
     }
 
     // ---------------------------------------------------------------
-    // Sharded stepping (DESIGN.md §13)
+    // Stepping modes (DESIGN.md §11–§12)
     // ---------------------------------------------------------------
 
     /// Everything observable about a finished run, for byte-identity
@@ -1280,8 +1166,7 @@ mod tests {
         )
     }
 
-    /// Drains in batch-friendly chunks so sharded runs amortize the
-    /// per-batch thread-scope setup.
+    /// Drains in `step_until` chunks, so serial runs jump where they can.
     fn drain_in_chunks(n: &mut Network<u64>) {
         for _ in 0..2_000 {
             if n.pending_packets() == 0 {
@@ -1318,20 +1203,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_stepping_matches_the_dense_oracle() {
+    fn serial_stepping_matches_the_dense_oracle() {
         let dense = faulted_random_run(Stepping::Dense);
-        for shards in [1, 2, 4] {
-            assert_eq!(
-                faulted_random_run(Stepping::Sharded(shards)),
-                dense,
-                "{shards}-shard run must be byte-identical to dense"
-            );
-        }
+        assert_eq!(
+            faulted_random_run(Stepping::Serial),
+            dense,
+            "serial run must be byte-identical to dense"
+        );
         assert!(dense.2 > 0, "faults actually fired");
     }
 
     #[test]
-    fn sharded_stepping_jumps_dead_cycles_identically() {
+    fn serial_stepping_jumps_dead_cycles_identically() {
         let run = |stepping: Stepping| {
             let mut n = net(NocConfig::binochs().with_sample_window(100).with_stepping(stepping));
             let src = n.mesh().node_at(0, 0);
@@ -1339,29 +1222,14 @@ mod tests {
             for i in 0..10 {
                 n.inject(comm(src, dst, 64, i)).unwrap();
             }
-            // Drain, then cross a long dead stretch: the sharded batch
-            // must hand control back to the clock jump immediately.
+            // Drain, then cross a long dead stretch: serial stepping jumps
+            // it, dense stepping walks every cycle.
             n.step_until(50_000);
             assert!(n.is_quiescent());
             run_fingerprint(&mut n)
         };
         let serial = run(Stepping::Serial);
         assert_eq!(serial.0, 50_000, "the jump lands exactly on the target");
-        for shards in [1, 2, 4] {
-            assert_eq!(run(Stepping::Sharded(shards)), serial, "{shards}-shard jumping run identical");
-        }
-    }
-
-    #[test]
-    fn injection_wakes_sharded_nis() {
-        let mut n = net(NocConfig::binochs().with_stepping(Stepping::Sharded(2)));
-        let src = n.mesh().node_at(1, 3); // bottom band
-        let dst = n.mesh().node_at(2, 0); // top band
-        n.inject(comm(src, dst, 32, 77)).unwrap();
-        drain_in_chunks(&mut n);
-        let pkts = n.drain_ejected(dst);
-        assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].payload, 77);
-        assert_eq!(n.stuck_packets(), 0);
+        assert_eq!(run(Stepping::Dense), serial, "jumping run identical to the dense walk");
     }
 }

@@ -11,11 +11,11 @@
 //! so a ref held past its payload's lifetime resolves to `None` instead of
 //! aliasing a recycled slot.
 //!
-//! Allocation and release happen only in serial context (packet injection,
-//! ejection, and the sharded stepper's epilogue), so slot assignment is
-//! deterministic and identical across all stepping modes — and slot
-//! indices never appear in any observable statistic, so pooling cannot
-//! perturb bit-identity.
+//! Allocation happens at packet injection and release when a step
+//! resolves the deliveries and drops it staged, in the order they
+//! happened, so slot assignment is deterministic and identical across
+//! both stepping modes — and slot indices never appear in any observable
+//! statistic, so pooling cannot perturb bit-identity.
 
 use std::fmt;
 

@@ -31,13 +31,13 @@ impl WindowSeries {
         WindowSeries { window, busy_in_window: 0, samples: Vec::new() }
     }
 
-    pub(crate) fn record(&mut self, busy: bool) {
+    fn record(&mut self, busy: bool) {
         if busy {
             self.busy_in_window += 1;
         }
     }
 
-    pub(crate) fn roll(&mut self, end_cycle: u64) {
+    fn roll(&mut self, end_cycle: u64) {
         let utilization = self.busy_in_window as f64 / self.window as f64;
         self.samples.push(SeriesSample { end_cycle, utilization });
         self.busy_in_window = 0;
@@ -186,18 +186,6 @@ impl OccupancyCdf {
         self.saturated
     }
 
-    /// Merges another CDF into this one, bucket-wise. Used to fold
-    /// per-shard occupancy deltas into the network-wide CDF; bucket
-    /// addition commutes, so the merge order cannot change the result.
-    pub fn merge(&mut self, other: &Self) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.dropped += other.dropped;
-        self.saturated += other.saturated;
-    }
-
     /// Cumulative probability that occupancy is `<= pct` percent.
     pub fn cumulative_at(&self, pct: usize) -> f64 {
         if self.total == 0 {
@@ -310,13 +298,6 @@ impl ProtocolErrors {
     pub fn total(&self) -> u64 {
         self.tail_without_head + self.missing_payload + self.duplicate_head
     }
-
-    /// Adds another counter set into this one (per-shard delta merge).
-    pub fn merge(&mut self, other: &Self) {
-        self.tail_without_head += other.tail_without_head;
-        self.missing_payload += other.missing_payload;
-        self.duplicate_head += other.duplicate_head;
-    }
 }
 
 /// Latency and delivery accounting for one traffic class.
@@ -347,17 +328,6 @@ impl ClassStats {
     /// Approximate `p`-th percentile latency (see [`LatencyHistogram`]).
     pub fn latency_percentile(&self, p: f64) -> u64 {
         self.latency_hist.percentile(p)
-    }
-
-    /// Merges another class accumulator into this one. All fields are
-    /// sums, maxima or bucket counts, so the merge commutes — per-shard
-    /// delivery deltas fold into the network totals in any order.
-    pub fn merge(&mut self, other: &Self) {
-        self.delivered += other.delivered;
-        self.flits += other.flits;
-        self.latency_sum += other.latency_sum;
-        self.latency_max = self.latency_max.max(other.latency_max);
-        self.latency_hist.merge(&other.latency_hist);
     }
 }
 
@@ -402,13 +372,13 @@ impl NetStats {
         }
     }
 
-    #[cfg(test)]
-    fn record_router_cycle(&mut self, router: usize, crossbar_busy: bool) {
+    /// Counts one cycle of router `router`'s crossbar into its series.
+    pub(crate) fn record_router_cycle(&mut self, router: usize, crossbar_busy: bool) {
         self.crossbar[router].record(crossbar_busy);
     }
 
-    #[cfg(test)]
-    fn record_link_cycle(&mut self, link: usize, busy: bool) {
+    /// Counts one cycle of directed link `link` into its series.
+    pub(crate) fn record_link_cycle(&mut self, link: usize, busy: bool) {
         self.links[link].record(busy);
     }
 
@@ -572,79 +542,6 @@ impl NetStats {
     /// Peak link utilization across all links and windows.
     pub fn peak_link_utilization(&self) -> f64 {
         self.links.iter().map(|s| s.peak()).fold(0.0, f64::max)
-    }
-
-    /// Splits the statistics into the per-router crossbar and per-link
-    /// series tables plus the [`Tally`] of network-wide counters, so the
-    /// cycle phases can write all three at once. Routers and link ids are
-    /// contiguous per shard, so each shard view takes a disjoint slice of
-    /// both tables.
-    pub(crate) fn split_mut(&mut self) -> (&mut [WindowSeries], &mut [WindowSeries], Tally<'_>) {
-        let tally = Tally {
-            occupancy: &mut self.occupancy,
-            injected_flits: &mut self.injected_flits,
-            crossbar_transfers: &mut self.crossbar_transfers,
-            protocol_errors: &mut self.protocol_errors,
-        };
-        (&mut self.crossbar, &mut self.links, tally)
-    }
-
-    /// Folds one worker's batch delta into the totals. Every field is a
-    /// sum or a bucket count, so the fold order cannot change the result.
-    pub(crate) fn merge_delta(&mut self, delta: &TallyDelta) {
-        self.occupancy.merge(&delta.occupancy);
-        self.injected_flits += delta.injected_flits;
-        self.crossbar_transfers += delta.crossbar_transfers;
-        self.protocol_errors.merge(&delta.protocol_errors);
-    }
-
-    /// Cycles accumulated in the current (incomplete) sampling window.
-    pub(crate) fn cycles_in_window(&self) -> u64 {
-        self.cycles_in_window
-    }
-
-    /// Overwrites the in-window cycle counter (threaded batch epilogue:
-    /// every worker advanced the same number of cycles, so the per-worker
-    /// copies all agree).
-    pub(crate) fn set_cycles_in_window(&mut self, cycles: u64) {
-        self.cycles_in_window = cycles;
-    }
-
-    /// The sampling-window length in cycles.
-    pub(crate) fn sample_window(&self) -> u64 {
-        self.window
-    }
-}
-
-/// The network-wide counters the cycle phases add to, borrowed either
-/// from [`NetStats`] itself (steps on the calling thread) or from one
-/// worker's [`TallyDelta`] (threaded sharded batches).
-pub(crate) struct Tally<'a> {
-    pub(crate) occupancy: &'a mut OccupancyCdf,
-    pub(crate) injected_flits: &'a mut u64,
-    pub(crate) crossbar_transfers: &'a mut u64,
-    pub(crate) protocol_errors: &'a mut ProtocolErrors,
-}
-
-/// One worker's share of the [`Tally`] counters over a threaded batch,
-/// folded into [`NetStats`] by [`NetStats::merge_delta`] afterwards.
-#[derive(Default)]
-pub(crate) struct TallyDelta {
-    occupancy: OccupancyCdf,
-    injected_flits: u64,
-    crossbar_transfers: u64,
-    protocol_errors: ProtocolErrors,
-}
-
-impl TallyDelta {
-    /// Borrows the delta as the tally a worker's phases write.
-    pub(crate) fn tally(&mut self) -> Tally<'_> {
-        Tally {
-            occupancy: &mut self.occupancy,
-            injected_flits: &mut self.injected_flits,
-            crossbar_transfers: &mut self.crossbar_transfers,
-            protocol_errors: &mut self.protocol_errors,
-        }
     }
 }
 
@@ -1028,23 +925,6 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_cdf_merge_adds_bucketwise() {
-        let mut a = OccupancyCdf::new();
-        let mut b = OccupancyCdf::new();
-        a.record(0.25);
-        a.record_zeros(3);
-        b.record(0.25);
-        b.record(0.80);
-        b.record(f64::NAN);
-        a.merge(&b);
-        assert_eq!(a.total_cycles(), 6);
-        assert_eq!(a.dropped_samples(), 1);
-        assert!((a.zero_fraction() - 0.5).abs() < 1e-12);
-        assert!((a.cumulative_at(25) - 5.0 / 6.0).abs() < 1e-12);
-        assert!((a.cumulative_at(80) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn record_zeros_saturates_with_counter_instead_of_wrapping() {
         let mut cdf = OccupancyCdf::new();
         cdf.record_zeros(10);
@@ -1063,42 +943,6 @@ mod tests {
         // u64::MAX-scale jump; the overflow must now fail visibly.
         let mut st = NetStats::new(4096, 0, 10_000);
         st.advance_idle(0, u64::MAX, 4096);
-    }
-
-    #[test]
-    fn class_stats_merge_matches_concatenated_deliveries() {
-        let mut a = ClassStats::default();
-        let mut concat = ClassStats::default();
-        let mut b = ClassStats::default();
-        for lat in [3u64, 9, 120] {
-            a.latency_sum += lat;
-            a.delivered += 1;
-            a.flits += 2;
-            a.latency_max = a.latency_max.max(lat);
-            a.latency_hist.record(lat);
-        }
-        for lat in [1u64, 400] {
-            b.latency_sum += lat;
-            b.delivered += 1;
-            b.flits += 4;
-            b.latency_max = b.latency_max.max(lat);
-            b.latency_hist.record(lat);
-        }
-        for lat in [3u64, 9, 120, 1, 400] {
-            concat.latency_sum += lat;
-            concat.delivered += 1;
-            concat.latency_max = concat.latency_max.max(lat);
-            concat.latency_hist.record(lat);
-        }
-        concat.flits = 14;
-        a.merge(&b);
-        assert_eq!(a.delivered, concat.delivered);
-        assert_eq!(a.flits, concat.flits);
-        assert_eq!(a.latency_sum, concat.latency_sum);
-        assert_eq!(a.latency_max, concat.latency_max);
-        for p in [1.0, 50.0, 99.0] {
-            assert_eq!(a.latency_percentile(p), concat.latency_percentile(p));
-        }
     }
 
     #[test]

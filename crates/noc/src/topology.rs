@@ -188,37 +188,6 @@ impl Mesh {
         path
     }
 
-    /// Partitions the mesh into `tiles` full-width horizontal bands for
-    /// sharded stepping, rows distributed as evenly as possible (the
-    /// first `rows % tiles` bands get one extra row).
-    ///
-    /// Row-major node numbering makes each band a **contiguous node-index
-    /// range**, which is what lets the sharded stepper hand every worker
-    /// a disjoint `split_at_mut` slice of all per-node state. Bands are
-    /// returned north to south; concatenated they cover `0..node_count()`
-    /// exactly, and every band is non-empty.
-    ///
-    /// Returns `None` when `tiles` is zero or exceeds the row count (a
-    /// band must contain at least one full row so tile boundaries only
-    /// cut north-south links).
-    pub fn row_bands(&self, tiles: usize) -> Option<Vec<std::ops::Range<usize>>> {
-        if tiles == 0 || tiles > self.rows() {
-            return None;
-        }
-        let (rows, cols) = (self.rows(), self.cols());
-        let base = rows / tiles;
-        let extra = rows % tiles;
-        let mut bands = Vec::with_capacity(tiles);
-        let mut row = 0;
-        for t in 0..tiles {
-            let height = base + usize::from(t < extra);
-            bands.push(row * cols..(row + height) * cols);
-            row += height;
-        }
-        debug_assert_eq!(row, rows);
-        Some(bands)
-    }
-
     /// First hop of a shortest path from `from` to `to` that avoids links
     /// reported down by `is_down(node, dir)` — the detour primitive the
     /// SnackNoC ring uses to route tokens around faulted segments.
@@ -409,61 +378,6 @@ mod tests {
         let a = m.node_at(0, 0);
         // Both of a's outgoing links are down: nothing is reachable.
         assert_eq!(m.detour_next_hop(a, m.node_at(1, 1), |n, _| n == a), None);
-    }
-
-    #[test]
-    fn row_bands_tile_the_mesh_exactly() {
-        for (c, r) in [(4u16, 4u16), (8, 8), (5, 7), (1, 1), (16, 3), (2, 9)] {
-            let m = Mesh::new(c, r);
-            for tiles in 1..=m.rows() {
-                let bands = m.row_bands(tiles).expect("tiles <= rows always partitions");
-                assert_eq!(bands.len(), tiles);
-                // Contiguous, exhaustive, non-empty, whole rows only.
-                let mut next = 0;
-                for b in &bands {
-                    assert_eq!(b.start, next, "bands must be contiguous");
-                    assert!(!b.is_empty());
-                    assert_eq!(b.len() % m.cols(), 0, "bands contain whole rows");
-                    next = b.end;
-                }
-                assert_eq!(next, m.node_count(), "bands must cover every node");
-                // Even distribution: band heights differ by at most one row.
-                let heights: Vec<usize> = bands.iter().map(|b| b.len() / m.cols()).collect();
-                let (min, max) =
-                    (heights.iter().min().unwrap(), heights.iter().max().unwrap());
-                assert!(max - min <= 1, "uneven bands: {heights:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn row_bands_reject_degenerate_tilings() {
-        let m = Mesh::new(4, 4);
-        assert_eq!(m.row_bands(0), None, "zero tiles");
-        assert_eq!(m.row_bands(5), None, "more tiles than rows");
-        assert!(m.row_bands(4).is_some());
-    }
-
-    #[test]
-    fn row_band_boundaries_only_cut_north_south_links() {
-        // Every mesh link crossing a band boundary must be vertical: a
-        // flit leaves its band only via North/South, which is what bounds
-        // the sharded boundary-mailbox traffic to O(cols) per band pair.
-        let m = Mesh::new(6, 6);
-        let bands = m.row_bands(3).unwrap();
-        let band_of = |n: NodeId| bands.iter().position(|b| b.contains(&n.index())).unwrap();
-        for node in m.nodes() {
-            for d in Dir::ROUTER_DIRS {
-                if let Some(nb) = m.neighbor(node, d) {
-                    if band_of(node) != band_of(nb) {
-                        assert!(
-                            matches!(d, Dir::North | Dir::South),
-                            "cross-band link {node}->{nb} must be vertical"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

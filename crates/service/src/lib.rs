@@ -30,12 +30,12 @@
 //! A service run is a pure function of its [`service::ServiceSpec`]: every
 //! scheduling decision is keyed on the platform cycle, seeded RNG streams
 //! and index-ordered iteration — never on host time, hashing order or
-//! thread interleaving. The loop composes with all three stepping modes
-//! (dense, serial, sharded): clock jumps are capped
-//! at the next service event (pending arrival, abort deadline, drain
-//! deadline), so every mode observes arrivals, dispatches, completions and
-//! aborts at identical cycles and the final report is bit-identical. The
-//! determinism suite proves this for fixed and randomized schedules.
+//! thread interleaving. The loop composes with both stepping modes: clock
+//! jumps are capped at the next service event (pending arrival, abort
+//! deadline, drain deadline), so both modes observe arrivals, dispatches,
+//! completions and aborts at identical cycles and the final report is
+//! bit-identical. The determinism suite proves this for fixed and
+//! randomized schedules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

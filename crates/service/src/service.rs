@@ -371,7 +371,7 @@ struct Job {
 /// one clock jump capped at the next service event. Every decision is
 /// keyed on mode-invariant quantities (completion cycles are derived from
 /// the CPM's writeback cycle, not the observation cycle), so the report is
-/// bit-identical across all three stepping modes.
+/// bit-identical across both stepping modes.
 ///
 /// # Errors
 ///
@@ -807,21 +807,18 @@ mod tests {
         }
     }
 
-    /// A shard count the mesh cannot tile passes the spec's own checks
+    /// A NoC config the platform rejects passes the spec's own checks
     /// and must come back as a typed platform error, not a panic.
     #[test]
-    fn impossible_shard_count_is_a_typed_error() {
+    fn invalid_noc_config_is_a_typed_error() {
         let mut spec = three_class_demo(1);
-        spec.noc = spec.noc.with_mesh(2, 1).with_stepping(Stepping::Sharded(2));
+        spec.noc = spec.noc.with_pipeline_stages(9);
         assert!(spec.validate().is_ok(), "the spec itself is well-formed");
-        let err = run_service(&spec).expect_err("a 2-shard 1-row mesh cannot run");
+        let err = run_service(&spec).expect_err("a 9-stage router cannot run");
         assert!(
             matches!(
                 err,
-                ServiceError::Platform(PlatformError::Config(ConfigError::TooManyShards {
-                    shards: 2,
-                    rows: 1
-                }))
+                ServiceError::Platform(PlatformError::Config(ConfigError::BadPipelineDepth(9)))
             ),
             "{err}"
         );

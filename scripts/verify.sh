@@ -58,8 +58,8 @@ fi
 echo "+ cargo build --release --offline"
 cargo build --release --offline
 
-echo "+ cargo build --release --offline --workspace --examples --benches"
-cargo build --release --offline --workspace --examples --benches
+echo "+ cargo build --release --offline --workspace --examples"
+cargo build --release --offline --workspace --examples
 
 echo "+ cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
@@ -125,9 +125,9 @@ if [ "$status" -ne 1 ] || ! echo "$csv_err" | grep -q "cannot write $missing_dir
 fi
 
 # Chaos smoke: randomized permanent+transient fault schedules, every cell
-# run in all three stepping modes; the binary exits non-zero unless every
+# run in both stepping modes; the binary exits non-zero unless every
 # invariant holds (termination with a typed verdict, bit-exact outputs,
-# transient recovery, consistent degradation reports, three-mode
+# transient recovery, consistent degradation reports, two-mode
 # bit-identity) AND at least one cell completed through an actual
 # remap/failover. The greps re-assert the JSON schema from the shell so a
 # silently-broken self-check cannot pass CI.
@@ -139,7 +139,7 @@ grep -q '"invariants_hold": true' "$chaos_json" || {
   exit 1
 }
 grep -q '"modes_agree": true' "$chaos_json" || {
-  echo "ERROR: snack-chaos JSON has no three-mode agreement rows" >&2
+  echo "ERROR: snack-chaos JSON has no mode agreement rows" >&2
   exit 1
 }
 if grep -q '"modes_agree": false' "$chaos_json"; then
@@ -198,8 +198,8 @@ echo "$perf_out" | grep -q "^stats-identical: yes" || {
   echo "ERROR: snack-perf --smoke did not prove serial == dense stats" >&2
   exit 1
 }
-grep -q '"schema": "snacknoc-perf-v3"' "$perf_json" || {
-  echo "ERROR: snack-perf JSON is missing the snacknoc-perf-v3 schema tag" >&2
+grep -q '"schema": "snacknoc-perf-v4"' "$perf_json" || {
+  echo "ERROR: snack-perf JSON is missing the snacknoc-perf-v4 schema tag" >&2
   exit 1
 }
 grep -q '"stats_identical": true' "$perf_json" || {
@@ -230,66 +230,17 @@ awk -v RS='}' '/"name": "idle/ {
 END { if (!found) { print "ERROR: no idle row in snack-perf JSON" > "/dev/stderr"; exit 1 } }' \
   "$perf_json"
 
-# Sharded-stepping rows (DESIGN.md §13): the smoke JSON must carry shard
-# rows with the full schema, and every row's fingerprint check must have
-# passed (byte-identical to the serial baseline at every worker count) —
-# that identity is machine-independent, so it is gated unconditionally.
-for field in '"shard": \[' '"workers":' '"serial_median_ns":' '"shard_speedup":'; do
-  grep -q "$field" "$perf_json" || {
-    echo "ERROR: snack-perf JSON is missing the shard field $field" >&2
-    exit 1
-  }
-done
-awk -v RS='}' '/"workers":/ {
-  rows++
-  if ($0 !~ /"stats_identical": true/) {
-    print "ERROR: a shard row is not bit-identical to serial stepping" > "/dev/stderr"
-    exit 1
-  }
-}
-END { if (!rows) { print "ERROR: no shard rows in snack-perf JSON" > "/dev/stderr"; exit 1 } }' \
-  "$perf_json"
-
-# The committed full capture must show the sharded stepper winning on the
-# saturated 64x64 mesh — but parallel speedup is a property of the
-# capture host, not of the code, so the gate only binds when that capture
-# was taken with spare hardware threads (host_threads >= 2). A
-# single-core CI box can regenerate BENCH_perf.json without tripping it.
-if [ -f BENCH_perf.json ] && grep -q '"shard":' BENCH_perf.json; then
-  awk -v RS='}' '
-    /"host_threads":/ {
-      match($0, /"host_threads": [0-9]+/)
-      split(substr($0, RSTART, RLENGTH), kv, ": ")
-      threads = kv[2] + 0
-    }
-    /"name": "shard\/64x64"/ {
-      match($0, /"shard_speedup": [0-9.]+/)
-      split(substr($0, RSTART, RLENGTH), kv, ": ")
-      if (kv[2] + 0 > best) best = kv[2] + 0
-      found = 1
-    }
-    END {
-      if (!found) { print "ERROR: no 64x64 shard row in BENCH_perf.json" > "/dev/stderr"; exit 1 }
-      if (threads >= 2 && best <= 1.0) {
-        print "ERROR: 64x64 shard speedup " best " did not beat serial stepping on a " \
-              threads "-thread capture host" > "/dev/stderr"
-        exit 1
-      }
-      printf "shard gate: 64x64 best speedup %.3fx (capture host: %d thread(s))\n", best, threads
-    }' BENCH_perf.json
-fi
-
 # Loaded-path gates on the committed full capture (DESIGN.md §16): the
-# v3 schema, a saturation/32x32 scaling row, stats_identical on *every*
-# row (step, shard and kernel alike — a single false bit means a
+# v4 schema, a saturation/32x32 scaling row, stats_identical on *every*
+# row (step and kernel alike — a single false bit means a
 # stepping mode diverged from the dense oracle), and the saturation
 # 16x16 serial median beating the committed pre-PR capture
 # (EXPERIMENTS.md "Simulator performance": 1 561 807 930 ns on the same
 # container class; the PR-10 data-layout work targets >= 1.5x, the gate
 # keeps margin for slower hosts).
 if [ -f BENCH_perf.json ]; then
-  grep -q '"schema": "snacknoc-perf-v3"' BENCH_perf.json || {
-    echo "ERROR: committed BENCH_perf.json is not a snacknoc-perf-v3 capture" >&2
+  grep -q '"schema": "snacknoc-perf-v4"' BENCH_perf.json || {
+    echo "ERROR: committed BENCH_perf.json is not a snacknoc-perf-v4 capture" >&2
     exit 1
   }
   grep -q '"name": "saturation/32x32"' BENCH_perf.json || {
@@ -335,8 +286,8 @@ if [ -f BENCH_perf.json ]; then
 fi
 
 # Service smoke (DESIGN.md §15): the multi-tenant SLO sweep at three
-# load levels, every level in all three stepping modes; the binary exits
-# non-zero unless every level is violation-free and three-mode
+# load levels, every level in both stepping modes; the binary exits
+# non-zero unless every level is violation-free and two-mode
 # bit-identical, Guaranteed p99 < BestEffort p99 at peak, and the peak
 # level tripped admission control. The greps re-assert the JSON schema
 # from the shell so a silently-broken self-check cannot pass CI.
@@ -366,7 +317,7 @@ if grep -q '"modes_identical": false' "$service_json"; then
   exit 1
 fi
 grep -q '"modes_identical": true' "$service_json" || {
-  echo "ERROR: snack-service JSON has no three-mode identity rows" >&2
+  echo "ERROR: snack-service JSON has no mode identity rows" >&2
   exit 1
 }
 # Peak rejections must be nonzero and every fairness index in [0, 1].

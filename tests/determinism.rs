@@ -14,9 +14,8 @@ use snacknoc_bench::sweep::{run_sweep, SweepSpec};
 
 /// A fingerprint of a multi-program run that any nondeterminism would
 /// perturb, under stepping mode `stepping`: dense (the reference loop,
-/// DESIGN.md §11), serial (active sets plus clock jumps, the default,
-/// DESIGN.md §12) or sharded (DESIGN.md §13). All modes must be
-/// bit-identical.
+/// DESIGN.md §11) or serial (active sets plus clock jumps, the default,
+/// DESIGN.md §12). Both modes must be bit-identical.
 fn fingerprint_stepping(seed: u64, stepping: Stepping) -> (u64, u64, f64, u64, u64) {
     let mut p = SnackPlatform::new(
         NocConfig::dapper()
@@ -243,27 +242,6 @@ fn active_set_multiprogram_is_bit_identical_to_dense() {
             dense,
             "seed {seed}: serial stepping must match dense stepping bit-for-bit"
         );
-        assert_eq!(
-            fingerprint_stepping(seed, Stepping::Sharded(2)),
-            dense,
-            "seed {seed}: sharded stepping must match dense stepping bit-for-bit"
-        );
-    }
-}
-
-/// Active-set scheduling, part 1b: the sharded worker-thread stepper
-/// (DESIGN.md §13) is bit-identical to dense at *every* legal shard
-/// count, not just the two-shard split the matrix above uses — worker
-/// count is a pure wall-clock knob, exactly like the sweep pool's.
-#[test]
-fn sharded_multiprogram_is_shard_count_invariant() {
-    let dense = fingerprint_stepping(41, Stepping::Dense);
-    for shards in [1, 2, 4] {
-        let sharded = fingerprint_stepping(41, Stepping::Sharded(shards));
-        assert_eq!(
-            sharded, dense,
-            "{shards}-shard multiprogram run must match dense bit-for-bit"
-        );
     }
 }
 
@@ -317,9 +295,8 @@ fn active_set_matches_dense_under_fault_plan() {
             stats_fingerprint(injected, delivered, 0, p.finalize_stats()),
         )
     };
-    let [dense, serial, sharded] = Stepping::ALL.map(run_mode);
+    let [dense, serial] = Stepping::ALL.map(run_mode);
     assert_eq!(serial, dense, "serial faulted kernel run must be bit-identical to dense");
-    assert_eq!(sharded, dense, "sharded faulted kernel run must be bit-identical to dense");
     assert!(dense.contains("rcu="), "fingerprint is non-trivial");
 }
 
@@ -327,9 +304,9 @@ fn active_set_matches_dense_under_fault_plan() {
 /// `snack_bench`'s kernel-faults workload — BiNoCHS, MAC fusion off, 1%
 /// token drops, aggressive recovery — a stalled RCU parks until a
 /// capture, an instruction or an abort wakes it, and owes its stalls
-/// lazily. The plan has no RCU stall window, so serial and sharded
-/// stepping take the parking path while dense ticks every RCU every
-/// cycle. Driven by `step_or_jump` to fixed checkpoints, all three must
+/// lazily. The plan has no RCU stall window, so serial stepping takes
+/// the parking path while dense ticks every RCU every cycle. Driven by
+/// `step_or_jump` to fixed checkpoints, both must
 /// read the same `rcu_stats()` at each checkpoint and at the end, and
 /// finish with the same cycles, outputs, recovery counters and network
 /// statistics.
@@ -376,16 +353,15 @@ fn parked_rcus_match_dense_under_token_drops() {
             stats_fingerprint(injected, delivered, 0, p.finalize_stats()),
         )
     };
-    let [dense, serial, sharded] = Stepping::ALL.map(run_mode);
+    let [dense, serial] = Stepping::ALL.map(run_mode);
     assert_eq!(serial, dense, "serial RCU stalls must match dense under token drops");
-    assert_eq!(sharded, dense, "sharded RCU stalls must match dense under token drops");
     assert!(!dense.contains(" dropped=0 "), "the plan dropped tokens: {dense}");
 }
 
 /// Graceful degradation, part 1: a kernel that must *remap* (an RCU dies
 /// under it mid-run) and *fail over* (its home-CPM corner is dead at
-/// submission) completes bit-identically in every stepping mode and at
-/// every legal shard count — including the degradation report itself.
+/// submission) completes bit-identically in both stepping modes —
+/// including the degradation report itself.
 /// This pins the hairiest new scheduling corners: the abort/quarantine
 /// path, the namespace-epoch bump, and the escalation deadline (which
 /// clock jumps must land on exactly).
@@ -436,31 +412,19 @@ fn remap_and_failover_are_bit_identical_across_modes_and_shards() {
             stats_fingerprint(injected, delivered, 0, p.finalize_stats()),
         )
     };
-    let dense = run_with(Stepping::Dense);
-    for mode in [Stepping::Serial, Stepping::Sharded(2)] {
-        assert_eq!(
-            run_with(mode),
-            dense,
-            "{mode}: remap/failover run must be bit-identical to dense"
-        );
-    }
-    for shards in [1usize, 4] {
-        assert_eq!(
-            run_with(Stepping::Sharded(shards)),
-            dense,
-            "{shards}-shard remap/failover run must be bit-identical to dense"
-        );
-    }
+    assert_eq!(
+        run_with(Stepping::Serial),
+        run_with(Stepping::Dense),
+        "serial remap/failover run must be bit-identical to dense"
+    );
 }
 
-/// Worklists wider than one 64-bit word (DESIGN.md §11, §13): a bare
-/// 12×9 network (108 routers, 390 links) under near-saturated random
-/// traffic, with one link-down window and one drop window, steps
-/// identically dense, serial and sharded into 2, 3 and 4 row bands. The
-/// serial sets span two words, and no band after the first starts on a
-/// 64-node boundary. Sharded(2) and Sharded(4) advance in `step_until`
-/// segments (threaded batches); Sharded(3) advances by `step` (the
-/// inline driver).
+/// Worklists wider than one 64-bit word (DESIGN.md §11): a bare 12×9
+/// network (108 routers, 390 links) under near-saturated random traffic,
+/// with one link-down window and one drop window, steps identically
+/// dense and serial. The router and NI sets span two words and the link
+/// set seven. Serial stepping runs twice: once advancing in `step_until`
+/// segments, which jump where they can, and once by per-cycle `step`.
 #[test]
 fn multi_word_worklists_step_identically_in_every_mode() {
     use snacknoc::noc::{
@@ -531,24 +495,20 @@ fn multi_word_worklists_step_identically_in_every_mode() {
     let dense = run(Stepping::Dense, false);
     assert!(dense.2 > 0 && dense.3.dropped_flits > 0, "the drop window fired");
     assert!(dense.1.len() > 10_000, "traffic was heavy: {} deliveries", dense.1.len());
-    for (stepping, per_cycle) in [
-        (Stepping::Serial, false),
-        (Stepping::Sharded(2), false),
-        (Stepping::Sharded(4), false),
-        (Stepping::Sharded(3), true),
-    ] {
-        let other = run(stepping, per_cycle);
-        assert_eq!(other.0, dense.0, "{stepping} statistics diverged from dense");
-        assert!(other.1 == dense.1, "{stepping} delivery log diverged from dense");
-        assert_eq!(other.2, dense.2, "{stepping} lost packets diverged from dense");
-        assert_eq!(other.3, dense.3, "{stepping} fault counters diverged from dense");
+    for per_cycle in [false, true] {
+        let other = run(Stepping::Serial, per_cycle);
+        let driver = if per_cycle { "step" } else { "step_until" };
+        assert_eq!(other.0, dense.0, "serial {driver} statistics diverged from dense");
+        assert!(other.1 == dense.1, "serial {driver} delivery log diverged from dense");
+        assert_eq!(other.2, dense.2, "serial {driver} lost packets diverged from dense");
+        assert_eq!(other.3, dense.3, "serial {driver} fault counters diverged from dense");
     }
 }
 
 /// Graceful degradation, part 2: the chaos grid — randomized permanent +
-/// transient schedules, each cell already spanning all three stepping
-/// modes internally — merges to identical bytes on 1 and 4 workers, with
-/// every invariant intact.
+/// transient schedules, each cell already spanning both stepping modes
+/// internally — merges to identical bytes on 1 and 4 workers, with every
+/// invariant intact.
 #[test]
 fn chaos_grid_reports_are_worker_count_invariant() {
     use snacknoc_bench::chaos::{run_chaos, ChaosSpec};
@@ -567,16 +527,14 @@ fn chaos_grid_reports_are_worker_count_invariant() {
     );
     assert!(
         serial.cells.iter().all(|c| c.modes_agree),
-        "every cell is three-mode bit-identical"
+        "every cell is bit-identical across the modes"
     );
 }
 
 /// Active-set scheduling, part 3: mode choice composes with the worker
-/// pool. A grid of {dense, serial, sharded} x seeds fingerprinted on 1
-/// worker and on 4 workers merges to the same bytes, and within the
-/// merged vector every mode triplet agrees per seed. The sharded rows
-/// nest the shard worker threads *inside* the sweep pool's workers — the
-/// two thread layers must not interact.
+/// pool. A grid of {dense, serial} x seeds fingerprinted on 1 worker and
+/// on 4 workers merges to the same bytes, and within the merged vector
+/// the modes agree per seed.
 #[test]
 fn active_vs_dense_fingerprints_are_worker_count_invariant() {
     use snacknoc_bench::sweep::parallel_map;
@@ -589,9 +547,8 @@ fn active_vs_dense_fingerprints_are_worker_count_invariant() {
     let serial = parallel_map(grid.len(), 1, job);
     let parallel = parallel_map(grid.len(), 4, job);
     assert_eq!(serial, parallel, "1-vs-4 workers must merge identically");
-    for triplet in serial.chunks(3) {
-        assert_eq!(triplet[0], triplet[1], "dense and serial twins agree per seed");
-        assert_eq!(triplet[0], triplet[2], "dense and sharded twins agree per seed");
+    for modes in serial.chunks(Stepping::ALL.len()) {
+        assert!(modes.iter().all(|fp| *fp == modes[0]), "the modes agree per seed: {modes:?}");
     }
 }
 
@@ -599,7 +556,7 @@ fn active_vs_dense_fingerprints_are_worker_count_invariant() {
 /// fixed service schedule (the SLO-sweep preset at two load levels, plus
 /// the fault-tolerant decentralized preset) produces a bit-identical
 /// report — every admission verdict, dispatch, completion cycle and
-/// latency percentile — in all three modes, whether the grid runs on one
+/// latency percentile — in both modes, whether the grid runs on one
 /// sweep worker or four. Clock jumps are capped at the next
 /// service event (pending arrival, abort deadline), which is exactly the
 /// property this matrix proves.

@@ -467,15 +467,13 @@ fn random_workloads_step_identically_active_and_dense() {
     });
 }
 
-/// Serial stepping with clock jumps (DESIGN.md §12) *and* sharded
-/// worker-thread stepping (DESIGN.md §13, at a random legal shard count,
-/// also jumping) are bit-identical to dense stepping on random meshes
-/// with random traffic bursts separated by long dead gaps, under random
-/// *short-window* fault plans. The idle gaps are where the clock jumps,
-/// every fault-window edge is a calendar event a jump must land on, and
-/// the fault verdicts are
-/// hash-derived per flit — a single missed edge or misordered boundary
-/// exchange shifts the drop/corrupt schedule and breaks the fingerprint.
+/// Serial stepping with clock jumps (DESIGN.md §12) is bit-identical to
+/// dense stepping on random meshes with random traffic bursts separated
+/// by long dead gaps, under random *short-window* fault plans. The idle
+/// gaps are where the clock jumps, every fault-window edge is a calendar
+/// event a jump must land on, and the fault verdicts are hash-derived per
+/// flit — a single missed edge shifts the drop/corrupt schedule and
+/// breaks the fingerprint.
 #[test]
 fn random_short_window_fault_plans_step_identically_event_and_dense() {
     use snacknoc::noc::{Dir, FaultPlan, LinkFaultKind};
@@ -532,10 +530,6 @@ fn random_short_window_fault_plans_step_identically_event_and_dense() {
             plan = plan.with_link_fault(node, dir, start, end, kind);
         }
 
-        // A random legal shard count for the sharded modes (bands must
-        // each span at least one mesh row).
-        let shards = 1 + rng.range_usize(0..rows as usize);
-
         let run_mode = |mode: Stepping| {
             let mut net: Network<usize> = Network::new(cfg.clone().with_stepping(mode)).unwrap();
             net.set_fault_plan(plan.clone()).unwrap();
@@ -576,24 +570,19 @@ fn random_short_window_fault_plans_step_identically_event_and_dense() {
             dense,
             "{cols}x{rows} mesh, horizon {horizon}: serial diverged from dense"
         );
-        assert_eq!(
-            run_mode(Stepping::Sharded(shards)),
-            dense,
-            "{cols}x{rows} mesh, {shards} shards, horizon {horizon}: sharded diverged from dense"
-        );
     });
 }
 
 /// The pooled payload slab (DESIGN.md §16) is invisible to every
 /// observable: on random meshes with random multi-flit traffic and random
-/// fault plans, all three stepping modes (dense oracle, serial, sharded
-/// at a random shard count) deliver bit-identical
+/// fault plans, both stepping modes (the dense oracle and serial)
+/// deliver bit-identical
 /// payload contents and per-packet metadata — delivered cycle, hop count,
 /// corruption mark — and identical stats. Once the network drains, every
 /// slot has been returned to the pool (delivered payloads are moved out,
 /// dropped packets' payloads are released), with the same high-water mark
-/// and demand-growth count in every mode: slot recycling is deterministic
-/// even across the sharded mailbox boundary.
+/// and demand-growth count in both modes: slot recycling is
+/// deterministic.
 #[test]
 fn pooled_payloads_are_bit_identical_across_modes_and_leak_free() {
     use snacknoc::noc::{Dir, FaultPlan, LinkFaultKind};
@@ -645,8 +634,6 @@ fn pooled_payloads_are_bit_identical_across_modes_and_leak_free() {
             plan = plan.with_link_fault(node, dir, start, end, kind);
         }
 
-        let shards = 1 + rng.range_usize(0..rows as usize);
-
         let run_mode = |mode: Stepping| {
             let mut net: Network<usize> = Network::new(cfg.clone().with_stepping(mode)).unwrap();
             net.set_fault_plan(plan.clone()).unwrap();
@@ -691,13 +678,11 @@ fn pooled_payloads_are_bit_identical_across_modes_and_leak_free() {
             )
         };
         let dense = run_mode(Stepping::Dense);
-        for mode in [Stepping::Serial, Stepping::Sharded(shards)] {
-            assert_eq!(
-                run_mode(mode),
-                dense,
-                "{cols}x{rows} mesh: {mode} pooled payloads diverged from dense"
-            );
-        }
+        assert_eq!(
+            run_mode(Stepping::Serial),
+            dense,
+            "{cols}x{rows} mesh: serial pooled payloads diverged from dense"
+        );
     });
 }
 
@@ -785,7 +770,7 @@ fn random_chaos_schedules_degrade_identically_in_every_mode() {
 /// for any tenant mix (class, kernel, arrival process), queue policy and
 /// CPM count, the service report's fingerprint — every admission verdict,
 /// completion count and latency percentile — is identical between the
-/// default serial loop and a randomly chosen other stepping mode, and
+/// default serial loop and the dense oracle, and
 /// its conservation invariants hold (submitted = admitted + rejected,
 /// admitted = completed + aborted + residual).
 #[test]
@@ -832,13 +817,12 @@ fn service_schedules_are_mode_invariant() {
             assert_eq!(t.admitted, t.completed + t.aborted + t.residual, "{}", t.name);
         }
 
-        let other = [Stepping::Dense, Stepping::Sharded(2)][rng.range_usize(0..2)];
-        spec.noc.stepping = other;
+        spec.noc.stepping = Stepping::Dense;
         let twin = run_service(&spec).expect("generated specs are valid");
         assert_eq!(
             reference.fingerprint(),
             twin.fingerprint(),
-            "serial vs {other} diverged for {n} tenants"
+            "serial vs dense diverged for {n} tenants"
         );
     });
 }
