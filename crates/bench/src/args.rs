@@ -14,6 +14,7 @@
 //! a report that cannot be written is an error (exit 1), never a panic
 //! or a silent success.
 
+use snacknoc_workloads::kernels::Kernel;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 
@@ -146,6 +147,35 @@ impl CliArgs {
         self.parsed_or(name, default)
     }
 
+    /// `--name` as a comma-separated kernel list (`all` for every
+    /// kernel), or `default`; an unknown kernel is a usage error (exit 2).
+    pub fn kernels_or(&self, name: &str, default: &[Kernel]) -> Vec<Kernel> {
+        match self.str_opt(name) {
+            None => default.to_vec(),
+            Some(spec) if spec.eq_ignore_ascii_case("all") => Kernel::ALL.to_vec(),
+            Some(spec) => spec
+                .split(',')
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .map(|k| self.kernel(k))
+                .collect(),
+        }
+    }
+
+    /// The kernel called `name`, case-insensitively; an unknown name is
+    /// a usage error (exit 2).
+    pub fn kernel(&self, name: &str) -> Kernel {
+        Kernel::ALL
+            .into_iter()
+            .find(|k| k.name().eq_ignore_ascii_case(name))
+            .unwrap_or_else(|| {
+                self.fail(&format!(
+                    "unknown kernel '{name}' (known: {})",
+                    Kernel::ALL.map(Kernel::name).join(", ")
+                ))
+            })
+    }
+
     fn parsed_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         match self.str_opt(name) {
             None => default,
@@ -223,5 +253,19 @@ mod tests {
         assert_eq!(a.positive_or("size", 1), 9);
         assert_eq!(a.positive_or("missing", 4), 4);
         assert_eq!(a.f64_or("missing", 1.5), 1.5);
+    }
+
+    #[test]
+    fn kernel_lists_parse_case_insensitively() {
+        let parse = |args: &[&str]| {
+            CliArgs::parse_from(args.iter().copied(), USAGE, &["kernels"], &[]).unwrap()
+        };
+        let all = [Kernel::Sgemm, Kernel::Reduction, Kernel::Mac, Kernel::Spmv];
+        assert_eq!(parse(&[]).kernels_or("kernels", &[Kernel::Mac]), [Kernel::Mac]);
+        assert_eq!(parse(&["--kernels", "ALL"]).kernels_or("kernels", &[]), all);
+        assert_eq!(
+            parse(&["--kernels", "spmv, sgemm,"]).kernels_or("kernels", &[]),
+            [Kernel::Spmv, Kernel::Sgemm]
+        );
     }
 }

@@ -1,51 +1,50 @@
-//! `snack-chaos` — the deterministic chaos harness driver.
+//! `snack-chaos` — the deterministic fault harness driver.
 //!
-//! Throws seeded randomized fault schedules (permanent RCU/link/CPM
-//! deaths mixed with transient drop/corrupt windows) at every kernel,
-//! runs each cell in **both stepping modes**, and asserts the
-//! robustness invariants on every run: termination with a typed verdict,
-//! bit-exact outputs on completion, transient-loss recovery, consistent
-//! degradation reports, and bit-identity across the modes. Prints the per-cell
-//! table and writes `BENCH_chaos.json` (override with `--json <path>`);
-//! the simulation output is bit-identical for any `--threads` value.
+//! Runs every kernel under seeded fault schedules, each cell in **both
+//! stepping modes**, and asserts the robustness invariants on every run:
+//! termination with a typed verdict, bit-exact outputs on completion,
+//! transient-loss recovery, consistent degradation reports, bounded
+//! watchdog retries, and bit-identity across the modes. Prints the
+//! per-cell table and writes `BENCH_chaos.json` (override with
+//! `--json <path>`); the simulation output is bit-identical for any
+//! `--threads` value.
 //!
 //! ```text
-//! snack-chaos [--kernels all|sgemm,spmv,...] [--size N]
-//!             [--seeds N] [--threads N] [--json PATH] [--smoke]
+//! snack-chaos [--kernels all|sgemm,spmv,...] [--size N] [--seeds N]
+//!             [--rates R1,R2,...] [--threads N] [--json PATH] [--smoke]
 //! ```
 //!
-//! Defaults: all four paper kernels, size 10, 4 seeds per kernel,
-//! threads = available parallelism.
+//! By default each cell draws a random schedule: permanent RCU/link/CPM
+//! deaths mixed with transient drop/corrupt windows. `--rates` runs the
+//! fixed-rate grid instead: a clean cell, then one global drop-rate and
+//! one corrupt-rate cell per nonzero rate, on one CPM. Defaults: all
+//! four paper kernels, size 10, 4 seeds, threads = available
+//! parallelism.
 //!
-//! `--smoke` runs a fixed micro-grid (two kernels, small size) and exits
-//! non-zero unless every invariant holds and at least one cell completed
-//! *through* graceful degradation (a remap or failover actually fired) —
-//! CI uses this via `scripts/verify.sh`.
+//! `--smoke` runs a fixed micro-grid (two kernels, small size) of random
+//! schedules and fixed 5% rates, and exits non-zero unless every
+//! invariant holds, at least one cell completed *through* graceful
+//! degradation (a remap or failover actually fired), and the fixed-rate
+//! cells detected at least one loss — CI uses this via
+//! `scripts/verify.sh`.
 
 use snacknoc_bench::args::{write_or_exit, CliArgs};
-use snacknoc_bench::chaos::{run_chaos, ChaosSpec};
+use snacknoc_bench::chaos::{run_chaos, CellKind, ChaosSpec};
 use snacknoc_noc::Stepping;
 use snacknoc_workloads::kernels::Kernel;
 
-const USAGE: &str = "usage: snack-chaos [--kernels all|sgemm,spmv,...] [--size N]
-                   [--seeds N] [--threads N] [--json PATH] [--smoke]";
+const USAGE: &str = "usage: snack-chaos [--kernels all|sgemm,spmv,...] [--size N] [--seeds N]
+                   [--rates R1,R2,...] [--threads N] [--json PATH] [--smoke]";
 
-fn parse_kernels(spec: &str) -> Vec<Kernel> {
-    if spec.eq_ignore_ascii_case("all") {
-        return Kernel::ALL.to_vec();
-    }
+/// The `--rates` list; a malformed rate or one outside `[0, 1]` is a
+/// usage error (exit 2).
+fn parse_rates(args: &CliArgs, spec: &str) -> Vec<f64> {
     spec.split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .map(|name| {
-            Kernel::ALL
-                .into_iter()
-                .find(|k| k.to_string().eq_ignore_ascii_case(name))
-                .unwrap_or_else(|| {
-                    eprintln!("error: unknown kernel '{name}'");
-                    eprintln!("known kernels: {}", Kernel::ALL.map(|k| k.to_string()).join(", "));
-                    std::process::exit(2);
-                })
+        .map(|s| match s.parse::<f64>() {
+            Ok(rate) if (0.0..=1.0).contains(&rate) => rate,
+            _ => args.fail(&format!("bad value for --rates: '{s}' (each rate must be in [0, 1])")),
         })
         .collect()
 }
@@ -53,7 +52,7 @@ fn parse_kernels(spec: &str) -> Vec<Kernel> {
 fn main() {
     let args = CliArgs::parse(
         USAGE,
-        &["kernels", "size", "seeds", "threads", "json"],
+        &["kernels", "size", "seeds", "rates", "threads", "json"],
         &["smoke"],
     );
     let smoke = args.switch("smoke");
@@ -64,14 +63,22 @@ fn main() {
     ) as usize;
 
     let spec = if smoke {
-        ChaosSpec::grid(&[Kernel::Mac, Kernel::Spmv], 8, &[1, 2, 3, 4, 5, 6])
-            .with_threads(threads)
+        let kernels = [Kernel::Mac, Kernel::Spmv];
+        let mut spec = ChaosSpec::grid(&kernels, 8, &[CellKind::Random], &[1, 2, 3, 4, 5, 6]);
+        let fixed_rates = ChaosSpec::grid(&kernels, 8, &CellKind::fixed_rates(&[0.05]), &[1]);
+        spec.cells.extend(fixed_rates.cells);
+        spec
     } else {
-        let kernels = parse_kernels(&args.str_or("kernels", "all"));
+        let kernels = args.kernels_or("kernels", &Kernel::ALL);
         let size = args.positive_or("size", 10);
         let seeds: Vec<u64> = (1..=args.u64_or("seeds", 4).max(1)).collect();
-        ChaosSpec::grid(&kernels, size, &seeds).with_threads(threads)
-    };
+        let kinds = match args.str_opt("rates") {
+            Some(rates) => CellKind::fixed_rates(&parse_rates(&args, rates)),
+            None => vec![CellKind::Random],
+        };
+        ChaosSpec::grid(&kernels, size, &kinds, &seeds)
+    }
+    .with_threads(threads);
 
     println!(
         "chaos grid: {} cells x {} stepping modes on {} thread(s){}",
@@ -88,12 +95,28 @@ fn main() {
 
     let degraded = results.degraded_completions();
     println!("degraded completions (remap/failover taken): {degraded}");
+    let fixed_rate: Vec<_> = spec
+        .cells
+        .iter()
+        .zip(&results.cells)
+        .filter(|(cell, _)| cell.kind != CellKind::Random)
+        .map(|(_, c)| c)
+        .collect();
+    let detected: u64 = fixed_rate.iter().map(|c| c.detected).sum();
+    if !fixed_rate.is_empty() {
+        let recovered: u64 = fixed_rate.iter().map(|c| c.recovered).sum();
+        println!("fixed-rate recovery: {recovered}/{detected} detected losses recovered");
+    }
     if !results.all_invariants_hold() {
         eprintln!("error: chaos invariant violations (see table / JSON)");
         std::process::exit(1);
     }
     if smoke && degraded == 0 {
         eprintln!("error: smoke grid never exercised graceful degradation");
+        std::process::exit(1);
+    }
+    if smoke && detected == 0 {
+        eprintln!("error: smoke grid's fixed-rate cells detected no loss");
         std::process::exit(1);
     }
 }

@@ -28,7 +28,6 @@
 use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::sweep::{run_sweep, SweepSpec};
 use snacknoc_noc::NocPreset;
-use snacknoc_workloads::kernels::Kernel;
 use snacknoc_workloads::suite::Benchmark;
 
 const USAGE: &str = "usage: snack-sweep [--benchmarks all|fmm,radix,...] [--kernels sgemm,spmv,...]
@@ -56,25 +55,6 @@ fn parse_benchmarks(spec: &str) -> Vec<Benchmark> {
                 );
                 std::process::exit(2);
             })
-        })
-        .collect()
-}
-
-fn parse_kernels(spec: &str) -> Vec<Kernel> {
-    if spec.eq_ignore_ascii_case("all") {
-        return Kernel::ALL.to_vec();
-    }
-    split_list(spec)
-        .into_iter()
-        .map(|name| {
-            Kernel::ALL
-                .into_iter()
-                .find(|k| k.to_string().eq_ignore_ascii_case(name))
-                .unwrap_or_else(|| {
-                    eprintln!("error: unknown kernel '{name}'");
-                    eprintln!("known kernels: {}", Kernel::ALL.map(|k| k.to_string()).join(", "));
-                    std::process::exit(2);
-                })
         })
         .collect()
 }
@@ -118,7 +98,7 @@ fn main() {
         &[],
     );
     let benchmarks = parse_benchmarks(&args.str_or("benchmarks", "all"));
-    let kernels = args.str_opt("kernels").map(parse_kernels).unwrap_or_default();
+    let kernels = args.kernels_or("kernels", &[]);
     let presets = parse_presets(&args.str_or("configs", "all"));
     let seeds: Vec<u64> = (1..=args.u64_or("seeds", 1).max(1)).collect();
     let scale = args.f64_or("scale", 0.002);

@@ -29,18 +29,6 @@ const USAGE: &str = "usage: snack-trace [--kernel sgemm|reduction|mac|spmv] [--s
                    [--config dapper|axnoc|binochs] [--capacity N]
                    [--json PATH] [--smoke]";
 
-fn parse_kernel(args: &CliArgs, name: &str) -> Kernel {
-    Kernel::ALL
-        .into_iter()
-        .find(|k| k.to_string().eq_ignore_ascii_case(name))
-        .unwrap_or_else(|| {
-            args.fail(&format!(
-                "unknown kernel '{name}' (known: {})",
-                Kernel::ALL.map(|k| k.to_string()).join(", ")
-            ))
-        })
-}
-
 fn parse_config(args: &CliArgs, name: &str) -> NocConfig {
     let norm: String =
         name.chars().filter(char::is_ascii_alphanumeric).collect::<String>().to_lowercase();
@@ -70,7 +58,7 @@ fn main() {
         // so the smoke exercises the flit-hop/link-heatmap path too.
         (Kernel::Spmv, 8, 7, NocConfig::default(), 1 << 16)
     } else {
-        let kernel = parse_kernel(&args, &args.str_or("kernel", "mac"));
+        let kernel = args.kernel(&args.str_or("kernel", "mac"));
         let cfg = args
             .str_opt("config")
             .map(|c| parse_config(&args, c))

@@ -1,63 +1,102 @@
-//! Deterministic chaos harness: randomized permanent+transient fault
-//! schedules × kernels × **both stepping modes**, with invariants
-//! asserted on every run.
+//! The fault harness: one checker that runs a kernel under any fault
+//! schedule in **both stepping modes** and applies the robustness
+//! contract, and the grid that feeds it schedules.
 //!
-//! The graceful-degradation companion to [`crate::faults`]: where the
-//! fault sweep measures recovery under *transient* loss, the chaos
-//! harness throws randomized *schedules* — permanently dead RCUs, dead
-//! links and dead home-CPM nodes mixed with transient drop/corrupt
-//! windows — at the platform and checks that every run upholds the
-//! robustness contract:
+//! A *schedule* ([`ChaosSchedule`]) is a [`FaultPlan`] plus the
+//! platform's CPM count. A grid cell draws its schedule from its
+//! [`CellKind`]:
+//!
+//! * [`CellKind::Random`] — [`chaos_schedule`]: permanently dead RCUs,
+//!   dead links and dead home-CPM nodes mixed with transient drop/corrupt
+//!   windows, on a 1- or 4-CPM platform;
+//! * [`CellKind::Clean`], [`CellKind::Drop`] and [`CellKind::Corrupt`] —
+//!   no faults, or one global per-packet drop or corruption rate, on one
+//!   CPM: the recovery-rate grid.
+//!
+//! [`check_schedule`] runs the kernel on BiNoCHS with MAC fusion off and
+//! aggressive watchdog recovery, once per stepping mode, and records
+//! every broken clause of the contract as a violation:
 //!
 //! 1. **terminates** — `run_kernel` returns `Ok` or a typed error,
 //!    never a hang (bounded by the no-progress window × attempt budget);
 //! 2. **bit-exact** — completed runs match the fixed-point reference
 //!    interpreter checksum exactly, faults or not;
-//! 3. **transients recover** — runs that finished without a kernel-level
-//!    retry recovered every watchdog-detected loss;
+//! 3. **transients recover** — runs that finished without abandoning an
+//!    attempt recovered every watchdog-detected loss, and a timeout left
+//!    at least one detected loss unrecovered;
 //! 4. **reports are consistent** — degradation reports agree with the
 //!    schedule and with the run's own cycle accounting;
-//! 5. **mode-invariant** — both stepping modes produce the identical
-//!    outcome (common-random-number schedules make this a paired
+//! 5. **retries are bounded** — at most `max_retries` watchdog retries
+//!    per detected loss;
+//! 6. **mode-invariant** — both stepping modes produce the identical
+//!    outcome, recovery and fault counters, RCU counters and network
+//!    statistics (common-random-number schedules make this a paired
 //!    comparison).
 //!
-//! Schedules are derived purely from the cell seed (common random
-//! numbers), so the whole grid is reproducible and thread-count
-//! invariant. The `snack-chaos` binary drives this module and writes
-//! `BENCH_chaos.json`.
+//! Schedules are derived purely from the cell seed, so the whole grid is
+//! reproducible and thread-count invariant. The `snack-chaos` binary
+//! drives this module and writes `BENCH_chaos.json`.
 
-use crate::sweep::parallel_map;
+use crate::perf::stats_fingerprint;
+use crate::sweep::{json_escape, parallel_map};
 use crate::table::print_table;
 use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::{
-    DegradationReport, Fixed, PlatformConfig, PlatformError, RecoveryConfig, SnackPlatform,
+    CompiledKernel, DegradationReport, Fixed, KernelRun, PlatformConfig, PlatformError,
+    RecoveryConfig, SnackPlatform,
 };
 use snacknoc_noc::{Dir, FaultPlan, LinkFaultKind, Mesh, NocConfig, NocPreset, NodeId, Stepping};
 use snacknoc_prng::Rng;
 use snacknoc_workloads::kernels::Kernel;
 use std::io::{self, Write};
 
-/// The no-progress window chaos cells run under: small enough that a
+/// The no-progress window checked runs use: small enough that a
 /// stalled attempt escalates to remap/failover quickly, comfortably
 /// above [`SnackPlatform::MIN_NO_PROGRESS_WINDOW`].
 pub const CHAOS_WINDOW: u64 = 8_192;
 
-/// One randomized fault schedule, derived deterministically from a seed.
+/// The network every checked run uses (paper Table I's BiNoCHS).
+fn noc_config() -> NocConfig {
+    NocConfig::preset(NocPreset::BiNoChs)
+}
+
+fn noc_mesh() -> Mesh {
+    let cfg = noc_config();
+    Mesh::new(cfg.cols, cfg.rows)
+}
+
+/// A fault schedule: what [`check_schedule`] runs a kernel under.
 #[derive(Clone, Debug)]
 pub struct ChaosSchedule {
-    /// The generated fault plan.
+    /// The fault plan installed on the platform.
     pub plan: FaultPlan,
     /// Corner CPMs on the platform (1 or 4; a dead home corner needs a
     /// standby to fail over to, and single-CPM cells exercise the typed
     /// unrecoverable path instead).
     pub cpm_count: usize,
+}
+
+impl ChaosSchedule {
     /// Permanent RCU/node deaths scheduled.
-    pub dead_rcus: usize,
+    pub fn dead_rcus(&self) -> usize {
+        self.plan.dead_rcus.len()
+    }
+
     /// Permanent link deaths scheduled.
-    pub dead_links: usize,
-    /// Whether any transient fault source (global rates or outage
-    /// windows) is active.
-    pub transient: bool,
+    pub fn dead_links(&self) -> usize {
+        self.plan.links.iter().filter(|l| l.kind == LinkFaultKind::Dead).count()
+    }
+
+    /// No fault source at all: the run must complete undegraded.
+    pub fn is_clean(&self) -> bool {
+        !self.plan.enabled()
+    }
+
+    /// Whether the schedule contains permanent faults (the only legal
+    /// source of an `Unrecoverable` verdict).
+    pub fn has_permanent(&self) -> bool {
+        self.plan.has_permanent_faults()
+    }
 }
 
 fn random_link(rng: &mut Rng, mesh: &Mesh) -> (NodeId, Dir) {
@@ -80,14 +119,11 @@ fn random_link(rng: &mut Rng, mesh: &Mesh) -> (NodeId, Dir) {
 pub fn chaos_schedule(mesh: &Mesh, seed: u64) -> ChaosSchedule {
     let mut rng = Rng::new(seed ^ 0xC4A0_5EED_0000_0000);
     let mut plan = FaultPlan::seeded(seed);
-    let mut transient = false;
     if rng.flip() {
         plan = plan.with_drop_rate(rng.range_f64(0.005..0.04));
-        transient = true;
     }
     if rng.flip() {
         plan = plan.with_corrupt_rate(rng.range_f64(0.005..0.04));
-        transient = true;
     }
     for _ in 0..rng.range(0..3) {
         let (node, dir) = random_link(&mut rng, mesh);
@@ -99,15 +135,13 @@ pub fn chaos_schedule(mesh: &Mesh, seed: u64) -> ChaosSchedule {
             LinkFaultKind::Corrupt { rate: 1.0 }
         };
         plan = plan.with_link_fault(node, dir, start, end, kind);
-        transient = true;
     }
     // Death times are biased toward cycle 0 (dead at submission → a
     // proactive remap) with a mid-run tail (dies under the kernel → a
     // stall-quarantine-retry); both sit inside typical kernel latencies
     // so the degradation paths actually fire.
     let death_cycle = |rng: &mut Rng| if rng.flip() { 0 } else { rng.range(1..800) };
-    let dead_rcus = rng.range_usize(0..3);
-    for _ in 0..dead_rcus {
+    for _ in 0..rng.range_usize(0..3) {
         let node = mesh
             .nodes()
             .nth(rng.range_usize(0..mesh.node_count()))
@@ -115,33 +149,55 @@ pub fn chaos_schedule(mesh: &Mesh, seed: u64) -> ChaosSchedule {
         let from = death_cycle(&mut rng);
         plan = plan.with_dead_rcu(node, from);
     }
-    let dead_links = usize::from(rng.flip());
-    if dead_links > 0 {
+    if rng.flip() {
         let (node, dir) = random_link(&mut rng, mesh);
         let from = death_cycle(&mut rng);
         plan = plan.with_dead_link(node, dir, from);
     }
     let cpm_count = if rng.flip() { 4 } else { 1 };
-    // Deaths can collide on one node; count distinct scheduled deaths.
-    ChaosSchedule { plan, cpm_count, dead_rcus, dead_links, transient }
+    ChaosSchedule { plan, cpm_count }
 }
 
-impl ChaosSchedule {
-    /// No fault source at all: the run must be bit-identical to a
-    /// fault-free platform.
-    pub fn is_clean(&self) -> bool {
-        !self.transient && self.dead_rcus == 0 && self.dead_links == 0
+/// Where a grid cell's schedule comes from.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum CellKind {
+    /// [`chaos_schedule`] of the cell seed.
+    Random,
+    /// No faults at all, one CPM.
+    Clean,
+    /// This global per-packet drop probability on SnackNoC data tokens,
+    /// one CPM.
+    Drop(f64),
+    /// This global per-packet payload-corruption probability on data
+    /// tokens, one CPM.
+    Corrupt(f64),
+}
+
+impl CellKind {
+    /// The fixed-rate kinds for `rates`: `Clean`, then a `Drop` and a
+    /// `Corrupt` kind per nonzero rate.
+    pub fn fixed_rates(rates: &[f64]) -> Vec<CellKind> {
+        let mut kinds = vec![CellKind::Clean];
+        for &rate in rates.iter().filter(|&&r| r != 0.0) {
+            kinds.extend([CellKind::Drop(rate), CellKind::Corrupt(rate)]);
+        }
+        kinds
     }
 
-    /// Whether the schedule contains permanent faults (the only legal
-    /// source of an `Unrecoverable` verdict).
-    pub fn has_permanent(&self) -> bool {
-        self.dead_rcus > 0 || self.dead_links > 0
+    /// The schedule this kind gives for `seed`.
+    pub fn schedule(self, seed: u64) -> ChaosSchedule {
+        let plan = match self {
+            CellKind::Random => return chaos_schedule(&noc_mesh(), seed),
+            CellKind::Clean => FaultPlan::none(),
+            CellKind::Drop(rate) => FaultPlan::seeded(seed).with_drop_rate(rate),
+            CellKind::Corrupt(rate) => FaultPlan::seeded(seed).with_corrupt_rate(rate),
+        };
+        ChaosSchedule { plan, cpm_count: 1 }
     }
 }
 
-/// One cell of the chaos grid: a kernel run under `chaos_schedule(seed)`
-/// in **every** stepping mode.
+/// One cell of the grid: a kernel run under its kind's schedule in
+/// **every** stepping mode.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosCell {
     /// The kernel to run.
@@ -150,12 +206,21 @@ pub struct ChaosCell {
     pub size: usize,
     /// Seed for kernel inputs, fault decisions and the schedule shape.
     pub seed: u64,
+    /// Where the schedule comes from.
+    pub kind: CellKind,
 }
 
 impl ChaosCell {
-    /// Display name, `kernel-size/s<seed>`.
+    /// Display name: `kernel-size/s<seed>` for a random schedule,
+    /// `kernel-size/<kind><rate>/s<seed>` otherwise (`SGEMM-12/drop0.01/s1`).
     pub fn name(&self) -> String {
-        format!("{}-{}/s{}", self.kernel, self.size, self.seed)
+        let kind = match self.kind {
+            CellKind::Random => String::new(),
+            CellKind::Clean => "clean/".into(),
+            CellKind::Drop(rate) => format!("drop{rate}/"),
+            CellKind::Corrupt(rate) => format!("corrupt{rate}/"),
+        };
+        format!("{}-{}/{kind}s{}", self.kernel, self.size, self.seed)
     }
 }
 
@@ -170,73 +235,57 @@ struct ModeOutcome {
     detected: u64,
     recovered: u64,
     retries: u64,
+    watchdog_fires: u64,
     corrupt_detected: u64,
+    recovery_p50: u64,
     injected: u64,
     dropped_packets: u64,
+    corrupted_packets: u64,
+    /// RCU instructions executed, ring captures and stalled cycles.
+    rcu: (u64, u64, u64),
+    /// [`stats_fingerprint`] of the network statistics.
+    stats: String,
 }
 
-fn run_mode(cell: &ChaosCell, mode: Stepping) -> (ModeOutcome, ChaosSchedule, Vec<Fixed>) {
-    let built = build(cell.kernel, cell.size, cell.seed);
-    let cfg = NocConfig::preset(NocPreset::BiNoChs).with_stepping(mode);
-    let sched = {
-        // The schedule depends only on the mesh shape, identical across
-        // modes; generate it before the platform borrows the config.
-        let probe = SnackPlatform::new(cfg.clone()).expect("valid platform config");
-        chaos_schedule(probe.mesh(), cell.seed)
-    };
-    let mut platform = SnackPlatform::with_cpm_count(cfg, sched.cpm_count)
-        .expect("valid platform config");
-    // MAC fusion off: intermediate values ride the transient-token ring —
-    // exactly the traffic the schedule attacks.
-    let mapper = MapperConfig::for_mesh(platform.mesh()).with_mac_fusion(false);
+/// `kernel` compiled for the checked platform, with MAC fusion off so
+/// intermediate values ride the transient-token ring the schedule
+/// attacks, and its reference outputs from the interpreter.
+fn prepare(kernel: Kernel, size: usize, seed: u64) -> (CompiledKernel, Vec<Fixed>) {
+    let built = build(kernel, size, seed);
+    let mapper = MapperConfig::for_mesh(&noc_mesh()).with_mac_fusion(false);
     let compiled = built.context.compile(built.root, &mapper).expect("kernel compiles");
     compiled.validate().expect("compiled kernel is well-formed");
-    platform.set_fault_plan(sched.plan.clone()).expect("schedule plans are valid");
-    platform.enable_recovery(RecoveryConfig::aggressive());
-    let pcfg = PlatformConfig::default();
-    platform
-        .set_platform_config(PlatformConfig { no_progress_window: CHAOS_WINDOW, ..pcfg })
-        .expect("chaos window is valid");
     let reference = built.context.interpret(built.root).expect("interpretable");
-    // Bounded even in the worst case: the attempt budget × stall window
-    // dominates; the 2M slack covers recovery backoff multiplication.
-    let cap = 800 * compiled.len() as u64
-        + u64::from(pcfg.max_kernel_attempts) * CHAOS_WINDOW
-        + 2_000_000;
-    let (outcome, cycles, outputs, degradation) = match platform.run_kernel(&compiled, cap) {
-        Ok(run) => ("ok".to_string(), run.cycles, run.outputs.clone(), run.degradation),
-        Err(PlatformError::KernelTimeout { cycles, .. }) => {
-            ("timeout".to_string(), cycles, Vec::new(), None)
-        }
-        Err(PlatformError::Unrecoverable { resource, attempts, cycles, .. }) => {
-            (format!("unrecoverable:{resource}/a{attempts}"), cycles, Vec::new(), None)
-        }
-        Err(e) => panic!("chaos cell {} failed to submit: {e}", cell.name()),
-    };
-    let rec = platform.recovery_stats();
-    let counters = platform.fault_counters();
-    (
-        ModeOutcome {
-            outcome,
-            cycles,
-            outputs,
-            degradation,
-            detected: rec.detected,
-            recovered: rec.recovered,
-            retries: rec.retries,
-            corrupt_detected: rec.corrupt_detected,
-            injected: counters.injected,
-            dropped_packets: counters.dropped_packets,
-        },
-        sched,
-        reference,
-    )
+    (compiled, reference)
 }
 
-/// The merged outcome of one chaos cell across both stepping modes.
+/// Runs `kernel` once under `sched` in stepping mode `mode`; returns the
+/// platform, for its counters, with the verdict.
+fn run_mode(
+    kernel: &CompiledKernel,
+    sched: &ChaosSchedule,
+    mode: Stepping,
+) -> (SnackPlatform, Result<KernelRun, PlatformError>) {
+    let mut platform =
+        SnackPlatform::with_cpm_count(noc_config().with_stepping(mode), sched.cpm_count)
+            .expect("valid platform config");
+    platform.set_fault_plan(sched.plan.clone()).expect("schedule plans are valid");
+    platform.enable_recovery(RecoveryConfig::aggressive());
+    let pcfg = PlatformConfig { no_progress_window: CHAOS_WINDOW, ..PlatformConfig::default() };
+    platform.set_platform_config(pcfg).expect("chaos window is valid");
+    // Bounded even in the worst case: the attempt budget × stall window
+    // dominates; the 2M slack covers recovery backoff multiplication.
+    let cap = 800 * kernel.len() as u64
+        + u64::from(pcfg.max_kernel_attempts) * CHAOS_WINDOW
+        + 2_000_000;
+    let verdict = platform.run_kernel(kernel, cap);
+    (platform, verdict)
+}
+
+/// The merged outcome of one checked run across both stepping modes.
 #[derive(Clone, Debug)]
 pub struct ChaosCellResult {
-    /// Cell display name (`kernel-size/s<seed>`).
+    /// Display name (see [`ChaosCell::name`]).
     pub name: String,
     /// `"ok"`, `"timeout"`, or `"unrecoverable:<resource>/a<attempts>"`.
     pub outcome: String,
@@ -251,42 +300,103 @@ pub struct ChaosCellResult {
     pub dead_links: usize,
     /// Corner CPMs on the cell's platform.
     pub cpms: usize,
-    /// Kernel-level remapped resubmissions taken.
+    /// Kernel-level remapped resubmissions taken (0 unless the kernel
+    /// completed).
     pub remaps: u32,
-    /// Home-CPM failovers taken.
+    /// Home-CPM failovers taken (0 unless the kernel completed).
     pub failovers: u32,
-    /// Cycles burned by abandoned attempts.
+    /// Cycles burned by abandoned attempts (0 unless the kernel
+    /// completed).
     pub penalty_cycles: u64,
-    /// Watchdog re-issue attempts across the whole run.
+    /// Watchdog re-issue attempts (overflow replays + producer
+    /// retransmissions) across the whole run, whatever the verdict.
     pub watchdog_retries: u64,
     /// Tokens the CPM watchdog declared lost.
     pub detected: u64,
     /// Detected tokens that subsequently retired normally.
     pub recovered: u64,
+    /// Fault events injected by the network fault layer.
+    pub injected: u64,
+    /// Whole packets dropped from the wire.
+    pub dropped_packets: u64,
+    /// Packets delivered with corrupted payloads.
+    pub corrupted_packets: u64,
+    /// Watchdog sweeps that found at least one overdue token.
+    pub watchdog_fires: u64,
+    /// Tokens discarded on arrival for failing their checksum.
+    pub corrupt_detected: u64,
+    /// Median detection-to-retirement recovery latency, cycles (0 when
+    /// nothing was recovered).
+    pub recovery_p50: u64,
     /// Whether both stepping modes produced the identical outcome.
     pub modes_agree: bool,
     /// Invariant violations found (empty on a healthy run).
     pub violations: Vec<String>,
 }
 
-/// Runs one chaos cell in both stepping modes and checks every
-/// invariant. Violations are *recorded*, not panicked — the harness
-/// reports them so CI can fail with the full picture.
-pub fn run_chaos_cell(cell: &ChaosCell) -> ChaosCellResult {
-    let [dense, others @ ..] = Stepping::ALL;
-    let (base, sched, reference) = run_mode(cell, dense);
+/// The checker: runs `kernel` at `size` with inputs from `seed` under
+/// `sched` in every stepping mode, and checks every clause of the
+/// robustness contract (module docs). `sched` may be any schedule.
+/// Violations are *recorded*, not panicked — the harness reports them
+/// so CI can fail with the full picture; the row is named `name`.
+///
+/// # Panics
+///
+/// Panics if the platform rejects the kernel at submission, a harness
+/// bug rather than a fault outcome.
+pub fn check_schedule(
+    name: String,
+    kernel: Kernel,
+    size: usize,
+    seed: u64,
+    sched: &ChaosSchedule,
+) -> ChaosCellResult {
+    let (compiled, reference) = prepare(kernel, size, seed);
+    let [base, others @ ..] = Stepping::ALL.map(|mode| {
+        let (mut platform, verdict) = run_mode(&compiled, sched, mode);
+        let (outcome, cycles, outputs, degradation) = match verdict {
+            Ok(run) => ("ok".to_string(), run.cycles, run.outputs, run.degradation),
+            Err(PlatformError::KernelTimeout { cycles, .. }) => {
+                ("timeout".to_string(), cycles, Vec::new(), None)
+            }
+            Err(PlatformError::Unrecoverable { resource, attempts, cycles, .. }) => {
+                (format!("unrecoverable:{resource}/a{attempts}"), cycles, Vec::new(), None)
+            }
+            Err(e) => panic!("{name} failed to submit: {e}"),
+        };
+        let rec = platform.recovery_stats();
+        let faults = platform.fault_counters();
+        let rcu = platform.rcu_stats();
+        let (sent, delivered) =
+            (platform.net_injected_packets(), platform.net_delivered_packets());
+        ModeOutcome {
+            outcome,
+            cycles,
+            outputs,
+            degradation,
+            detected: rec.detected,
+            recovered: rec.recovered,
+            retries: rec.retries,
+            watchdog_fires: rec.watchdog_fires,
+            corrupt_detected: rec.corrupt_detected,
+            recovery_p50: rec.recovery_latency.percentile(50.0),
+            injected: faults.injected,
+            dropped_packets: faults.dropped_packets,
+            corrupted_packets: faults.corrupted_packets,
+            rcu: (rcu.executed, rcu.captures, rcu.stalled_cycles),
+            stats: stats_fingerprint(sent, delivered, 0, platform.finalize_stats()),
+        }
+    });
     let mut violations = Vec::new();
-    let mut modes_agree = true;
-    for mode in others {
-        let (other, _, _) = run_mode(cell, mode);
-        if other != base {
-            modes_agree = false;
+    for (mode, other) in Stepping::ALL[1..].iter().zip(&others) {
+        if *other != base {
             violations.push(format!(
                 "{mode} stepping diverged from dense: {} @{} vs {} @{}",
                 other.outcome, other.cycles, base.outcome, base.cycles
             ));
         }
     }
+    let modes_agree = violations.is_empty();
     let finished = base.outcome == "ok";
     let verified = finished && base.outputs == reference;
     if finished && !verified {
@@ -324,9 +434,16 @@ pub fn run_chaos_cell(cell: &ChaosCell) -> ChaosCellResult {
                 base.recovered, base.detected
             ));
         }
-        if sched.dead_links > 0 && base.degradation.is_none() {
+        if sched.dead_links() > 0 && base.degradation.is_none() {
             violations.push("permanently dead link but no degradation report".into());
         }
+    }
+    if base.outcome == "timeout" && base.detected <= base.recovered {
+        // A run only times out on losses the watchdog could not heal.
+        violations.push(format!(
+            "timeout with every detected loss recovered: {}/{}",
+            base.recovered, base.detected
+        ));
     }
     if base.outcome.starts_with("unrecoverable") && !sched.has_permanent() {
         violations.push("unrecoverable verdict without a permanent fault".into());
@@ -342,25 +459,37 @@ pub fn run_chaos_cell(cell: &ChaosCell) -> ChaosCellResult {
         ));
     }
     ChaosCellResult {
-        name: cell.name(),
+        name,
         outcome: base.outcome,
         verified,
         cycles: base.cycles,
-        dead_rcus: sched.dead_rcus,
-        dead_links: sched.dead_links,
+        dead_rcus: sched.dead_rcus(),
+        dead_links: sched.dead_links(),
         cpms: sched.cpm_count,
         remaps: d.remaps,
         failovers: d.failovers,
         penalty_cycles: d.penalty_cycles,
-        watchdog_retries: d.watchdog_retries,
+        watchdog_retries: base.retries,
         detected: base.detected,
         recovered: base.recovered,
+        injected: base.injected,
+        dropped_packets: base.dropped_packets,
+        corrupted_packets: base.corrupted_packets,
+        watchdog_fires: base.watchdog_fires,
+        corrupt_detected: base.corrupt_detected,
+        recovery_p50: base.recovery_p50,
         modes_agree,
         violations,
     }
 }
 
-/// The declarative chaos grid the `snack-chaos` binary exposes.
+/// Runs one grid cell: [`check_schedule`] under its kind's schedule.
+pub fn run_chaos_cell(cell: &ChaosCell) -> ChaosCellResult {
+    let sched = cell.kind.schedule(cell.seed);
+    check_schedule(cell.name(), cell.kernel, cell.size, cell.seed, &sched)
+}
+
+/// The declarative grid the `snack-chaos` binary exposes.
 #[derive(Clone, Debug)]
 pub struct ChaosSpec {
     /// Cells in merge (output) order.
@@ -370,13 +499,15 @@ pub struct ChaosSpec {
 }
 
 impl ChaosSpec {
-    /// Builds the `kernels × seeds` grid (kernel outermost) at input
-    /// `size`.
-    pub fn grid(kernels: &[Kernel], size: usize, seeds: &[u64]) -> Self {
-        let mut cells = Vec::with_capacity(kernels.len() * seeds.len());
+    /// Builds the `kernels × kinds × seeds` grid (kernel outermost, seed
+    /// innermost) at input `size`.
+    pub fn grid(kernels: &[Kernel], size: usize, kinds: &[CellKind], seeds: &[u64]) -> Self {
+        let mut cells = Vec::with_capacity(kernels.len() * kinds.len() * seeds.len());
         for &kernel in kernels {
-            for &seed in seeds {
-                cells.push(ChaosCell { kernel, size, seed });
+            for &kind in kinds {
+                for &seed in seeds {
+                    cells.push(ChaosCell { kernel, size, seed, kind });
+                }
             }
         }
         ChaosSpec { cells, threads: 1 }
@@ -436,7 +567,7 @@ impl ChaosResults {
             let violations = c
                 .violations
                 .iter()
-                .map(|v| format!("\"{}\"", crate::sweep::json_escape(v)))
+                .map(|v| format!("\"{}\"", json_escape(v)))
                 .collect::<Vec<_>>()
                 .join(", ");
             writeln!(
@@ -445,9 +576,11 @@ impl ChaosResults {
                  \"cycles\": {}, \"dead_rcus\": {}, \"dead_links\": {}, \"cpms\": {}, \
                  \"remaps\": {}, \"failovers\": {}, \"penalty_cycles\": {}, \
                  \"watchdog_retries\": {}, \"detected\": {}, \"recovered\": {}, \
+                 \"injected\": {}, \"dropped_packets\": {}, \"corrupted_packets\": {}, \
+                 \"watchdog_fires\": {}, \"corrupt_detected\": {}, \"recovery_p50\": {}, \
                  \"modes_agree\": {}, \"violations\": [{violations}]}}{comma}",
-                crate::sweep::json_escape(&c.name),
-                crate::sweep::json_escape(&c.outcome),
+                json_escape(&c.name),
+                json_escape(&c.outcome),
                 c.verified,
                 c.cycles,
                 c.dead_rcus,
@@ -459,6 +592,12 @@ impl ChaosResults {
                 c.watchdog_retries,
                 c.detected,
                 c.recovered,
+                c.injected,
+                c.dropped_packets,
+                c.corrupted_packets,
+                c.watchdog_fires,
+                c.corrupt_detected,
+                c.recovery_p50,
                 c.modes_agree,
             )?;
         }
@@ -504,7 +643,10 @@ impl ChaosResults {
                     },
                     format!("{}r/{}l", c.dead_rcus, c.dead_links),
                     format!("{}/{}", c.remaps, c.failovers),
+                    c.injected.to_string(),
                     format!("{}/{}", c.recovered, c.detected),
+                    c.watchdog_retries.to_string(),
+                    c.recovery_p50.to_string(),
                     if c.modes_agree { "yes".into() } else { "NO".into() },
                     c.violations.len().to_string(),
                 ]
@@ -512,8 +654,8 @@ impl ChaosResults {
             .collect();
         print_table(
             &[
-                "cell", "outcome", "cycles", "verified", "dead", "remap/fo", "recovered",
-                "modes", "viol",
+                "cell", "outcome", "cycles", "verified", "dead", "remap/fo", "injected",
+                "recovered", "retries", "rec p50", "modes", "viol",
             ],
             &rows,
         );
@@ -526,18 +668,17 @@ mod tests {
 
     #[test]
     fn chaos_schedules_are_seed_deterministic() {
-        let p = SnackPlatform::new(NocConfig::preset(NocPreset::BiNoChs)).unwrap();
-        let a = chaos_schedule(p.mesh(), 42);
-        let b = chaos_schedule(p.mesh(), 42);
+        let a = chaos_schedule(&noc_mesh(), 42);
+        let b = chaos_schedule(&noc_mesh(), 42);
         assert_eq!(a.plan, b.plan);
         assert_eq!(a.cpm_count, b.cpm_count);
-        let c = chaos_schedule(p.mesh(), 43);
+        let c = chaos_schedule(&noc_mesh(), 43);
         assert!(a.plan != c.plan || a.cpm_count != c.cpm_count, "seeds vary the schedule");
     }
 
     #[test]
     fn chaos_cell_holds_invariants_and_is_thread_invariant() {
-        let spec = ChaosSpec::grid(&[Kernel::Mac], 8, &[1, 2, 3]);
+        let spec = ChaosSpec::grid(&[Kernel::Mac], 8, &[CellKind::Random], &[1, 2, 3]);
         let serial = run_chaos(&spec);
         let parallel = run_chaos(&spec.clone().with_threads(4));
         assert_eq!(serial.deterministic_json(), parallel.deterministic_json());
@@ -547,5 +688,38 @@ mod tests {
             serial.deterministic_json()
         );
         assert!(serial.cells.iter().all(|c| c.modes_agree));
+    }
+
+    #[test]
+    fn fixed_rate_cells_keep_their_names_and_plans() {
+        let kinds = CellKind::fixed_rates(&[0.0, 0.01]);
+        assert_eq!(kinds, [CellKind::Clean, CellKind::Drop(0.01), CellKind::Corrupt(0.01)]);
+        let spec = ChaosSpec::grid(&[Kernel::Sgemm, Kernel::Mac], 12, &kinds, &[1, 2]);
+        assert_eq!(spec.cells.len(), 12);
+        assert_eq!(spec.cells[0].name(), "SGEMM-12/clean/s1");
+        assert_eq!(spec.cells[3].name(), "SGEMM-12/drop0.01/s2");
+        assert_eq!(spec.cells[11].name(), "MAC-12/corrupt0.01/s2");
+        let drop = CellKind::Drop(0.01).schedule(7);
+        assert_eq!(drop.plan, FaultPlan::seeded(7).with_drop_rate(0.01));
+        assert_eq!(drop.cpm_count, 1);
+        assert!(CellKind::Clean.schedule(7).is_clean());
+        let cell = ChaosCell { kernel: Kernel::Mac, size: 10, seed: 4, kind: CellKind::Random };
+        assert_eq!(cell.name(), "MAC-10/s4");
+    }
+
+    /// `LatencyHistogram::percentile` takes `p` in 0–100: the reported
+    /// median is `percentile(50.0)`, on a cell where `percentile(0.5)`
+    /// (the 0.5th percentile) reads something else.
+    #[test]
+    fn recovery_p50_is_the_median_recovery_latency() {
+        let cell =
+            ChaosCell { kernel: Kernel::Sgemm, size: 12, seed: 1, kind: CellKind::Drop(0.01) };
+        let (compiled, _) = prepare(cell.kernel, cell.size, cell.seed);
+        let (platform, verdict) =
+            run_mode(&compiled, &cell.kind.schedule(cell.seed), Stepping::Serial);
+        assert!(verdict.is_ok());
+        let latency = platform.recovery_stats().recovery_latency;
+        assert_ne!(latency.percentile(0.5), latency.percentile(50.0));
+        assert_eq!(run_chaos_cell(&cell).recovery_p50, latency.percentile(50.0));
     }
 }

@@ -15,7 +15,6 @@ pub mod args;
 pub mod chaos;
 pub mod csv;
 pub mod experiments;
-pub mod faults;
 pub mod harness;
 pub mod perf;
 pub mod service;

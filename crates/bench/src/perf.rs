@@ -175,8 +175,8 @@ pub fn stats_fingerprint(injected: u64, delivered: u64, pending: u64, stats: &Ne
             c.flits,
             c.latency_sum,
             c.latency_max,
-            c.latency_hist.percentile(0.5),
-            c.latency_hist.percentile(0.99),
+            c.latency_hist.percentile(50.0),
+            c.latency_hist.percentile(99.0),
         ));
     }
     out

@@ -32,8 +32,8 @@ use snacknoc_workloads::kernels::Kernel;
 use snacknoc_workloads::runner::run_benchmark;
 use snacknoc_workloads::suite::{profile, Benchmark};
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -237,10 +237,8 @@ pub struct CellResult {
 pub struct PoolStats {
     /// Workers the pool actually ran.
     pub workers: usize,
-    /// Cells each worker claimed.
-    pub cells_per_worker: Vec<u64>,
-    /// Nanoseconds each worker spent running cells.
-    pub busy_ns_per_worker: Vec<u64>,
+    /// Nanoseconds the cells' timed repetitions took, summed over cells.
+    pub busy_ns: u64,
     /// Wall-clock nanoseconds for the whole sweep.
     pub elapsed_ns: u64,
 }
@@ -252,17 +250,7 @@ impl PoolStats {
         if self.elapsed_ns == 0 || self.workers == 0 {
             return 0.0;
         }
-        let busy: u64 = self.busy_ns_per_worker.iter().sum();
-        busy as f64 / (self.workers as f64 * self.elapsed_ns as f64)
-    }
-
-    /// Completed cells per wall-clock second.
-    pub fn cells_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            return 0.0;
-        }
-        let cells: u64 = self.cells_per_worker.iter().sum();
-        cells as f64 / (self.elapsed_ns as f64 / 1e9)
+        self.busy_ns as f64 / (self.workers as f64 * self.elapsed_ns as f64)
     }
 }
 
@@ -302,8 +290,9 @@ fn execute_cell(cell: &SweepCell) -> (u64, bool, u64, f64, f64, f64) {
 }
 
 /// Runs one cell `samples` times, keeping the (identical) simulation
-/// outputs of the first repetition and the wall-clock of each.
-fn run_cell(cell: &SweepCell, samples: u32) -> CellResult {
+/// outputs of the first repetition and the wall-clock of each; also
+/// returns the repetitions' summed wall-clock.
+fn run_cell(cell: &SweepCell, samples: u32) -> (CellResult, u64) {
     let name = cell.name();
     let mut timings = Vec::with_capacity(samples as usize);
     let mut sim = None;
@@ -315,7 +304,8 @@ fn run_cell(cell: &SweepCell, samples: u32) -> CellResult {
     }
     let (runtime_cycles, finished, completed, median_crossbar, peak_crossbar, mean_comm_latency) =
         sim.expect("at least one repetition ran");
-    CellResult {
+    let busy_ns = timings.iter().sum();
+    let result = CellResult {
         wall: summarize(&name, &timings),
         name,
         runtime_cycles,
@@ -324,49 +314,26 @@ fn run_cell(cell: &SweepCell, samples: u32) -> CellResult {
         median_crossbar,
         peak_crossbar,
         mean_comm_latency,
-    }
+    };
+    (result, busy_ns)
 }
 
-/// Executes the sweep: workers claim cells off an atomic queue, results
-/// merge in cell-index order (bit-identical for any thread count).
+/// Executes the sweep over [`parallel_map`]: results merge in cell-index
+/// order (bit-identical for any thread count).
 pub fn run_sweep(spec: &SweepSpec) -> SweepResults {
-    let jobs = spec.cells.len();
-    let workers = spec.threads.clamp(1, jobs.max(1));
-    let slots: Vec<OnceLock<CellResult>> = (0..jobs).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let cells_per_worker: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let busy_ns_per_worker: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let slots = &slots;
-            let next = &next;
-            let cells_per_worker = &cells_per_worker;
-            let busy_ns_per_worker = &busy_ns_per_worker;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                let c0 = Instant::now();
-                let result = run_cell(&spec.cells[i], spec.samples);
-                let busy = u64::try_from(c0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                cells_per_worker[w].fetch_add(1, Ordering::Relaxed);
-                busy_ns_per_worker[w].fetch_add(busy, Ordering::Relaxed);
-                if slots[i].set(result).is_err() {
-                    unreachable!("cell {i} claimed twice");
-                }
-            });
-        }
+    let runs = parallel_map(spec.cells.len(), spec.threads, |i| {
+        run_cell(&spec.cells[i], spec.samples)
     });
+    let elapsed_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let busy_ns = runs.iter().map(|&(_, busy)| busy).sum();
     SweepResults {
-        cells: slots.into_iter().map(|c| c.into_inner().expect("pool joined")).collect(),
         pool: PoolStats {
-            workers,
-            cells_per_worker: cells_per_worker.into_iter().map(AtomicU64::into_inner).collect(),
-            busy_ns_per_worker: busy_ns_per_worker.into_iter().map(AtomicU64::into_inner).collect(),
-            elapsed_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            workers: spec.threads.clamp(1, runs.len().max(1)),
+            busy_ns,
+            elapsed_ns,
         },
+        cells: runs.into_iter().map(|(cell, _)| cell).collect(),
     }
 }
 
@@ -397,6 +364,14 @@ fn json_f64(x: f64) -> String {
 }
 
 impl SweepResults {
+    /// Completed cells per wall-clock second.
+    pub fn cells_per_sec(&self) -> f64 {
+        if self.pool.elapsed_ns == 0 {
+            return 0.0;
+        }
+        self.cells.len() as f64 / (self.pool.elapsed_ns as f64 / 1e9)
+    }
+
     fn write_cells(&self, w: &mut impl Write) -> io::Result<()> {
         writeln!(w, "  \"cells\": [")?;
         for (i, c) in self.cells.iter().enumerate() {
@@ -470,28 +445,8 @@ impl SweepResults {
         writeln!(w, "  \"timing\": {{")?;
         writeln!(w, "    \"workers\": {},", self.pool.workers)?;
         writeln!(w, "    \"elapsed_ns\": {},", self.pool.elapsed_ns)?;
-        writeln!(w, "    \"cells_per_sec\": {},", json_f64(self.pool.cells_per_sec()))?;
-        writeln!(w, "    \"worker_utilization\": {},", json_f64(self.pool.utilization()))?;
-        writeln!(
-            w,
-            "    \"cells_per_worker\": [{}],",
-            self.pool
-                .cells_per_worker
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        )?;
-        writeln!(
-            w,
-            "    \"busy_ns_per_worker\": [{}]",
-            self.pool
-                .busy_ns_per_worker
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        )?;
+        writeln!(w, "    \"cells_per_sec\": {},", json_f64(self.cells_per_sec()))?;
+        writeln!(w, "    \"worker_utilization\": {}", json_f64(self.pool.utilization()))?;
         writeln!(w, "  }}")?;
         writeln!(w, "}}")?;
         w.flush()
@@ -539,7 +494,7 @@ impl SweepResults {
             "{} cells on {} worker(s): {:.2} cells/sec, {:.0}% worker utilization, {} total",
             self.cells.len(),
             self.pool.workers,
-            self.pool.cells_per_sec(),
+            self.cells_per_sec(),
             100.0 * self.pool.utilization(),
             crate::harness::fmt_ns(self.pool.elapsed_ns),
         );
@@ -590,7 +545,7 @@ mod tests {
         let parallel = run_sweep(&SweepSpec { cells: spec.cells.clone(), threads: 4, samples: 1 });
         assert_eq!(serial.deterministic_json(), parallel.deterministic_json());
         assert!(serial.cells.iter().all(|c| c.finished), "all cells complete");
-        assert_eq!(parallel.pool.cells_per_worker.iter().sum::<u64>(), 3);
+        assert_eq!(parallel.cells.len(), 3);
     }
 
     #[test]

@@ -1869,12 +1869,6 @@ impl SnackPlatform {
             self.cpms[home].note_retired(token.dep, now);
         }
     }
-
-    /// Count of transient data tokens currently parked in CPM overflow
-    /// buffers. Useful for conservation tests.
-    pub fn live_tokens_lower_bound(&self) -> usize {
-        self.cpms.iter().map(|c| c.overflow_backlog()).sum()
-    }
 }
 
 #[cfg(test)]

@@ -102,7 +102,6 @@ mod tests {
     use super::*;
     use crate::event::FireDest;
     use crate::json::validate_chrome_trace;
-    use crate::tracer::Tracer;
 
     fn sample_tracer() -> RingTracer {
         let mut t = RingTracer::new(64);

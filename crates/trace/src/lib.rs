@@ -5,12 +5,12 @@
 //! network's `NetStats` and the like) answer *how much*; this crate
 //! answers *when* and *why*:
 //!
-//! * [`Tracer`] — the instrumentation trait. Producers (router pipeline,
-//!   RCU datapath, CPM control loop) call it at interesting boundaries.
-//! * [`NopTracer`] / [`TracerHandle::Nop`] — the zero-cost default. The
-//!   [`TracerHandle::record_with`] entry point takes a *closure*, so when
-//!   tracing is off no event is even constructed: trace-off runs are
-//!   bit-identical to a build without this crate.
+//! * [`TracerHandle`] — the handle every producer (router pipeline, RCU
+//!   datapath, CPM control loop) holds and records through at
+//!   interesting boundaries. Its default, [`TracerHandle::Nop`], costs one
+//!   branch per hook: the [`TracerHandle::record_with`] entry point takes
+//!   a *closure*, so when tracing is off no event is even constructed, and
+//!   trace-off runs are bit-identical to a build without this crate.
 //! * [`RingTracer`] — per-component-class fixed-capacity ring buffers with
 //!   drop counters, plus exact per-link hop counters that are immune to
 //!   buffer exhaustion.
@@ -46,4 +46,4 @@ pub use analysis::{
 pub use event::{ComponentClass, EventKind, FireDest, TraceEvent, NO_DEP};
 pub use export::to_chrome_trace;
 pub use json::{parse as parse_json, validate_chrome_trace, Json, TraceFileSummary};
-pub use tracer::{NopTracer, RingTracer, Tracer, TracerHandle};
+pub use tracer::{RingTracer, TracerHandle};

@@ -1,45 +1,13 @@
-//! The [`Tracer`] trait, the zero-cost [`NopTracer`], the bounded
-//! [`RingTracer`], and the enum-dispatch [`TracerHandle`] that the
-//! simulator threads through its hot loops.
+//! The bounded [`RingTracer`] and the enum-dispatch [`TracerHandle`]
+//! that the simulator threads through its hot loops.
+//!
+//! Producers call [`TracerHandle::record_with`] at interesting boundaries
+//! and [`TracerHandle::count_link`] once per link traversal. Recording is
+//! deterministic: no wall-clock, no I/O, no iteration over unordered maps.
 
 use std::collections::BTreeMap;
 
 use crate::event::{ComponentClass, EventKind, TraceEvent};
-
-/// Instrumentation sink. Producers call [`Tracer::record`] at interesting
-/// boundaries and [`Tracer::count_link`] once per link traversal.
-///
-/// Implementations must be deterministic: no wall-clock, no I/O, no
-/// iteration over unordered maps.
-pub trait Tracer {
-    /// Whether recording is active. Callers may use this to skip *gathering*
-    /// expensive event inputs (e.g. pre/post state snapshots) entirely.
-    fn enabled(&self) -> bool;
-
-    /// Record one structured event at `cycle`.
-    fn record(&mut self, cycle: u64, kind: EventKind);
-
-    /// Count one flit traversing the link leaving `router` via `out_port`.
-    /// Kept separate from the event buffers so link-utilization heatmaps
-    /// stay exact even when the bounded buffers saturate and drop.
-    fn count_link(&mut self, cycle: u64, router: u32, out_port: u8);
-}
-
-/// The do-nothing tracer: every method is an empty inline body, so a
-/// monomorphized or enum-dispatched call site folds to nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NopTracer;
-
-impl Tracer for NopTracer {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-    #[inline(always)]
-    fn record(&mut self, _cycle: u64, _kind: EventKind) {}
-    #[inline(always)]
-    fn count_link(&mut self, _cycle: u64, _router: u32, _out_port: u8) {}
-}
 
 /// Bounded-memory recording tracer: one fixed-capacity buffer per
 /// component class, drop-newest overflow policy with per-class drop
@@ -131,15 +99,10 @@ impl RingTracer {
         }
         self.last_cycle = self.last_cycle.max(cycle);
     }
-}
 
-impl Tracer for RingTracer {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, cycle: u64, kind: EventKind) {
+    /// Records one structured event at `cycle` (dropped, and counted, when
+    /// its class's buffer is full).
+    pub fn record(&mut self, cycle: u64, kind: EventKind) {
         self.touch(cycle);
         let idx = kind.class().index();
         if self.buffers[idx].len() < self.capacity {
@@ -149,7 +112,10 @@ impl Tracer for RingTracer {
         }
     }
 
-    fn count_link(&mut self, cycle: u64, router: u32, out_port: u8) {
+    /// Counts one flit traversing the link leaving `router` via
+    /// `out_port`. Kept separate from the event buffers so link-utilization
+    /// heatmaps stay exact even when the bounded buffers saturate and drop.
+    pub fn count_link(&mut self, cycle: u64, router: u32, out_port: u8) {
         self.touch(cycle);
         *self.link_hops.entry((router, out_port)).or_insert(0) += 1;
     }
@@ -190,7 +156,7 @@ impl TracerHandle {
         }
     }
 
-    /// Count one link traversal (see [`Tracer::count_link`]).
+    /// Count one link traversal (see [`RingTracer::count_link`]).
     #[inline(always)]
     pub fn count_link(&mut self, cycle: u64, router: u32, out_port: u8) {
         if let TracerHandle::Ring(t) = self {
@@ -212,23 +178,6 @@ impl TracerHandle {
             TracerHandle::Nop => None,
             TracerHandle::Ring(t) => Some(t),
         }
-    }
-}
-
-impl Tracer for TracerHandle {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        self.is_enabled()
-    }
-    #[inline(always)]
-    fn record(&mut self, cycle: u64, kind: EventKind) {
-        if let TracerHandle::Ring(t) = self {
-            t.record(cycle, kind);
-        }
-    }
-    #[inline(always)]
-    fn count_link(&mut self, cycle: u64, router: u32, out_port: u8) {
-        TracerHandle::count_link(self, cycle, router, out_port);
     }
 }
 
@@ -310,7 +259,7 @@ mod tests {
     #[test]
     fn handle_take_leaves_nop() {
         let mut h = TracerHandle::ring(4);
-        h.record(1, ev(0));
+        h.record_with(1, || ev(0));
         let ring = h.take_ring().expect("was ring");
         assert_eq!(ring.len(), 1);
         assert!(!h.is_enabled());

@@ -4,7 +4,7 @@
 use crate::engine::TrafficEngine;
 use crate::message::CmpMessage;
 use crate::profile::BenchmarkProfile;
-use snacknoc_noc::{ConfigError, NetStats, Network, NocConfig};
+use snacknoc_noc::{ConfigError, NetStats, Network, NocConfig, PacketSpec};
 
 /// The outcome of a standalone benchmark run.
 #[derive(Debug)]
@@ -40,6 +40,17 @@ impl RunResult {
 /// nominal (zero-contention) duration.
 const SAFETY_FACTOR: u64 = 20;
 
+/// The cycle at which a run of `profile` is abandoned: [`SAFETY_FACTOR`]
+/// times its nominal (zero-contention) duration plus 100K cycles.
+pub(crate) fn safety_cap(profile: &BenchmarkProfile) -> u64 {
+    let nominal: f64 = profile
+        .phases
+        .iter()
+        .map(|p| p.requests_per_core as f64 * p.think_time / profile.outstanding as f64)
+        .sum();
+    (nominal as u64 + 100_000) * SAFETY_FACTOR
+}
+
 /// Runs `profile` to completion on a fresh NoC built from `cfg`.
 ///
 /// Returns the application runtime and the gathered slack statistics.
@@ -57,13 +68,7 @@ pub fn run_benchmark(
     let mut net: Network<CmpMessage> = Network::new(cfg)?;
     let mesh = *net.mesh();
     let mut engine = TrafficEngine::new(profile.clone(), mesh, seed);
-    let nominal: f64 = profile
-        .phases
-        .iter()
-        .map(|p| p.requests_per_core as f64 * p.think_time / profile.outstanding as f64)
-        .sum();
-    let cap = (nominal as u64 + 100_000) * SAFETY_FACTOR;
-    drive(&mut net, &mut engine, cap);
+    drive(&mut net, &mut engine, safety_cap(profile), |_, _| {});
     // Flush the trailing partial sampling window so short (CI-scale) runs
     // still report utilization samples instead of a silent zero median.
     let stats = net.finalize_stats().clone();
@@ -76,14 +81,21 @@ pub fn run_benchmark(
 }
 
 /// Pumps `engine` over `net` until the workload finishes or `cap` cycles
-/// elapse. Exposed for callers that want to share the loop (e.g. the
+/// elapse, showing `on_inject` each packet (with the cycle) before it is
+/// injected. Exposed for callers that want to share the loop (e.g. the
 /// SnackNoC platform runs the same protocol alongside kernel traffic).
-pub fn drive(net: &mut Network<CmpMessage>, engine: &mut TrafficEngine, cap: u64) {
+pub fn drive(
+    net: &mut Network<CmpMessage>,
+    engine: &mut TrafficEngine,
+    cap: u64,
+    mut on_inject: impl FnMut(u64, &PacketSpec<CmpMessage>),
+) {
     let nodes: Vec<_> = net.mesh().nodes().collect();
     let mut specs = Vec::new();
     while !engine.done() && net.cycle() < cap {
         engine.tick(net.cycle(), &mut specs);
         for spec in specs.drain(..) {
+            on_inject(net.cycle(), &spec);
             net.inject(spec).expect("engine produces valid packets");
         }
         net.step();

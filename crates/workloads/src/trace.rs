@@ -16,6 +16,7 @@
 use crate::engine::TrafficEngine;
 use crate::message::CmpMessage;
 use crate::profile::BenchmarkProfile;
+use crate::runner::{drive, safety_cap};
 use snacknoc_noc::{ConfigError, NetStats, Network, NocConfig, NodeId, PacketSpec, TrafficClass};
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -157,37 +158,17 @@ pub fn record_benchmark(
     seed: u64,
 ) -> Result<RecordedRun, ConfigError> {
     let mut net: Network<CmpMessage> = Network::new(cfg)?;
-    let mesh = *net.mesh();
-    let mut engine = TrafficEngine::new(profile.clone(), mesh, seed);
-    let nominal: f64 = profile
-        .phases
-        .iter()
-        .map(|p| p.requests_per_core as f64 * p.think_time / profile.outstanding as f64)
-        .sum();
-    let cap = (nominal as u64 + 100_000) * 20;
-    let nodes: Vec<_> = mesh.nodes().collect();
+    let mut engine = TrafficEngine::new(profile.clone(), *net.mesh(), seed);
     let mut events = Vec::new();
-    let mut specs = Vec::new();
-    while !engine.done() && net.cycle() < cap {
-        engine.tick(net.cycle(), &mut specs);
-        for spec in specs.drain(..) {
-            events.push(TraceEvent {
-                cycle: net.cycle(),
-                src: spec.src.index() as u32,
-                dst: spec.dst.index() as u32,
-                vnet: spec.vnet,
-                size_bytes: spec.size_bytes,
-            });
-            net.inject(spec).expect("engine produces valid packets");
-        }
-        net.step();
-        let now = net.cycle();
-        for &node in &nodes {
-            for pkt in net.drain_ejected(node) {
-                engine.deliver(now, node, pkt.payload);
-            }
-        }
-    }
+    drive(&mut net, &mut engine, safety_cap(profile), |cycle, spec| {
+        events.push(TraceEvent {
+            cycle,
+            src: spec.src.index() as u32,
+            dst: spec.dst.index() as u32,
+            vnet: spec.vnet,
+            size_bytes: spec.size_bytes,
+        });
+    });
     Ok(RecordedRun {
         trace: Trace::new(events),
         runtime_cycles: engine.finished_at().unwrap_or(net.cycle()),
@@ -268,6 +249,24 @@ mod tests {
         assert_eq!(rec.trace.len() % 2, 0);
         assert!(rec.trace.events().windows(2).all(|w| w[0].cycle <= w[1].cycle));
         assert!(rec.trace.horizon() <= rec.runtime_cycles);
+    }
+
+    /// Recording shares `runner::drive` and its safety cap, so it reaches
+    /// the same runtime as an unrecorded run of the same seed.
+    #[test]
+    fn recording_matches_the_unrecorded_runtime() {
+        use crate::runner::run_benchmark;
+        for (benchmark, cfg, seed) in [
+            (Benchmark::Fmm, NocConfig::dapper(), 3),
+            (Benchmark::Radix, NocConfig::axnoc(), 7),
+            (Benchmark::Volrend, NocConfig::binochs(), 11),
+        ] {
+            let p = profile(benchmark).scaled(0.003);
+            let rec = record_benchmark(&p, cfg.clone(), seed).unwrap();
+            let run = run_benchmark(&p, cfg, seed).unwrap();
+            assert!(rec.finished && run.finished, "{benchmark}/s{seed}");
+            assert_eq!(rec.runtime_cycles, run.runtime_cycles, "{benchmark}/s{seed}");
+        }
     }
 
     #[test]

@@ -81,30 +81,23 @@ cargo test --offline --manifest-path snack_bench/Cargo.toml
 echo "+ cargo clippy --offline --manifest-path snack_bench/Cargo.toml --all-targets -- -D warnings"
 cargo clippy --offline --manifest-path snack_bench/Cargo.toml --all-targets -- -D warnings
 
-# Fault-injection smoke: a fixed micro-grid with the token-loss watchdog
-# on; exits non-zero unless faults were injected AND every detected loss
-# recovered (recovered == detected, outputs bit-exact).
-echo "+ snack-faults --smoke"
-smoke_json=$(mktemp)
 trace_json=$(mktemp)
 perf_json=$(mktemp)
 chaos_json=$(mktemp)
 service_json=$(mktemp)
 chaos_capture=$(mktemp)
 service_capture=$(mktemp)
-trap 'rm -f "$smoke_json" "$trace_json" "$perf_json" "$chaos_json" "$service_json" \
+trap 'rm -f "$trace_json" "$perf_json" "$chaos_json" "$service_json" \
   "$chaos_capture" "$service_capture"' EXIT
-cargo run --release --offline -q -p snacknoc-bench --bin snack-faults -- \
-  --smoke --json "$smoke_json"
 
 # A report that cannot be written is an error, not a silent success: a
 # write to a full device must exit 1 with a message naming the path.
-echo "+ snack-faults --smoke --json /dev/full (must exit 1)"
+echo "+ snack-chaos --smoke --json /dev/full (must exit 1)"
 status=0
-full_err=$(cargo run --release --offline -q -p snacknoc-bench --bin snack-faults -- \
+full_err=$(cargo run --release --offline -q -p snacknoc-bench --bin snack-chaos -- \
   --smoke --json /dev/full 2>&1 >/dev/null) || status=$?
 if [ "$status" -ne 1 ] || ! echo "$full_err" | grep -q "cannot write /dev/full"; then
-  echo "ERROR: snack-faults --json /dev/full exited $status (want 1 with an error):" >&2
+  echo "ERROR: snack-chaos --json /dev/full exited $status (want 1 with an error):" >&2
   echo "$full_err" >&2
   exit 1
 fi
@@ -124,12 +117,14 @@ if [ "$status" -ne 1 ] || ! echo "$csv_err" | grep -q "cannot write $missing_dir
   exit 1
 fi
 
-# Chaos smoke: randomized permanent+transient fault schedules, every cell
-# run in both stepping modes; the binary exits non-zero unless every
+# Fault smoke: randomized permanent+transient fault schedules and fixed
+# 5% drop/corrupt rates with the token-loss watchdog on, every cell run
+# in both stepping modes; the binary exits non-zero unless every
 # invariant holds (termination with a typed verdict, bit-exact outputs,
-# transient recovery, consistent degradation reports, two-mode
-# bit-identity) AND at least one cell completed through an actual
-# remap/failover. The greps re-assert the JSON schema from the shell so a
+# transient recovery, consistent degradation reports, bounded retries,
+# two-mode bit-identity) AND at least one cell completed through an
+# actual remap/failover AND the fixed-rate cells detected a loss. The
+# greps and awk passes re-assert these from the shell so a
 # silently-broken self-check cannot pass CI.
 echo "+ snack-chaos --smoke"
 cargo run --release --offline -q -p snacknoc-bench --bin snack-chaos -- \
@@ -158,6 +153,28 @@ awk -v RS='}' '
   }
   END { if (!found) { print "ERROR: no degraded_completions field in chaos JSON" > "/dev/stderr"; exit 1 } }' \
   "$chaos_json"
+# The fixed-rate rows (named kernel-size/clean|dropR|corruptR/sSEED)
+# must have detected losses between them and recovered every one.
+awk '
+  /"name": "[^"]*\/(clean|drop[0-9.e-]+|corrupt[0-9.e-]+)\/s[0-9]+"/ {
+    match($0, /"detected": [0-9]+/)
+    split(substr($0, RSTART, RLENGTH), detected, ": ")
+    match($0, /"recovered": [0-9]+/)
+    split(substr($0, RSTART, RLENGTH), recovered, ": ")
+    if (recovered[2] + 0 != detected[2] + 0) {
+      print "ERROR: a fixed-rate fault cell recovered " recovered[2] " of " detected[2] \
+            " detected losses" > "/dev/stderr"
+      bad = 1
+      exit 1
+    }
+    total += detected[2]
+    rows++
+  }
+  END {
+    if (bad) exit 1
+    if (!rows) { print "ERROR: no fixed-rate rows in the chaos smoke JSON" > "/dev/stderr"; exit 1 }
+    if (total == 0) { print "ERROR: the fixed-rate smoke cells detected no loss" > "/dev/stderr"; exit 1 }
+  }' "$chaos_json"
 
 # Tracing smoke: run a kernel under the RingTracer and demand (a) the
 # emitted Chrome trace JSON parses, (b) at least one event per component

@@ -9,7 +9,7 @@ use snacknoc::core::SnackPlatform;
 use snacknoc::noc::{NocConfig, NocPreset, Stepping, TrafficClass};
 use snacknoc::workloads::kernels::Kernel;
 use snacknoc::workloads::suite::{profile, Benchmark};
-use snacknoc_bench::faults::{run_fault_sweep, FaultScenario, FaultSweepSpec};
+use snacknoc_bench::chaos::{run_chaos, CellKind, ChaosSpec};
 use snacknoc_bench::sweep::{run_sweep, SweepSpec};
 
 /// A fingerprint of a multi-program run that any nondeterminism would
@@ -83,41 +83,43 @@ fn sweep_reports_are_thread_count_invariant() {
     );
     assert_eq!(serial.cells.len(), cells.len());
     assert!(serial.cells.iter().all(|c| c.finished), "every cell completes");
-    // Pool accounting is consistent even though per-worker splits vary.
-    assert_eq!(
-        parallel.pool.cells_per_worker.iter().sum::<u64>(),
-        cells.len() as u64
+    // Pool accounting is consistent with the per-cell timings: every
+    // cell ran, and busy time covers every timed repetition.
+    assert_eq!(parallel.cells.len(), cells.len());
+    assert_eq!(parallel.pool.workers, 4);
+    assert!(
+        parallel.pool.busy_ns
+            >= parallel.cells.iter().map(|c| c.wall.min_ns * u64::from(c.wall.samples)).sum::<u64>()
     );
 }
 
-/// The fault-injection sweep is deterministic under the same worker pool:
+/// The fixed-rate fault grid is deterministic under the same worker pool:
 /// fault plans are seeded per cell, so the injected drop/corrupt schedule —
 /// and every downstream detection/recovery counter — must be byte-identical
 /// whether one worker runs the grid or four workers race for it.
 #[test]
 fn fault_sweep_reports_are_thread_count_invariant() {
-    let spec = FaultSweepSpec::grid(
+    let spec = ChaosSpec::grid(
         &[Kernel::Mac, Kernel::Reduction],
         8,
-        &[
-            FaultScenario::Clean,
-            FaultScenario::Drop { rate: 0.05 },
-            FaultScenario::Corrupt { rate: 0.05 },
-        ],
+        &CellKind::fixed_rates(&[0.05]),
         &[1, 2],
     );
-    let serial = run_fault_sweep(&spec.clone().with_threads(1));
-    let parallel = run_fault_sweep(&spec.with_threads(4));
+    let serial = run_chaos(&spec.clone().with_threads(1));
+    let parallel = run_chaos(&spec.with_threads(4));
     assert_eq!(
         serial.deterministic_json(),
         parallel.deterministic_json(),
         "threads=1 and threads=4 fault sweeps must merge to identical bytes"
     );
-    assert!(serial.all_consistent(), "every cell verified, recovered == detected");
+    assert!(serial.all_invariants_hold(), "every cell verified, recovered == detected");
     assert!(
         serial.cells.iter().any(|c| c.detected > 0),
         "the faulty scenarios actually exercised recovery"
     );
+    for clean in serial.cells.iter().filter(|c| c.name.contains("/clean/")) {
+        assert!(clean.verified && clean.injected == 0, "{}: clean cells inject nothing", clean.name);
+    }
 }
 
 #[test]
@@ -141,7 +143,7 @@ fn kernel_results_do_not_depend_on_interference() {
     }
 }
 
-/// Tracing determinism, part 1: the default `NopTracer` is exactly free.
+/// Tracing determinism, part 1: the default `TracerHandle::Nop` is exactly free.
 /// A run with an explicitly installed `Nop` handle must be bit-identical
 /// to the untraced fingerprint above — same cycles, same stats, same
 /// medians.
@@ -511,8 +513,7 @@ fn multi_word_worklists_step_identically_in_every_mode() {
 /// invariant intact.
 #[test]
 fn chaos_grid_reports_are_worker_count_invariant() {
-    use snacknoc_bench::chaos::{run_chaos, ChaosSpec};
-    let spec = ChaosSpec::grid(&[Kernel::Mac, Kernel::Reduction], 8, &[1, 2, 3]);
+    let spec = ChaosSpec::grid(&[Kernel::Mac, Kernel::Reduction], 8, &[CellKind::Random], &[1, 2, 3]);
     let serial = run_chaos(&spec.clone().with_threads(1));
     let parallel = run_chaos(&spec.with_threads(4));
     assert_eq!(

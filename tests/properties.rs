@@ -277,28 +277,23 @@ fn single_transient_link_fault_recovers_bit_identically() {
     });
 }
 
-/// Random fault-sweep grids produce byte-identical JSON on 1 and 4
-/// workers, and every cell is internally consistent (finished cells are
-/// verified with `recovered == detected`).
+/// Random fixed-rate fault grids produce byte-identical JSON on 1 and 4
+/// workers, and every cell holds the robustness contract (finished cells
+/// are verified with `recovered == detected`).
 #[test]
 fn random_fault_sweeps_are_thread_count_invariant() {
     use snacknoc::workloads::kernels::Kernel;
-    use snacknoc_bench::faults::{run_fault_sweep, FaultScenario, FaultSweepSpec};
+    use snacknoc_bench::chaos::{run_chaos, CellKind, ChaosSpec};
     prop_check!(cases = 4, seed = 0x51AC_0008, |rng| {
         let kernel = Kernel::ALL[rng.range_usize(0..Kernel::ALL.len())];
         let size = rng.range_usize(6..14);
         let rate = 0.01 + rng.unit_f64() * 0.1;
-        let scenarios = [
-            FaultScenario::Clean,
-            FaultScenario::Drop { rate },
-            FaultScenario::Corrupt { rate },
-        ];
         let seeds: Vec<u64> = (0..rng.range(1..3)).map(|_| rng.range(0..100)).collect();
-        let spec = FaultSweepSpec::grid(&[kernel], size, &scenarios, &seeds);
-        let serial = run_fault_sweep(&spec);
-        let parallel = run_fault_sweep(&spec.clone().with_threads(4));
+        let spec = ChaosSpec::grid(&[kernel], size, &CellKind::fixed_rates(&[rate]), &seeds);
+        let serial = run_chaos(&spec);
+        let parallel = run_chaos(&spec.clone().with_threads(4));
         assert_eq!(serial.deterministic_json(), parallel.deterministic_json());
-        assert!(serial.all_consistent(), "{}", serial.deterministic_json());
+        assert!(serial.all_invariants_hold(), "{}", serial.deterministic_json());
     });
 }
 
@@ -690,79 +685,22 @@ fn pooled_payloads_are_bit_identical_across_modes_and_leak_free() {
 /// link deaths mixed with transient drop/corrupt noise, on 1- or 4-CPM
 /// platforms) produces the identical verdict in every stepping mode:
 /// same outcome (completion, timeout, or typed unrecoverable), same
-/// cycle counts, same outputs, and a bit-equal [`DegradationReport`].
-/// Completed runs must additionally match the fixed-point reference
-/// interpreter — remapping and failover may move work, never change it.
+/// cycle counts, same outputs, a bit-equal [`DegradationReport`], and
+/// the same recovery, RCU and network counters. Completed runs must
+/// additionally match the fixed-point reference interpreter —
+/// remapping and failover may move work, never change it — and every
+/// other clause of the checker's robustness contract holds.
 #[test]
 fn random_chaos_schedules_degrade_identically_in_every_mode() {
-    use snacknoc::compiler::build;
-    use snacknoc::core::{PlatformConfig, PlatformError, RecoveryConfig};
-    use snacknoc::noc::NocPreset;
     use snacknoc::workloads::kernels::Kernel;
-    use snacknoc_bench::chaos::{chaos_schedule, CHAOS_WINDOW};
-    use snacknoc_bench::perf::stats_fingerprint;
+    use snacknoc_bench::chaos::{run_chaos_cell, CellKind, ChaosCell};
     prop_check!(cases = 6, seed = 0x51AC_000B, |rng| {
         let seed = rng.next_u64();
         let kernel = Kernel::ALL[rng.range_usize(0..Kernel::ALL.len())];
         let size = rng.range_usize(6..12);
-        let built = build(kernel, size, seed);
-        let reference = built.context.interpret(built.root).expect("interpretable");
-        let cfg = NocConfig::preset(NocPreset::BiNoChs);
-        let sched = {
-            let probe = SnackPlatform::new(cfg.clone()).expect("valid platform");
-            chaos_schedule(probe.mesh(), seed)
-        };
-        let run_mode = |mode: Stepping| {
-            let mut p = SnackPlatform::with_cpm_count(cfg.clone().with_stepping(mode), sched.cpm_count)
-                .expect("valid platform");
-            let mapper = MapperConfig::for_mesh(p.mesh()).with_mac_fusion(false);
-            let compiled = built.context.compile(built.root, &mapper).expect("compiles");
-            p.set_fault_plan(sched.plan.clone()).expect("valid plan");
-            p.enable_recovery(RecoveryConfig::aggressive());
-            p.set_platform_config(PlatformConfig {
-                no_progress_window: CHAOS_WINDOW,
-                ..PlatformConfig::default()
-            })
-            .expect("valid window");
-            let cap = 800 * compiled.len() as u64 + 8 * CHAOS_WINDOW + 2_000_000;
-            let verdict = match p.run_kernel(&compiled, cap) {
-                Ok(run) => {
-                    assert_eq!(
-                        run.outputs, reference,
-                        "{kernel}-{size}/s{seed} mode {mode}: degraded outputs drifted"
-                    );
-                    format!("ok cycles={} report={:?}", run.cycles, run.degradation)
-                }
-                Err(PlatformError::KernelTimeout { cycles, .. }) => {
-                    format!("timeout cycles={cycles}")
-                }
-                Err(PlatformError::Unrecoverable { resource, attempts, cycles, .. }) => {
-                    format!("unrecoverable {resource} attempts={attempts} cycles={cycles}")
-                }
-                Err(e) => panic!("unexpected platform error: {e}"),
-            };
-            let rec = p.recovery_stats();
-            let rcu = p.rcu_stats();
-            format!(
-                "{verdict} rcu={}/{}/{} recovery={}/{}/{} {}",
-                rcu.executed,
-                rcu.captures,
-                rcu.stalled_cycles,
-                rec.detected,
-                rec.recovered,
-                rec.retries,
-                stats_fingerprint(
-                    p.net_injected_packets(),
-                    p.net_delivered_packets(),
-                    0,
-                    p.finalize_stats(),
-                ),
-            )
-        };
-        let [dense, others @ ..] = Stepping::ALL.map(run_mode);
-        for (mode, other) in Stepping::ALL[1..].iter().zip(others) {
-            assert_eq!(other, dense, "{kernel}-{size}/s{seed}: {mode} diverged from dense under chaos");
-        }
+        let cell = run_chaos_cell(&ChaosCell { kernel, size, seed, kind: CellKind::Random });
+        assert!(cell.modes_agree, "{}: stepping modes diverged under chaos: {:?}", cell.name, cell.violations);
+        assert!(cell.violations.is_empty(), "{}: {:?}", cell.name, cell.violations);
     });
 }
 
