@@ -300,13 +300,12 @@ pub struct ChaosCellResult {
     pub dead_links: usize,
     /// Corner CPMs on the cell's platform.
     pub cpms: usize,
-    /// Kernel-level remapped resubmissions taken (0 unless the kernel
-    /// completed).
+    /// Kernel-level remapped resubmissions taken, on a completed or an
+    /// unrecoverable run (0 on a timeout).
     pub remaps: u32,
-    /// Home-CPM failovers taken (0 unless the kernel completed).
+    /// Home-CPM failovers taken, likewise.
     pub failovers: u32,
-    /// Cycles burned by abandoned attempts (0 unless the kernel
-    /// completed).
+    /// Cycles burned by abandoned attempts, likewise.
     pub penalty_cycles: u64,
     /// Watchdog re-issue attempts (overflow replays + producer
     /// retransmissions) across the whole run, whatever the verdict.
@@ -359,8 +358,8 @@ pub fn check_schedule(
             Err(PlatformError::KernelTimeout { cycles, .. }) => {
                 ("timeout".to_string(), cycles, Vec::new(), None)
             }
-            Err(PlatformError::Unrecoverable { resource, attempts, cycles, .. }) => {
-                (format!("unrecoverable:{resource}/a{attempts}"), cycles, Vec::new(), None)
+            Err(PlatformError::Unrecoverable { resource, attempts, cycles, report, .. }) => {
+                (format!("unrecoverable:{resource}/a{attempts}"), cycles, Vec::new(), Some(report))
             }
             Err(e) => panic!("{name} failed to submit: {e}"),
         };

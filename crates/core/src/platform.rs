@@ -96,6 +96,10 @@ pub enum PlatformError {
         attempts: u32,
         /// Cycles elapsed since the original submission.
         cycles: u64,
+        /// The degradation work done before giving up: remaps, failovers,
+        /// watchdog retries and the cycles of every abandoned attempt
+        /// (`final_attempt_cycles` is 0, since none completed).
+        report: DegradationReport,
         /// In-flight network state when the platform gave up.
         stall: Box<StallReport>,
     },
@@ -147,7 +151,7 @@ impl fmt::Display for PlatformError {
             PlatformError::KernelTimeout { cycles, stall } => {
                 write!(f, "kernel timeout after {cycles} cycles: {stall}")
             }
-            PlatformError::Unrecoverable { resource, attempts, cycles, stall } => write!(
+            PlatformError::Unrecoverable { resource, attempts, cycles, stall, .. } => write!(
                 f,
                 "unrecoverable after {attempts} attempt(s) / {cycles} cycles: \
                  out of {resource}: {stall}"
@@ -1470,12 +1474,13 @@ impl SnackPlatform {
                         && self.cpms[i].state() == CpmState::Idle
                 });
                 let Some(standby) = standby else {
-                    return Err(PlatformError::Unrecoverable {
-                        resource: DegradedResource::StandbyCpms,
-                        attempts: attempt - 1,
-                        cycles: now - overall_start,
-                        stall: Box::new(self.net.stall_report()),
-                    });
+                    return Err(self.unrecoverable(
+                        DegradedResource::StandbyCpms,
+                        attempt - 1,
+                        overall_start,
+                        report,
+                        base_retries,
+                    ));
                 };
                 self.net.tracer_mut().record_with(now, || EventKind::CpmFailover {
                     from: home as u32,
@@ -1503,12 +1508,13 @@ impl SnackPlatform {
                 let live: Vec<NodeId> =
                     self.nodes.iter().copied().filter(|n| !dead.contains(n)).collect();
                 if live.is_empty() {
-                    return Err(PlatformError::Unrecoverable {
-                        resource: DegradedResource::Rcus,
-                        attempts: attempt - 1,
-                        cycles: now - overall_start,
-                        stall: Box::new(self.net.stall_report()),
-                    });
+                    return Err(self.unrecoverable(
+                        DegradedResource::Rcus,
+                        attempt - 1,
+                        overall_start,
+                        report,
+                        base_retries,
+                    ));
                 }
                 // Dead PEs rehome round-robin over the live set, in
                 // first-use order for determinism.
@@ -1550,17 +1556,8 @@ impl SnackPlatform {
             let attempt_start = self.net.cycle();
             match self.run_attempt(home, deadline) {
                 AttemptEnd::Finished(run) => {
-                    let now = self.net.cycle();
                     report.final_attempt_cycles = run.cycles;
-                    report.watchdog_retries = self.recovery_stats().retries - base_retries;
-                    if let Some(p) = self.net.fault_plan() {
-                        report.dead_rcus = p.dead_rcu_nodes_at(now).len();
-                        report.dead_links = p
-                            .links
-                            .iter()
-                            .filter(|l| matches!(l.kind, LinkFaultKind::Dead))
-                            .count();
-                    }
+                    self.settle_report(&mut report, base_retries);
                     let degradation = report.is_degraded().then_some(report);
                     return Ok(KernelRun { degradation, ..run });
                 }
@@ -1585,15 +1582,49 @@ impl SnackPlatform {
                     report.penalty_cycles += now - attempt_start;
                     self.quarantine(home);
                     if attempt >= self.pcfg.max_kernel_attempts {
-                        return Err(PlatformError::Unrecoverable {
-                            resource: DegradedResource::RetryBudget,
-                            attempts: attempt,
-                            cycles: now - overall_start,
-                            stall: Box::new(self.net.stall_report()),
-                        });
+                        return Err(self.unrecoverable(
+                            DegradedResource::RetryBudget,
+                            attempt,
+                            overall_start,
+                            report,
+                            base_retries,
+                        ));
                     }
                 }
             }
+        }
+    }
+
+    /// Completes `report` at the end of a run: the watchdog retries taken
+    /// since the run began at `base_retries`, and the dead RCUs and links
+    /// of the installed plan now.
+    fn settle_report(&self, report: &mut DegradationReport, base_retries: u64) {
+        let now = self.net.cycle();
+        report.watchdog_retries = self.recovery_stats().retries - base_retries;
+        if let Some(p) = self.net.fault_plan() {
+            report.dead_rcus = p.dead_rcu_nodes_at(now).len();
+            report.dead_links =
+                p.links.iter().filter(|l| matches!(l.kind, LinkFaultKind::Dead)).count();
+        }
+    }
+
+    /// The verdict of a run that ran out of `resource` after `attempts`
+    /// attempts, carrying its settled degradation `report`.
+    fn unrecoverable(
+        &self,
+        resource: DegradedResource,
+        attempts: u32,
+        overall_start: u64,
+        mut report: DegradationReport,
+        base_retries: u64,
+    ) -> PlatformError {
+        self.settle_report(&mut report, base_retries);
+        PlatformError::Unrecoverable {
+            resource,
+            attempts,
+            cycles: self.net.cycle() - overall_start,
+            report,
+            stall: Box::new(self.net.stall_report()),
         }
     }
 
@@ -2657,9 +2688,12 @@ mod tests {
         let k = cross_pe_kernel(&mesh);
         p.set_fault_plan(FaultPlan::seeded(19).with_dead_rcu(home_node, 0)).unwrap();
         match p.run_kernel(&k, 200_000) {
-            Err(PlatformError::Unrecoverable { resource, attempts, .. }) => {
+            Err(PlatformError::Unrecoverable { resource, attempts, report, .. }) => {
                 assert_eq!(resource, DegradedResource::StandbyCpms);
                 assert_eq!(attempts, 0, "failed before any submission");
+                assert_eq!(report.remaps, 0, "nothing was submitted, so nothing remapped");
+                assert_eq!((report.failovers, report.penalty_cycles), (0, 0));
+                assert_eq!(report.dead_rcus, 1, "the report names the dead home node");
             }
             other => panic!("expected Unrecoverable, got {other:?}"),
         }
@@ -2687,10 +2721,18 @@ mod tests {
         })
         .unwrap();
         match p.run_kernel(&k, 10_000_000) {
-            Err(PlatformError::Unrecoverable { resource, attempts, cycles, .. }) => {
+            Err(PlatformError::Unrecoverable { resource, attempts, cycles, report, .. }) => {
                 assert_eq!(resource, DegradedResource::RetryBudget);
                 assert_eq!(attempts, 2, "both budgeted attempts were spent");
                 assert!(cycles < 100_000, "bounded by windows, not the cycle cap: {cycles}");
+                assert_eq!(report.remaps, 0, "no RCU is dead, so no attempt was remapped");
+                assert_eq!(report.dead_links, 1);
+                assert_eq!(report.final_attempt_cycles, 0, "no attempt completed");
+                assert!(
+                    report.penalty_cycles > 0 && report.penalty_cycles <= cycles,
+                    "both abandoned attempts are charged: {} of {cycles}",
+                    report.penalty_cycles
+                );
             }
             other => panic!("expected Unrecoverable, got {other:?}"),
         }

@@ -27,13 +27,13 @@
 use crate::bitset::BitSet;
 use crate::config::{NocConfig, Stepping};
 use crate::fault::{FaultAction, FaultState};
-use crate::flit::Flit;
+use crate::flit::{Flit, FlitKind};
 use crate::packet::PacketId;
 use crate::pool::PayloadRef;
-use crate::router::{Departure, Router};
+use crate::router::{Departure, Router, RouterTables};
 use crate::routing::Dir;
 use crate::stats::NetStats;
-use crate::topology::{Mesh, NodeId};
+use crate::topology::Mesh;
 use snacknoc_trace::{EventKind, TracerHandle};
 use std::collections::{HashMap, VecDeque};
 
@@ -104,10 +104,17 @@ pub(super) struct Core {
     links: Vec<Link>,
     /// `link_of[router][dir]` = outgoing link id.
     pub(super) link_of: Vec<[Option<usize>; 4]>,
+    /// `upstream[router][dir]` = the neighbour a flit arriving through
+    /// port `dir` came from, where credits for it return; `u32::MAX` at
+    /// a mesh edge.
+    upstream: Vec<[u32; 4]>,
     /// Routers that can make progress next Phase 4.
     active: BitSet,
-    /// Nodes with a nonzero NI backlog.
+    /// Backlogged nodes whose NI may inject next Phase 3.
     ni_active: BitSet,
+    /// Backlogged nodes whose NI found no Local VC for any vnet's front
+    /// flit; they wait for a Local departure or a new packet.
+    ni_waiting: BitSet,
     /// Links whose slot is occupied.
     occupied_links: BitSet,
     /// Credits applied next Phase 1.
@@ -142,13 +149,16 @@ impl Core {
     pub(super) fn new(cfg: NocConfig) -> Self {
         let mesh = Mesh::new(cfg.cols, cfg.rows);
         let n = mesh.node_count();
-        let routers = mesh.nodes().map(|node| Router::new(&cfg, &mesh, node)).collect();
+        let tables = RouterTables::new(&cfg, &mesh);
+        let routers = mesh.nodes().map(|node| Router::new(&cfg, &mesh, node, &tables)).collect();
         let mut links = Vec::new();
         let mut link_of = vec![[None; 4]; n];
+        let mut upstream = vec![[u32::MAX; 4]; n];
         for node in mesh.nodes() {
             for d in Dir::ROUTER_DIRS {
                 if let Some(nb) = mesh.neighbor(node, d) {
                     link_of[node.index()][d.index()] = Some(links.len());
+                    upstream[node.index()][d.index()] = nb.index() as u32;
                     links.push(Link { to_router: nb.index(), in_port: d.opposite(), slot: None });
                 }
             }
@@ -169,9 +179,11 @@ impl Core {
             nis,
             active: BitSet::new(n),
             ni_active: BitSet::new(n),
+            ni_waiting: BitSet::new(n),
             occupied_links: BitSet::new(links.len()),
             links,
             link_of,
+            upstream,
             pending_credits: Vec::new(),
             departures: Vec::new(),
             reassembly: HashMap::new(),
@@ -199,13 +211,24 @@ impl Core {
         self.pending_credits.is_empty()
             && self.occupied_links.is_empty()
             && self.ni_active.is_empty()
+            && self.ni_waiting.is_empty()
             && self.active.is_empty()
     }
 
+    /// The router a credit for a flit that arrived at router `r` through
+    /// port `in_port` returns to.
+    fn upstream(&self, r: usize, in_port: Dir) -> usize {
+        let up = self.upstream[r][in_port.index()];
+        debug_assert!(up != u32::MAX, "a flit arrived through an unconnected port");
+        up as usize
+    }
+
     /// Accounts `flits` about to be queued at `node`'s NI and returns its
-    /// `vnet` queue. This is the NI-enqueue wakeup edge (DESIGN.md §11).
+    /// `vnet` queue. This is the NI-enqueue wakeup edge (DESIGN.md §11):
+    /// a waiting NI may now have a new front flit.
     pub(super) fn ni_queue(&mut self, node: usize, vnet: u8, flits: u64) -> &mut VecDeque<Flit> {
         self.ni_backlog += flits;
+        self.ni_waiting.remove(node);
         self.ni_active.insert(node);
         let ni = &mut self.nis[node];
         ni.backlog += flits;
@@ -276,12 +299,8 @@ impl Core {
             // The downstream buffer slot reserved for this flit is never
             // filled: return the credit (and the VC on a tail) so the
             // upstream router does not wedge.
-            let upstream = self
-                .mesh
-                .neighbor(NodeId::new(to), in_port)
-                .expect("every link has an upstream router");
             self.pending_credits.push(CreditMsg {
-                router: upstream.index(),
+                router: self.upstream(to, in_port),
                 port: in_port.opposite(),
                 vc: flit.vc(),
                 frees_vc: flit.kind().is_tail(),
@@ -305,17 +324,22 @@ impl Core {
             flit.mark_corrupted();
         }
         let cap = self.cfg.buffers_per_vc as usize;
-        self.routers[to].accept_flit(&self.mesh, &self.cfg, in_port, flit, cycle, cap);
+        self.routers[to].accept_flit(in_port, flit, cycle, cap);
         self.active.insert(to);
         self.buffered += 1;
     }
 
-    /// Phase 3: NI injection for backlogged nodes, ascending (dense
-    /// stepping visits every NI). A node with empty queues is a pure
-    /// no-op, round-robin pointer included, so skipping it is exact.
+    /// Phase 3: NI injection for the backlogged nodes that are not
+    /// waiting, ascending (dense stepping visits every NI). A node with
+    /// empty queues is a pure no-op, round-robin pointer included, and so
+    /// is a waiting one: until a Local departure at its router or a new
+    /// packet, no vnet's front flit can find a Local VC. So skipping
+    /// either is exact.
     fn inject(&mut self, cycle: u64) {
-        let backlogged = |n: usize| self.nis[n].backlog > 0;
-        debug_assert!(same_members(&self.ni_active, self.nis.len(), backlogged));
+        let ready = |n: usize| self.nis[n].backlog > 0 && !self.ni_waiting.contains(n);
+        debug_assert!(same_members(&self.ni_active, self.nis.len(), ready));
+        let stuck = |n: usize| self.nis[n].backlog > 0 && self.ni_pick(n).is_none();
+        debug_assert!(self.ni_waiting.iter().all(stuck), "a waiting NI could inject");
         let dense = self.dense();
         let mut at = 0;
         loop {
@@ -326,52 +350,74 @@ impl Core {
             };
             let Some(node) = next else { break };
             at = node + 1;
-            if !self.inject_node(node, cycle) {
-                self.ni_active.remove(node);
+            match self.ni_pick(node) {
+                Some((v, vc)) => self.inject_flit(node, v, vc, cycle),
+                None if self.nis[node].backlog > 0 => {
+                    self.ni_active.remove(node);
+                    self.ni_waiting.insert(node);
+                }
+                None => {}
             }
         }
     }
 
-    /// Moves at most one flit from NI `node` into its local router,
-    /// trying the vnets round-robin. Returns whether the NI still has
-    /// backlogged flits.
-    fn inject_node(&mut self, node: usize, cycle: u64) -> bool {
+    /// The vnet whose front flit NI `node` would inject now, trying the
+    /// vnets round-robin, and the Local input VC it would take.
+    fn ni_pick(&self, node: usize) -> Option<(usize, u8)> {
         let vnets = self.cfg.vnets as usize;
         let k = self.cfg.vcs_per_vnet as usize;
         let cap = self.cfg.buffers_per_vc as usize;
-        let ni = &mut self.nis[node];
-        for step in 0..vnets {
-            let v = (ni.rr + step) % vnets;
-            let Some(front) = ni.queues[v].front() else {
-                continue;
-            };
-            let router = &self.routers[node];
-            let vc = match ni.streaming[v] {
-                Some(vc) => {
-                    debug_assert!(!front.kind().is_head());
-                    router.local_vc_accepts(vc as usize, false, cap).then_some(vc)
-                }
-                None => {
-                    debug_assert!(front.kind().is_head());
-                    (v * k..(v + 1) * k)
-                        .find(|&vc| router.local_vc_accepts(vc, true, cap))
-                        .map(|vc| vc as u8)
-                }
-            };
-            let Some(vc) = vc else { continue };
-            let mut flit = ni.queues[v].pop_front().expect("front checked above");
-            flit.set_vc(vc);
-            ni.streaming[v] = if flit.kind().is_tail() { None } else { Some(vc) };
-            ni.backlog -= 1;
-            ni.rr = (v + 1) % vnets;
-            self.routers[node].accept_flit(&self.mesh, &self.cfg, Dir::Local, flit, cycle, cap);
-            self.buffered += 1;
-            self.ni_backlog -= 1;
-            self.stats.injected_flits += 1;
-            self.active.insert(node);
-            break;
+        let (ni, router) = (&self.nis[node], &self.routers[node]);
+        if ni.backlog == 0 {
+            return None;
         }
-        self.nis[node].backlog > 0
+        let mut v = ni.rr;
+        for _ in 0..vnets {
+            if let Some(front) = ni.queues[v].front() {
+                let vc = match ni.streaming[v] {
+                    Some(vc) => {
+                        debug_assert!(!front.kind().is_head());
+                        router.local_vc_accepts(vc as usize, false, cap).then_some(vc)
+                    }
+                    None => {
+                        debug_assert!(front.kind().is_head());
+                        (v * k..(v + 1) * k)
+                            .find(|&vc| router.local_vc_accepts(vc, true, cap))
+                            .map(|vc| vc as u8)
+                    }
+                };
+                if let Some(vc) = vc {
+                    return Some((v, vc));
+                }
+            }
+            v += 1;
+            if v == vnets {
+                v = 0;
+            }
+        }
+        None
+    }
+
+    /// Moves the front flit of NI `node`'s vnet `v` into Local input VC
+    /// `vc` of its router, and takes it off the NI worklist once the
+    /// backlog empties.
+    fn inject_flit(&mut self, node: usize, v: usize, vc: u8, cycle: u64) {
+        let vnets = self.cfg.vnets as usize;
+        let cap = self.cfg.buffers_per_vc as usize;
+        let ni = &mut self.nis[node];
+        let mut flit = ni.queues[v].pop_front().expect("the picked vnet has a front flit");
+        flit.set_vc(vc);
+        ni.streaming[v] = if flit.kind().is_tail() { None } else { Some(vc) };
+        ni.backlog -= 1;
+        ni.rr = if v + 1 == vnets { 0 } else { v + 1 };
+        if ni.backlog == 0 {
+            self.ni_active.remove(node);
+        }
+        self.routers[node].accept_flit(Dir::Local, flit, cycle, cap);
+        self.buffered += 1;
+        self.ni_backlog -= 1;
+        self.stats.injected_flits += 1;
+        self.active.insert(node);
     }
 
     /// Phase 4: router pipelines (VA, SA/ST) plus ejection for routers
@@ -414,20 +460,24 @@ impl Core {
         }
         for dep in departures.drain(..) {
             self.buffered -= 1;
-            if dep.in_port != Dir::Local {
-                let upstream = self
-                    .mesh
-                    .neighbor(NodeId::new(r), dep.in_port)
-                    .expect("flit arrived from a connected port");
+            if dep.in_port == Dir::Local {
+                // Wakeup edge: a Local departure frees buffer space or a
+                // VC that the node's waiting NI may take.
+                if self.ni_waiting.remove(r) {
+                    self.ni_active.insert(r);
+                }
+            } else {
                 self.pending_credits.push(CreditMsg {
-                    router: upstream.index(),
+                    router: self.upstream(r, dep.in_port),
                     port: dep.in_port.opposite(),
                     vc: dep.in_vc,
                     frees_vc: dep.was_tail,
                 });
             }
+            let flit = self.routers[r].departed(&dep);
             if dep.out_port == Dir::Local {
-                self.eject(r, dep.flit, cycle);
+                let flit = *flit;
+                self.eject(r, flit, cycle);
                 continue;
             }
             let lid =
@@ -435,14 +485,14 @@ impl Core {
             self.tracer.record_with(cycle, || EventKind::FlitHop {
                 router: r as u32,
                 out_port: dep.out_port.index() as u8,
-                flit: dep.flit.id,
-                packet: dep.flit.packet_id,
+                flit: flit.id,
+                packet: flit.packet_id,
             });
             self.tracer.count_link(cycle, r as u32, dep.out_port.index() as u8);
             self.stats.record_link_cycle(lid, true);
             let slot = &mut self.links[lid].slot;
             debug_assert!(slot.is_none(), "link carries one flit per cycle");
-            *slot = Some(dep.flit);
+            *slot = Some(*flit);
             self.occupied_links.insert(lid);
         }
         self.departures = departures;
@@ -450,8 +500,14 @@ impl Core {
     }
 
     /// Ejects one flit at `node` into its packet's reassembly. A completed
-    /// packet is traced here and staged for payload resolution.
+    /// packet is traced here and staged for payload resolution. A
+    /// single-flit packet ejecting while no reassembly is pending cannot
+    /// meet a partial of its own, so it is staged directly.
     fn eject(&mut self, node: usize, flit: Flit, cycle: u64) {
+        if flit.kind() == FlitKind::HeadTail && self.reassembly.is_empty() {
+            self.deliver_packet(node, flit, 1, flit.corrupted(), cycle);
+            return;
+        }
         let pid = flit.packet_id;
         let entry = self.reassembly.entry(pid).or_default();
         entry.flits += 1;
@@ -487,21 +543,22 @@ impl Core {
             self.lost += 1;
             return;
         };
+        let corrupted = partial.corrupted || head.corrupted();
+        self.deliver_packet(node, head, partial.flits, corrupted, cycle);
+    }
+
+    /// Traces a packet whose tail ejected at `node` and stages its
+    /// delivery.
+    fn deliver_packet(&mut self, node: usize, head: Flit, flits: u64, corrupted: bool, cycle: u64) {
         self.tracer.record_with(cycle, || EventKind::PacketEject {
-            packet: pid,
+            packet: head.packet_id,
             node: node as u32,
             latency: cycle.saturating_sub(head.queued_at),
             hops: head.hops(),
-            flits: partial.flits,
+            flits,
             class: head.class().code(),
         });
-        self.pool_work.push(PoolWork::Deliver {
-            node,
-            delivered_at: cycle,
-            flits: partial.flits,
-            corrupted: partial.corrupted || head.corrupted(),
-            head,
-        });
+        self.pool_work.push(PoolWork::Deliver { node, delivered_at: cycle, flits, corrupted, head });
     }
 
     /// Phase 5: per-router input-buffer occupancy samples (the paper's

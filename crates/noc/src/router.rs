@@ -16,22 +16,26 @@
 //! SnackNoC instruction/data flits only if no communication flit requests
 //! the resource (paper §III-D3).
 //!
-//! ## Bitmask-driven allocation
+//! ## Request sets
 //!
-//! The allocators never scan all ports × VCs. Four per-port `u64` bitmasks
-//! — `routed_mask` / `active_mask` over input VCs and `free_mask` /
-//! `credit_mask` over output VCs — are maintained at every state
-//! transition (head arrival, VC grant, tail traversal, credit return, VC
-//! free) and iterated with `trailing_zeros`, so a cycle's allocation work
-//! is proportional to the *resident* packets, not the configured resource
-//! count: VA only advances its pointer when no VC is routed, SA stage 1
-//! asks only ports with an active VC to nominate, and stage 2 keeps a
-//! 5-bit request mask over input ports per output (one per class under
-//! priority arbitration), whose winner is the first set bit at or after
-//! the output's round-robin pointer. [`NocConfig::validate`] caps
-//! `vcs_per_port` at 64 to keep one word per port. Debug builds
-//! cross-check every mask against a fresh scan of the underlying state,
-//! exactly like the incremental occupancy counters elsewhere in the crate.
+//! The allocators never scan all ports × VCs. VA works on `VcSet`s of
+//! flat input-VC indices `port * vcs + vc`. Each output port keeps a
+//! *waiting* set (routed heads whose route is that output) and an *open*
+//! set (input VCs whose vnet still has a free output VC there; every
+//! input VC for `Local`). Head acceptance, VA grants and
+//! `Router::free_output_vc` keep both current, so VA visits only the
+//! outputs whose two sets intersect and walks each intersection once, in
+//! round-robin order from `va_rr`: nearly every head it visits is granted.
+//! SA keeps a `u64` per input port of VCs holding an output VC
+//! (`active_mask`), and per output port masks of free (`free_mask`) and
+//! credited (`credit_mask`) VCs. Stage 1 asks only ports with an active
+//! VC to nominate; each nomination sets the input port's bit in a 5-bit
+//! request mask of its output (one per class under priority arbitration),
+//! and stage 2 visits only the outputs that got a request, granting the
+//! first set bit at or after the output's pointer. [`NocConfig::validate`]
+//! caps `vcs_per_port` at 64, so a port's VCs fit one word and a set
+//! `SET_WORDS` words. Debug builds cross-check every set and mask
+//! against a fresh scan of the state it summarizes.
 //!
 //! ## Flat storage
 //!
@@ -39,14 +43,15 @@
 //! flat arrays indexed `port * vcs + vc`, and all of a router's flits
 //! share one slot array whose freed slots are reused last-freed first, so
 //! a busy router's flits stay in a few hot cache lines (DESIGN.md §16).
-//! VA and SA read only the VC records and masks, plus, for the pipeline
-//! gate, the front flit of a VC that could otherwise traverse.
+//! VA and SA read only the VC records, sets and masks, plus, for the
+//! pipeline gate, the front flit of a VC that could otherwise traverse.
 
 use crate::config::NocConfig;
 use crate::flit::Flit;
-use crate::routing::{xy_route, Dir};
+use crate::routing::{xy_dir, Dir};
 use crate::topology::{Mesh, NodeId};
 use snacknoc_trace::{EventKind, TracerHandle};
+use std::sync::Arc;
 
 /// State of an input virtual channel's resident packet.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -70,30 +75,22 @@ struct InputVc {
     /// head arrives. A VC holds one packet at a time (atomic VC reuse),
     /// so every flit behind the head shares its class.
     snack: bool,
-    /// The resident packet's vnet, which is also `vc / vcs_per_vnet`.
+    /// This VC's vnet, `vc / vcs_per_vnet`, which is also its packet's.
     vnet: u8,
+    /// This VC's input port and index within it, so that a walk over
+    /// flat indices needs no division.
+    port: u8,
+    vc: u8,
     /// Ring position of the front flit.
     head: u8,
     /// Flits buffered.
     len: u8,
 }
 
-impl InputVc {
-    const IDLE: InputVc = InputVc { state: VcState::Idle, snack: false, vnet: 0, head: 0, len: 0 };
-}
-
 /// Index into a router's flit-slot array. A router at
 /// [`NocConfig::validate`]'s limits buffers 5 × 64 × 255 = 81,600 flits,
 /// more than `u16` can address.
 type Slot = u32;
-
-/// An input port's switch-allocation nominee.
-#[derive(Clone, Copy, Debug)]
-struct Nominee {
-    vc: usize,
-    out_port: Dir,
-    snack: bool,
-}
 
 /// The bits `lo..hi` of a `u64`, set.
 fn range_mask(lo: usize, hi: usize) -> u64 {
@@ -103,11 +100,109 @@ fn range_mask(lo: usize, hi: usize) -> u64 {
     below_hi & !below_lo
 }
 
-/// A flit leaving the router through the crossbar this cycle.
+/// Words in a [`VcSet`]: [`NocConfig::validate`]'s limit of 64 VCs on
+/// each of the five ports is 320 flat input VCs.
+const SET_WORDS: usize = Dir::COUNT;
+
+/// A set of flat input-VC indices `port * vcs + vc`, one bit each. A
+/// router's sets use only its low `words` words, so operations over the
+/// whole set take that count: the default, BiNoCHS and AxNoC routers (60
+/// input VCs) touch one word and DAPPER's (75) two.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+struct VcSet([u64; SET_WORDS]);
+
+impl VcSet {
+    fn insert(&mut self, i: usize) {
+        self.0[i >> 6] |= 1 << (i & 63);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.0[i >> 6] &= !(1 << (i & 63));
+    }
+
+    fn is_empty(&self, words: usize) -> bool {
+        self.0[..words].iter().all(|&w| w == 0)
+    }
+
+    fn len(&self, words: usize) -> usize {
+        self.0[..words].iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn intersects(&self, other: &VcSet, words: usize) -> bool {
+        (0..words).any(|w| self.0[w] & other.0[w] != 0)
+    }
+
+    fn union_with(&mut self, other: &VcSet, words: usize) {
+        for w in 0..words {
+            self.0[w] |= other.0[w];
+        }
+    }
+
+    fn subtract(&mut self, other: &VcSet, words: usize) {
+        for w in 0..words {
+            self.0[w] &= !other.0[w];
+        }
+    }
+}
+
+/// The word visits of a round-robin walk from flat index `from` over
+/// the first `words` words of a [`VcSet`]: `(word, mask)` pairs, first
+/// `from`'s word masked to the bits at or above it, then each other word
+/// in turn, and last `from`'s word again masked to the bits below it.
+fn rotation(words: usize, from: usize) -> impl Iterator<Item = (usize, u64)> {
+    let (first, below) = (from >> 6, (1u64 << (from & 63)) - 1);
+    (0..=words).map(move |k| {
+        let mut w = first + k;
+        if w >= words {
+            w -= words;
+        }
+        let part = match k {
+            0 => !below,
+            _ if k == words => below,
+            _ => !0,
+        };
+        (w, part)
+    })
+}
+
+/// Lookup tables that every router of a network shares: one copy per
+/// network, however many routers.
+#[derive(Debug)]
+pub(crate) struct RouterTables {
+    /// Per vnet, its flat input VCs on all five ports: the members an
+    /// output's open set gains or loses with the vnet's last free VC.
+    vnet_inputs: Vec<VcSet>,
+    /// Every node's `(x, y)` mesh coordinates, so that routing a head
+    /// divides nothing.
+    coords: Vec<(u16, u16)>,
+}
+
+impl RouterTables {
+    pub(crate) fn new(cfg: &NocConfig, mesh: &Mesh) -> Arc<RouterTables> {
+        let (vcs, per_vnet) = (cfg.vcs_per_port(), usize::from(cfg.vcs_per_vnet));
+        let mut vnet_inputs = vec![VcSet::default(); usize::from(cfg.vnets)];
+        for port in 0..Dir::COUNT {
+            for (vnet, set) in vnet_inputs.iter_mut().enumerate() {
+                for i in port * vcs + vnet * per_vnet..port * vcs + (vnet + 1) * per_vnet {
+                    set.insert(i);
+                }
+            }
+        }
+        // Nodes are numbered row by row.
+        let (cols, rows) = (mesh.cols() as u16, mesh.rows() as u16);
+        let coords = (0..rows).flat_map(|y| (0..cols).map(move |x| (x, y))).collect();
+        Arc::new(RouterTables { vnet_inputs, coords })
+    }
+}
+
+/// A flit leaving the router through the crossbar this cycle. The flit
+/// itself, already stamped with its downstream VC and hop, stays in its
+/// freed slot until the router next accepts a flit; read it with
+/// [`Router::departed`].
 #[derive(Debug)]
 pub(crate) struct Departure {
-    /// The flit (already stamped with its downstream VC).
-    pub flit: Flit,
+    /// The freed slot holding the flit.
+    slot: Slot,
     /// Output port it leaves through (`Local` = ejection).
     pub out_port: Dir,
     /// Input port it occupied (`Local` = it was injected here).
@@ -123,10 +218,19 @@ pub(crate) struct Departure {
 #[derive(Clone, Debug)]
 pub(crate) struct Router {
     node: NodeId,
+    /// This router's mesh coordinates, cached for route computation.
+    at: (u16, u16),
     /// Virtual channels per port.
     vcs: usize,
+    /// VCs per vnet, and a mask of that many low bits.
+    per_vnet: usize,
+    vnet_vcs: u64,
+    /// The [`VcSet`] words that the `Dir::COUNT * vcs` flat input VCs
+    /// fill.
+    words: usize,
     /// Flit slots per input VC (`buffers_per_vc`).
     depth: usize,
+    tables: Arc<RouterTables>,
     /// Input VCs, indexed `port * vcs + vc`.
     inputs: Vec<InputVc>,
     /// Per-input-VC rings of slot indices: VC `i` owns
@@ -146,15 +250,20 @@ pub(crate) struct Router {
     credits: Vec<u8>,
     /// Whether each output port has a link (Local is always "connected").
     connected: [bool; Dir::COUNT],
-    /// Per-input-port bitmask of VCs in the `Routed` state (VA requests).
-    routed_mask: [u64; Dir::COUNT],
+    /// Per output port, the `Routed` input VCs whose route it is.
+    waiting: [VcSet; Dir::COUNT],
+    /// Per output port, the input VCs whose vnet has a free output VC
+    /// there; every input VC for `Local`.
+    open: [VcSet; Dir::COUNT],
+    /// Bit `o` set iff `waiting[o]` is non-empty.
+    waiting_ports: u8,
     /// Per-input-port bitmask of VCs in the `Active` state (SA candidates).
     active_mask: [u64; Dir::COUNT],
     /// Per-output-port bitmask of free (unallocated) downstream VCs.
     free_mask: [u64; Dir::COUNT],
     /// Per-output-port bitmask of downstream VCs holding ≥ 1 credit.
     credit_mask: [u64; Dir::COUNT],
-    /// Round-robin pointer for VC allocation, over flattened (port, vc).
+    /// Round-robin pointer for VC allocation, over flat input VCs.
     va_rr: usize,
     /// Per-input-port round-robin pointer over VCs for SA stage 1.
     sa_in_rr: [usize; Dir::COUNT],
@@ -170,41 +279,68 @@ pub(crate) struct Router {
     hops_saturations: u64,
 }
 
+const LOCAL: usize = Dir::Local as usize;
+
 impl Router {
     /// The all-clear down-link mask: every output port usable.
     pub(crate) const NO_DOWN_PORTS: [bool; Dir::COUNT] = [false; Dir::COUNT];
 
-    pub(crate) fn new(cfg: &NocConfig, mesh: &Mesh, node: NodeId) -> Self {
+    /// A router at `node` of `mesh`, sharing the network's `tables`.
+    pub(crate) fn new(cfg: &NocConfig, mesh: &Mesh, node: NodeId, tables: &Arc<RouterTables>) -> Self {
         let vcs = cfg.vcs_per_port();
+        let per_vnet = usize::from(cfg.vcs_per_vnet);
         let depth = cfg.buffers_per_vc as usize;
+        let flat = Dir::COUNT * vcs;
         let mut connected = [false; Dir::COUNT];
-        connected[Dir::Local.index()] = true;
-        let mut credits = vec![0; Dir::COUNT * vcs];
+        connected[LOCAL] = true;
+        let mut credits = vec![0; flat];
         let mut free_mask = [0u64; Dir::COUNT];
         let mut credit_mask = [0u64; Dir::COUNT];
+        let mut open = [VcSet::default(); Dir::COUNT];
+        for vnet in &tables.vnet_inputs {
+            open[LOCAL].union_with(vnet, SET_WORDS);
+        }
         for d in Dir::ROUTER_DIRS {
             if mesh.neighbor(node, d).is_some() {
                 connected[d.index()] = true;
                 // Every connected output VC starts free with a full credit
-                // stock.
+                // stock, so every vnet is open.
                 credits[d.index() * vcs..(d.index() + 1) * vcs].fill(cfg.buffers_per_vc);
                 free_mask[d.index()] = range_mask(0, vcs);
                 credit_mask[d.index()] = range_mask(0, vcs);
+                open[d.index()] = open[LOCAL];
             }
         }
         let useful_total = vcs * Dir::ROUTER_DIRS.iter().filter(|d| connected[d.index()]).count();
-        let capacity = Dir::COUNT * vcs * depth;
+        let capacity = flat * depth;
+        let mut inputs = Vec::with_capacity(flat);
+        for port in 0..Dir::COUNT as u8 {
+            for vnet in 0..cfg.vnets {
+                for k in 0..cfg.vcs_per_vnet {
+                    let vc = vnet * cfg.vcs_per_vnet + k;
+                    let (snack, head, len) = (false, 0, 0);
+                    inputs.push(InputVc { state: VcState::Idle, snack, vnet, port, vc, head, len });
+                }
+            }
+        }
         Router {
             node,
+            at: tables.coords[node.index()],
             vcs,
+            per_vnet,
+            vnet_vcs: range_mask(0, per_vnet),
+            words: flat.div_ceil(64),
             depth,
-            inputs: vec![InputVc::IDLE; Dir::COUNT * vcs],
+            tables: Arc::clone(tables),
+            inputs,
             ring: vec![0; capacity],
             slots: Vec::with_capacity(capacity),
             free_slots: Vec::with_capacity(capacity),
             credits,
             connected,
-            routed_mask: [0; Dir::COUNT],
+            waiting: [VcSet::default(); Dir::COUNT],
+            open,
+            waiting_ports: 0,
             active_mask: [0; Dir::COUNT],
             free_mask,
             credit_mask,
@@ -228,6 +364,12 @@ impl Router {
         self.hops_saturations
     }
 
+    /// The flit of a departure this router's last switch allocation
+    /// returned. Valid until the router accepts a flit.
+    pub(crate) fn departed(&self, dep: &Departure) -> &Flit {
+        &self.slots[dep.slot as usize]
+    }
+
     /// The flits buffered in input VC `i`, front first.
     fn vc_flits(&self, i: usize) -> impl Iterator<Item = &Flit> + '_ {
         let InputVc { head, len, .. } = self.inputs[i];
@@ -245,19 +387,19 @@ impl Router {
     /// Input VCs holding a routed packet that has not yet been granted an
     /// output VC — the "starved" population in a stall report.
     pub(crate) fn routed_waiting_vcs(&self) -> usize {
-        let fast: usize = self.routed_mask.iter().map(|m| m.count_ones() as usize).sum();
+        let fast: usize = self.waiting.iter().map(|set| set.len(self.words)).sum();
         debug_assert_eq!(
             fast,
             self.inputs.iter().filter(|vc| matches!(vc.state, VcState::Routed { .. })).count(),
-            "routed mask out of sync"
+            "waiting sets out of sync"
         );
         fast
     }
 
     /// Writes an arriving flit into its input buffer. A head flit landing
-    /// in an idle VC is route-computed *here*, once, and the decision is
-    /// cached in the VC state — no per-cycle RC stage exists. (A VC left
-    /// by a tail is provably empty, so a head can only ever arrive into an
+    /// in an idle VC is route-computed *here*, once, and joins its
+    /// output's waiting set — no per-cycle RC stage exists. (A VC left by
+    /// a tail is provably empty, so a head can only ever arrive into an
     /// idle, empty VC.)
     ///
     /// # Panics
@@ -265,29 +407,26 @@ impl Router {
     /// Panics (debug) if credit-based flow control was violated.
     pub(crate) fn accept_flit(
         &mut self,
-        mesh: &Mesh,
-        cfg: &NocConfig,
         in_port: Dir,
         mut flit: Flit,
         cycle: u64,
         cap: usize,
     ) {
         flit.buffered_at = cycle;
-        let vc_idx = flit.vc() as usize;
-        let i = in_port.index() * self.vcs + vc_idx;
+        let i = in_port.index() * self.vcs + flit.vc() as usize;
         let vc = &mut self.inputs[i];
         debug_assert!(usize::from(vc.len) < cap, "input buffer overflow: credit protocol violated");
         if vc.state == VcState::Idle {
             debug_assert!(vc.len == 0, "idle VC with buffered flits");
             debug_assert!(flit.kind().is_head(), "non-head flit arrived at an idle VC");
-            debug_assert_eq!(usize::from(flit.vnet()), vc_idx / cfg.vcs_per_vnet as usize);
-            let out_port = xy_route(mesh, self.node, flit.dst());
+            debug_assert_eq!(flit.vnet(), vc.vnet);
+            let out_port = xy_dir(self.at, self.tables.coords[flit.dst().index()]);
             vc.state = VcState::Routed { out_port };
             vc.snack = flit.class().is_snack();
-            vc.vnet = flit.vnet();
-            self.routed_mask[in_port.index()] |= 1u64 << vc_idx;
+            self.waiting[out_port.index()].insert(i);
+            self.waiting_ports |= 1 << out_port.index();
         } else {
-            // The cached class and vnet belong to the resident packet.
+            // The cached class belongs to the resident packet.
             debug_assert!(!flit.kind().is_head(), "head flit arrived at a busy VC");
         }
         let mut at = usize::from(vc.head) + usize::from(vc.len);
@@ -313,7 +452,7 @@ impl Router {
 
     /// Whether the NI can start/continue streaming into a Local input VC.
     pub(crate) fn local_vc_accepts(&self, vc: usize, needs_idle: bool, cap: usize) -> bool {
-        let v = &self.inputs[Dir::Local.index() * self.vcs + vc];
+        let v = &self.inputs[LOCAL * self.vcs + vc];
         if needs_idle {
             v.state == VcState::Idle && v.len == 0
         } else {
@@ -331,8 +470,16 @@ impl Router {
     }
 
     /// Marks `(out_port, vc)` free after the downstream VC drained a tail.
+    /// The first free VC of its vnet opens the output to that vnet's
+    /// input VCs again.
     pub(crate) fn free_output_vc(&mut self, out_port: Dir, vc: u8) {
-        self.free_mask[out_port.index()] |= 1u64 << vc;
+        let o = out_port.index();
+        // Input VC `vc` of port 0 shares output VC `vc`'s vnet.
+        let vnet = usize::from(self.inputs[usize::from(vc)].vnet);
+        if (self.free_mask[o] >> (vnet * self.per_vnet)) & self.vnet_vcs == 0 {
+            self.open[o].union_with(&self.tables.vnet_inputs[vnet], self.words);
+        }
+        self.free_mask[o] |= 1u64 << vc;
     }
 
     /// Counts `(free, total)` *useful* free output VCs — free and holding at
@@ -372,120 +519,169 @@ impl Router {
         (free, total)
     }
 
-    /// Debug cross-check: every bitmask agrees with a fresh scan of the
-    /// state it summarizes, and every flit slot is either buffered in
-    /// exactly one VC or free.
+    /// Debug cross-check: every set and bitmask agrees with a fresh scan
+    /// of the state it summarizes, and every flit slot is either buffered
+    /// in exactly one VC or free.
     #[cfg(debug_assertions)]
     fn consistent(&self) -> bool {
         let mut buffered = 0;
+        let mut waiting = [VcSet::default(); Dir::COUNT];
+        let mut open = [VcSet::default(); Dir::COUNT];
         for port in 0..Dir::COUNT {
-            let mut routed = 0u64;
             let mut active = 0u64;
             let mut credited = 0u64;
             for vc in 0..self.vcs {
                 let i = port * self.vcs + vc;
-                match self.inputs[i].state {
+                let input = &self.inputs[i];
+                let vnet = vc / self.per_vnet;
+                if (usize::from(input.port), usize::from(input.vc), usize::from(input.vnet))
+                    != (port, vc, vnet)
+                {
+                    return false;
+                }
+                match input.state {
                     VcState::Idle => {}
-                    VcState::Routed { .. } => routed |= 1 << vc,
+                    VcState::Routed { out_port } => waiting[out_port.index()].insert(i),
                     VcState::Active { .. } => active |= 1 << vc,
                 }
-                buffered += usize::from(self.inputs[i].len);
+                for (o, set) in open.iter_mut().enumerate() {
+                    let vnet_free = range_mask(vnet * self.per_vnet, (vnet + 1) * self.per_vnet);
+                    if o == LOCAL || self.free_mask[o] & vnet_free != 0 {
+                        set.insert(i);
+                    }
+                }
+                buffered += usize::from(input.len);
                 if self.credits[i] > 0 {
                     credited |= 1 << vc;
                 }
             }
-            let has_output_vcs = self.connected[port] && port != Dir::Local.index();
+            let has_output_vcs = self.connected[port] && port != LOCAL;
             let outputs = if has_output_vcs { range_mask(0, self.vcs) } else { 0 };
-            if routed != self.routed_mask[port]
-                || active != self.active_mask[port]
+            if active != self.active_mask[port]
                 || credited != self.credit_mask[port]
                 || self.free_mask[port] & !outputs != 0
             {
                 return false;
             }
         }
-        buffered == self.buffered && self.free_slots.len() + buffered == self.slots.len()
+        let waits = |o: usize| self.waiting_ports & (1 << o) != 0;
+        (0..Dir::COUNT).all(|o| waits(o) != waiting[o].is_empty(SET_WORDS))
+            && waiting == self.waiting
+            && open == self.open
+            && buffered == self.buffered
+            && self.free_slots.len() + buffered == self.slots.len()
     }
 
     /// VA stage: grant free downstream VCs to routed packets, communication
     /// class first when priority arbitration is on. Each grant is reported
     /// to `tracer` (a no-op for [`TracerHandle::Nop`]).
     ///
-    /// Iteration walks the `routed_mask` bits in the exact order the old
-    /// flattened `(va_rr + step) % total` scan visited them: the pointer's
-    /// port from its VC upward, every later port in full, then the
-    /// pointer's port below the pointer. No flit is read: the packet's
-    /// vnet and class are cached in the VC record, and an ejecting packet
-    /// keeps its input VC. Ports without a routed VC are skipped, and a
-    /// router with none only advances the pointer.
+    /// Grants follow flat `port * vcs + vc` order from `va_rr`, wrapping.
+    /// Outputs are independent — a head waits on one output and takes a
+    /// VC only there — so each output whose waiting and open sets
+    /// intersect walks that intersection once, in that order, and a
+    /// router with no waiting head only advances the pointer. No flit is
+    /// read: the packet's vnet and class are cached in the VC record, and
+    /// an ejecting packet keeps its input VC. The grants' trace events
+    /// are emitted afterwards, in the same flat order.
     pub(crate) fn vc_allocate(&mut self, cfg: &NocConfig, cycle: u64, tracer: &mut TracerHandle) {
         #[cfg(debug_assertions)]
         debug_assert!(self.consistent());
-        let vcs = self.vcs;
-        let (p0, v0) = (self.va_rr / vcs, self.va_rr % vcs);
-        self.va_rr = (self.va_rr + 1) % (Dir::COUNT * vcs);
-        if self.routed_mask == [0; Dir::COUNT] {
+        let from = self.va_rr;
+        self.va_rr += 1;
+        if self.va_rr == self.inputs.len() {
+            self.va_rr = 0;
+        }
+        if self.waiting_ports == 0 {
             return;
         }
-        let per_vnet = cfg.vcs_per_vnet as usize;
-        // Output VCs `0..vcs_per_vnet`; vnet `v` owns this range shifted
-        // up by `v * vcs_per_vnet`.
-        let vnet_vcs = range_mask(0, per_vnet);
         let passes: &[Option<bool>] = if cfg.priority_arbitration {
-            // Pass 0: communication only; pass 1: snack only.
+            // Communication only, then snack only.
             &[Some(false), Some(true)]
         } else {
             &[None]
         };
-        for &snack_pass in passes {
-            for k in 0..=Dir::COUNT {
-                let port = (p0 + k) % Dir::COUNT;
-                if self.routed_mask[port] == 0 {
+        let mut granted = VcSet::default();
+        let mut ports = self.waiting_ports;
+        while ports != 0 {
+            let o = ports.trailing_zeros() as usize;
+            ports &= ports - 1;
+            if !self.waiting[o].intersects(&self.open[o], self.words) {
+                continue;
+            }
+            for &class in passes {
+                self.grant_output(o, from, class, &mut granted);
+            }
+            if self.waiting[o].is_empty(self.words) {
+                self.waiting_ports &= !(1 << o);
+            }
+        }
+        if !tracer.is_enabled() {
+            return;
+        }
+        for &class in passes {
+            for (w, part) in rotation(self.words, from) {
+                let mut bits = granted.0[w] & part;
+                while bits != 0 {
+                    let vc = &self.inputs[w * 64 + bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                    let VcState::Active { out_port, out_vc } = vc.state else {
+                        unreachable!("a granted VC is active")
+                    };
+                    if class.is_none_or(|snack| vc.snack == snack) {
+                        tracer.record_with(cycle, || EventKind::VcAlloc {
+                            router: self.node.index() as u32,
+                            in_port: vc.port,
+                            in_vc: vc.vc,
+                            out_port: out_port.index() as u8,
+                            out_vc,
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Grants output `o` to the waiting, open heads of `class` (`None`:
+    /// every class), in flat order from `from`, adding each to `granted`.
+    /// Each word is read when the walk reaches it, so a vnet closed by an
+    /// earlier grant has dropped out; a grant that takes its vnet's last
+    /// free VC closes the output to that vnet, for later cycles and for
+    /// the rest of the current word.
+    fn grant_output(&mut self, o: usize, from: usize, class: Option<bool>, granted: &mut VcSet) {
+        let out_port = Dir::ALL[o];
+        let words = self.words;
+        for (w, part) in rotation(words, from) {
+            let mut bits = self.waiting[o].0[w] & self.open[o].0[w] & part;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let vc = self.inputs[i];
+                debug_assert!(vc.state == VcState::Routed { out_port } && vc.len > 0);
+                if class.is_some_and(|snack| vc.snack != snack) {
                     continue;
                 }
-                let (lo, hi) = match k {
-                    0 => (v0, vcs),
-                    _ if k == Dir::COUNT => (0, v0),
-                    _ => (0, vcs),
-                };
-                let mut bits = self.routed_mask[port] & range_mask(lo, hi);
-                while bits != 0 {
-                    let vc_idx = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let vc = &mut self.inputs[port * vcs + vc_idx];
-                    let VcState::Routed { out_port } = vc.state else {
-                        debug_assert!(false, "routed mask bit on a non-routed VC");
-                        continue;
-                    };
-                    debug_assert!(vc.len > 0, "routed VC without its head flit");
-                    if snack_pass.is_some_and(|want_snack| vc.snack != want_snack) {
-                        continue;
+                let out_vc = if o == LOCAL {
+                    // Ejection has no VC contention: the NI reassembles
+                    // any number of interleaved packets.
+                    vc.vc
+                } else {
+                    let lo = usize::from(vc.vnet) * self.per_vnet;
+                    let free = (self.free_mask[o] >> lo) & self.vnet_vcs;
+                    debug_assert!(free != 0, "an open vnet has a free output VC");
+                    if free & (free - 1) == 0 {
+                        let vnet = &self.tables.vnet_inputs[usize::from(vc.vnet)];
+                        self.open[o].subtract(vnet, words);
+                        bits &= !vnet.0[w];
                     }
-                    let out_vc = if out_port == Dir::Local {
-                        // Ejection has no VC contention: the NI reassembles
-                        // any number of interleaved packets.
-                        vc_idx as u8
-                    } else {
-                        let lo = usize::from(vc.vnet) * per_vnet;
-                        let free = (self.free_mask[out_port.index()] >> lo) & vnet_vcs;
-                        if free == 0 {
-                            continue;
-                        }
-                        let out_vc = (lo + free.trailing_zeros() as usize) as u8;
-                        self.free_mask[out_port.index()] &= !(1u64 << out_vc);
-                        out_vc
-                    };
-                    tracer.record_with(cycle, || EventKind::VcAlloc {
-                        router: self.node.index() as u32,
-                        in_port: port as u8,
-                        in_vc: vc_idx as u8,
-                        out_port: out_port.index() as u8,
-                        out_vc,
-                    });
-                    vc.state = VcState::Active { out_port, out_vc };
-                    self.routed_mask[port] &= !(1u64 << vc_idx);
-                    self.active_mask[port] |= 1u64 << vc_idx;
-                }
+                    let out_vc = lo + free.trailing_zeros() as usize;
+                    self.free_mask[o] &= !(1u64 << out_vc);
+                    out_vc as u8
+                };
+                self.inputs[i].state = VcState::Active { out_port, out_vc };
+                self.waiting[o].remove(i);
+                self.active_mask[usize::from(vc.port)] |= 1u64 << vc.vc;
+                granted.insert(i);
             }
         }
     }
@@ -507,10 +703,19 @@ impl Router {
         cfg: &NocConfig,
         cycle: u64,
         down: &[bool; Dir::COUNT],
-    ) -> Vec<Departure> {
+    ) -> Vec<tests::Sent> {
         let mut departures = Vec::new();
         self.switch_allocate_into(cfg, cycle, down, &mut departures);
         departures
+            .into_iter()
+            .map(|d| tests::Sent {
+                flit: *self.departed(&d),
+                out_port: d.out_port,
+                in_port: d.in_port,
+                in_vc: d.in_vc,
+                was_tail: d.was_tail,
+            })
+            .collect()
     }
 
     /// [`Router::switch_allocate`] writing into a caller-owned scratch
@@ -529,31 +734,66 @@ impl Router {
         // A flit spends `pipeline_stages - 1` cycles in the router before
         // link traversal, giving the per-hop latencies of paper §III-D2.
         let extra = cfg.pipeline_extra();
-        // Stage 1: each input port with an active VC nominates one ready
-        // VC and sets its bit in the request mask of the nominee's output:
-        // `requests[1]` for snack requests under priority arbitration,
-        // `requests[0]` for the rest.
-        let (priority, active) = (cfg.priority_arbitration, self.active_mask);
-        let mut nominated_vc = [0; Dir::COUNT];
+        let priority = cfg.priority_arbitration;
+        let passes: &[Option<bool>] = if priority { &[Some(false), Some(true)] } else { &[None] };
+        // Stage 1: each input port with an active VC nominates its first
+        // ready VC at or after its pointer and sets its bit in the request
+        // mask of the nominee's output: `requests[1]` for snack requests
+        // under priority arbitration, `requests[0]` for the rest.
+        let mut nominated = [0usize; Dir::COUNT];
         let mut requests = [[0u32; Dir::COUNT]; 2];
-        for port in (0..Dir::COUNT).filter(|&port| active[port] != 0) {
-            if let Some(n) = self.pick_input_vc(port, cycle, extra, priority, down) {
-                nominated_vc[port] = n.vc;
-                requests[usize::from(priority && n.snack)][n.out_port.index()] |= 1 << port;
+        let mut requested = 0u32;
+        let mut ports = 0u32;
+        for (port, &active) in self.active_mask.iter().enumerate() {
+            ports |= u32::from(active != 0) << port;
+        }
+        while ports != 0 {
+            let port = ports.trailing_zeros() as usize;
+            ports &= ports - 1;
+            let active = self.active_mask[port];
+            let upper = active & (!0u64 << self.sa_in_rr[port]);
+            'pick: for &class in passes {
+                for mut bits in [upper, active & !upper] {
+                    while bits != 0 {
+                        let vc = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let i = port * self.vcs + vc;
+                        let snack = self.inputs[i].snack;
+                        if class.is_some_and(|want| snack != want) {
+                            continue;
+                        }
+                        let Some(out_port) = self.vc_ready(i, cycle, extra, down) else {
+                            continue;
+                        };
+                        self.sa_in_rr[port] = if vc + 1 == self.vcs { 0 } else { vc + 1 };
+                        nominated[port] = vc;
+                        requests[usize::from(priority && snack)][out_port.index()] |= 1 << port;
+                        requested |= 1 << out_port.index();
+                        break 'pick;
+                    }
+                }
             }
         }
-        // Stage 2: each output grants the first requesting input port at
-        // or after its round-robin pointer, communication class first. An
-        // input port requests one output, so it sends at most one flit.
-        for out_port in 0..Dir::COUNT {
-            let Some(mask) = requests.iter().map(|class| class[out_port]).find(|&m| m != 0) else {
-                continue;
+        // Stage 2: each output with a request grants the first requesting
+        // input port at or after its round-robin pointer, communication
+        // class first. An input port requests one output, so it sends at
+        // most one flit.
+        while requested != 0 {
+            let out_port = requested.trailing_zeros() as usize;
+            requested &= requested - 1;
+            let mask = if requests[0][out_port] != 0 {
+                requests[0][out_port]
+            } else {
+                requests[1][out_port]
             };
             let rr = self.sa_out_rr[out_port];
             let rotated = (mask >> rr | mask << (Dir::COUNT - rr)) & ((1 << Dir::COUNT) - 1);
-            let in_port = (rr + rotated.trailing_zeros() as usize) % Dir::COUNT;
-            self.sa_out_rr[out_port] = (in_port + 1) % Dir::COUNT;
-            out.push(self.traverse(in_port, nominated_vc[in_port]));
+            let mut in_port = rr + rotated.trailing_zeros() as usize;
+            if in_port >= Dir::COUNT {
+                in_port -= Dir::COUNT;
+            }
+            self.sa_out_rr[out_port] = if in_port + 1 == Dir::COUNT { 0 } else { in_port + 1 };
+            out.push(self.traverse(in_port, nominated[in_port]));
         }
     }
 
@@ -576,40 +816,6 @@ impl Router {
         (cycle >= front.buffered_at + extra).then_some(out_port)
     }
 
-    /// Picks the input VC that port `port` nominates for the switch,
-    /// walking the `active_mask` bits in round-robin order.
-    fn pick_input_vc(
-        &mut self,
-        port: usize,
-        cycle: u64,
-        extra: u64,
-        priority: bool,
-        down: &[bool; Dir::COUNT],
-    ) -> Option<Nominee> {
-        let vcs = self.vcs;
-        let rr = self.sa_in_rr[port];
-        let passes: &[Option<bool>] = if priority { &[Some(false), Some(true)] } else { &[None] };
-        for &snack_pass in passes {
-            for (lo, hi) in [(rr, vcs), (0, rr)] {
-                let mut bits = self.active_mask[port] & range_mask(lo, hi);
-                while bits != 0 {
-                    let idx = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let snack = self.inputs[port * vcs + idx].snack;
-                    if snack_pass.is_some_and(|want_snack| snack != want_snack) {
-                        continue;
-                    }
-                    let Some(out_port) = self.vc_ready(port * vcs + idx, cycle, extra, down) else {
-                        continue;
-                    };
-                    self.sa_in_rr[port] = (idx + 1) % vcs;
-                    return Some(Nominee { vc: idx, out_port, snack });
-                }
-            }
-        }
-        None
-    }
-
     /// ST: pops the granted flit, charges credits, advances VC state.
     fn traverse(&mut self, in_port: usize, vc_idx: usize) -> Departure {
         let i = in_port * self.vcs + vc_idx;
@@ -622,7 +828,7 @@ impl Router {
         let next = usize::from(vc.head) + 1;
         vc.head = if next == self.depth { 0 } else { next as u8 };
         vc.len -= 1;
-        let mut flit = self.slots[slot as usize];
+        let flit = &mut self.slots[slot as usize];
         self.free_slots.push(slot);
         self.buffered -= 1;
         let was_tail = flit.kind().is_tail();
@@ -651,7 +857,7 @@ impl Router {
             flit.set_vc(out_vc);
         }
         let in_port = Dir::from_index(in_port);
-        Departure { flit, out_port, in_port, in_vc: vc_idx as u8, was_tail }
+        Departure { slot, out_port, in_port, in_vc: vc_idx as u8, was_tail }
     }
 }
 
@@ -662,6 +868,19 @@ mod tests {
     use crate::pool::PayloadRef;
     use snacknoc_prng::Rng;
     use std::collections::VecDeque;
+
+    /// A [`Departure`] with its flit copied out, for assertions.
+    pub(crate) struct Sent {
+        pub flit: Flit,
+        pub out_port: Dir,
+        pub in_port: Dir,
+        pub in_vc: u8,
+        pub was_tail: bool,
+    }
+
+    fn router(cfg: &NocConfig, mesh: &Mesh, node: NodeId) -> Router {
+        Router::new(cfg, mesh, node, &RouterTables::new(cfg, mesh))
+    }
 
     fn test_cfg() -> NocConfig {
         NocConfig::default().with_vnets(1).with_vcs_per_vnet(2).with_buffers_per_vc(4)
@@ -698,9 +917,9 @@ mod tests {
     fn single_flit_departs_toward_destination() {
         let cfg = test_cfg();
         let mesh = Mesh::new(4, 4);
-        let mut r = Router::new(&cfg, &mesh, mesh.node_at(1, 1));
+        let mut r = router(&cfg, &mesh, mesh.node_at(1, 1));
         let f = flit(mesh.node_at(3, 1), FlitKind::HeadTail, TrafficClass::Communication, 0);
-        r.accept_flit(&mesh, &cfg, Dir::West, f, 0, 4);
+        r.accept_flit(Dir::West, f, 0, 4);
         assert_eq!(r.buffered_flits(), 1);
         r.vc_allocate(&cfg, 0, &mut TracerHandle::Nop);
         let deps = r.switch_allocate(&cfg, 10, &Router::NO_DOWN_PORTS);
@@ -717,10 +936,8 @@ mod tests {
         let cfg = test_cfg();
         let mesh = Mesh::new(4, 4);
         let node = mesh.node_at(2, 2);
-        let mut r = Router::new(&cfg, &mesh, node);
+        let mut r = router(&cfg, &mesh, node);
         r.accept_flit(
-            &mesh,
-            &cfg,
             Dir::North,
             flit(node, FlitKind::HeadTail, TrafficClass::Communication, 1),
             0,
@@ -737,10 +954,8 @@ mod tests {
     fn pipeline_depth_gates_switch_allocation() {
         let cfg = test_cfg().with_pipeline_stages(4); // 3 router cycles buffered
         let mesh = Mesh::new(4, 4);
-        let mut r = Router::new(&cfg, &mesh, mesh.node_at(1, 1));
+        let mut r = router(&cfg, &mesh, mesh.node_at(1, 1));
         r.accept_flit(
-            &mesh,
-            &cfg,
             Dir::West,
             flit(mesh.node_at(3, 1), FlitKind::HeadTail, TrafficClass::Communication, 0),
             10,
@@ -761,11 +976,11 @@ mod tests {
     fn credits_block_traversal() {
         let cfg = test_cfg().with_buffers_per_vc(1);
         let mesh = Mesh::new(4, 4);
-        let mut r = Router::new(&cfg, &mesh, mesh.node_at(1, 1));
+        let mut r = router(&cfg, &mesh, mesh.node_at(1, 1));
         let dst = mesh.node_at(3, 1);
         // Two single-flit packets from different VCs toward the same output.
-        r.accept_flit(&mesh, &cfg, Dir::West, flit(dst, FlitKind::HeadTail, TrafficClass::Communication, 0), 0, 1);
-        r.accept_flit(&mesh, &cfg, Dir::North, flit(dst, FlitKind::HeadTail, TrafficClass::Communication, 0), 0, 1);
+        r.accept_flit(Dir::West, flit(dst, FlitKind::HeadTail, TrafficClass::Communication, 0), 0, 1);
+        r.accept_flit(Dir::North, flit(dst, FlitKind::HeadTail, TrafficClass::Communication, 0), 0, 1);
         r.vc_allocate(&cfg, 0, &mut TracerHandle::Nop);
         // First wins the only free VC/credit pair on vc0; second got vc1.
         let d1 = r.switch_allocate(&cfg, 5, &Router::NO_DOWN_PORTS);
@@ -774,7 +989,7 @@ mod tests {
         assert_eq!(d2.len(), 1);
         assert_ne!(d1[0].flit.vc(), d2[0].flit.vc(), "packets allocated distinct output VCs");
         // Credits now exhausted on both VCs.
-        r.accept_flit(&mesh, &cfg, Dir::West, flit(dst, FlitKind::HeadTail, TrafficClass::Communication, 1), 6, 1);
+        r.accept_flit(Dir::West, flit(dst, FlitKind::HeadTail, TrafficClass::Communication, 1), 6, 1);
         r.vc_allocate(&cfg, 6, &mut TracerHandle::Nop);
         assert!(
             r.switch_allocate(&cfg, 8, &Router::NO_DOWN_PORTS).is_empty(),
@@ -791,11 +1006,11 @@ mod tests {
     fn priority_arbitration_prefers_communication() {
         let cfg = test_cfg().with_priority_arbitration(true);
         let mesh = Mesh::new(4, 4);
-        let mut r = Router::new(&cfg, &mesh, mesh.node_at(1, 1));
+        let mut r = router(&cfg, &mesh, mesh.node_at(1, 1));
         let dst = mesh.node_at(3, 1);
         // Snack flit arrives first and would win round-robin.
-        r.accept_flit(&mesh, &cfg, Dir::North, flit(dst, FlitKind::HeadTail, TrafficClass::SnackInstruction, 0), 0, 4);
-        r.accept_flit(&mesh, &cfg, Dir::West, flit(dst, FlitKind::HeadTail, TrafficClass::Communication, 1), 0, 4);
+        r.accept_flit(Dir::North, flit(dst, FlitKind::HeadTail, TrafficClass::SnackInstruction, 0), 0, 4);
+        r.accept_flit(Dir::West, flit(dst, FlitKind::HeadTail, TrafficClass::Communication, 1), 0, 4);
         r.vc_allocate(&cfg, 0, &mut TracerHandle::Nop);
         let deps = r.switch_allocate(&cfg, 10, &Router::NO_DOWN_PORTS);
         assert_eq!(deps.len(), 1);
@@ -808,9 +1023,9 @@ mod tests {
     fn down_mask_stalls_the_port_without_losing_flits() {
         let cfg = test_cfg();
         let mesh = Mesh::new(4, 4);
-        let mut r = Router::new(&cfg, &mesh, mesh.node_at(1, 1));
+        let mut r = router(&cfg, &mesh, mesh.node_at(1, 1));
         let f = flit(mesh.node_at(3, 1), FlitKind::HeadTail, TrafficClass::Communication, 0);
-        r.accept_flit(&mesh, &cfg, Dir::West, f, 0, 4);
+        r.accept_flit(Dir::West, f, 0, 4);
         r.vc_allocate(&cfg, 0, &mut TracerHandle::Nop);
         let mut down = Router::NO_DOWN_PORTS;
         down[Dir::East.index()] = true;
@@ -830,11 +1045,11 @@ mod tests {
     fn useful_free_vcs_counts_interior_router() {
         let cfg = test_cfg();
         let mesh = Mesh::new(4, 4);
-        let r = Router::new(&cfg, &mesh, mesh.node_at(1, 1));
+        let r = router(&cfg, &mesh, mesh.node_at(1, 1));
         let (free, total) = r.useful_free_output_vcs();
         assert_eq!(total, 4 * cfg.vcs_per_port());
         assert_eq!(free, total);
-        let corner = Router::new(&cfg, &mesh, mesh.node_at(0, 0));
+        let corner = router(&cfg, &mesh, mesh.node_at(0, 0));
         let (_, corner_total) = corner.useful_free_output_vcs();
         assert_eq!(corner_total, 2 * cfg.vcs_per_port());
     }
@@ -846,11 +1061,11 @@ mod tests {
         // at every step (the accessor debug_asserts the match).
         let cfg = test_cfg().with_buffers_per_vc(1);
         let mesh = Mesh::new(4, 4);
-        let mut r = Router::new(&cfg, &mesh, mesh.node_at(1, 1));
+        let mut r = router(&cfg, &mesh, mesh.node_at(1, 1));
         let dst = mesh.node_at(3, 1);
         let (free0, total) = r.useful_free_output_vcs();
         assert_eq!(free0, total);
-        r.accept_flit(&mesh, &cfg, Dir::West, flit(dst, FlitKind::HeadTail, TrafficClass::Communication, 0), 0, 1);
+        r.accept_flit(Dir::West, flit(dst, FlitKind::HeadTail, TrafficClass::Communication, 0), 0, 1);
         r.vc_allocate(&cfg, 0, &mut TracerHandle::Nop);
         let (after_alloc, _) = r.useful_free_output_vcs();
         assert_eq!(after_alloc, free0 - 1, "the granted VC leaves the useful pool");
@@ -865,7 +1080,7 @@ mod tests {
         r.free_output_vc(Dir::East, 0);
         assert_eq!(r.useful_free_output_vcs().0, free0);
         // Freeing a starved VC first, then crediting it, also re-arms it.
-        r.accept_flit(&mesh, &cfg, Dir::West, flit(dst, FlitKind::HeadTail, TrafficClass::Communication, 0), 6, 1);
+        r.accept_flit(Dir::West, flit(dst, FlitKind::HeadTail, TrafficClass::Communication, 0), 6, 1);
         r.vc_allocate(&cfg, 6, &mut TracerHandle::Nop);
         assert_eq!(r.switch_allocate(&cfg, 12, &Router::NO_DOWN_PORTS).len(), 1);
         r.free_output_vc(Dir::East, 0); // freed while credits == 0
@@ -878,11 +1093,11 @@ mod tests {
     fn wormhole_keeps_packet_on_one_output_vc() {
         let cfg = test_cfg();
         let mesh = Mesh::new(4, 4);
-        let mut r = Router::new(&cfg, &mesh, mesh.node_at(0, 0));
+        let mut r = router(&cfg, &mesh, mesh.node_at(0, 0));
         let dst = mesh.node_at(3, 0);
-        r.accept_flit(&mesh, &cfg, Dir::Local, flit(dst, FlitKind::Head, TrafficClass::Communication, 0), 0, 4);
-        r.accept_flit(&mesh, &cfg, Dir::Local, flit(dst, FlitKind::Body, TrafficClass::Communication, 0), 0, 4);
-        r.accept_flit(&mesh, &cfg, Dir::Local, flit(dst, FlitKind::Tail, TrafficClass::Communication, 0), 0, 4);
+        r.accept_flit(Dir::Local, flit(dst, FlitKind::Head, TrafficClass::Communication, 0), 0, 4);
+        r.accept_flit(Dir::Local, flit(dst, FlitKind::Body, TrafficClass::Communication, 0), 0, 4);
+        r.accept_flit(Dir::Local, flit(dst, FlitKind::Tail, TrafficClass::Communication, 0), 0, 4);
         r.vc_allocate(&cfg, 0, &mut TracerHandle::Nop);
         let mut out_vcs = Vec::new();
         for t in 5..8 {
@@ -898,10 +1113,10 @@ mod tests {
     fn hop_counter_saturates_instead_of_wrapping() {
         let cfg = test_cfg();
         let mesh = Mesh::new(4, 4);
-        let mut r = Router::new(&cfg, &mesh, mesh.node_at(1, 1));
+        let mut r = router(&cfg, &mesh, mesh.node_at(1, 1));
         let mut f = flit(mesh.node_at(3, 1), FlitKind::HeadTail, TrafficClass::Communication, 0);
         f.hops = u32::MAX;
-        r.accept_flit(&mesh, &cfg, Dir::West, f, 0, 4);
+        r.accept_flit(Dir::West, f, 0, 4);
         r.vc_allocate(&cfg, 0, &mut TracerHandle::Nop);
         let deps = r.switch_allocate(&cfg, 10, &Router::NO_DOWN_PORTS);
         assert_eq!(deps.len(), 1);
@@ -917,7 +1132,7 @@ mod tests {
         let cfg = NocConfig::default().with_vnets(1).with_vcs_per_vnet(4).with_buffers_per_vc(3);
         let (vcs, cap) = (cfg.vcs_per_port(), cfg.buffers_per_vc as usize);
         let mesh = Mesh::new(4, 4);
-        let mut r = Router::new(&cfg, &mesh, mesh.node_at(1, 1));
+        let mut r = router(&cfg, &mesh, mesh.node_at(1, 1));
         let dst = mesh.node_at(3, 1);
         let base = Dir::West.index() * vcs;
         let mut model: Vec<VecDeque<u64>> = vec![VecDeque::new(); vcs];
@@ -949,7 +1164,7 @@ mod tests {
                 f.id = next_id;
                 next_id += 1;
                 let lifo = r.free_slots.last().copied();
-                r.accept_flit(&mesh, &cfg, Dir::West, f, cycle, cap);
+                r.accept_flit(Dir::West, f, cycle, cap);
                 let InputVc { head, len, .. } = r.inputs[i];
                 let at = usize::from(head) + usize::from(len) - 1;
                 wrapped |= at >= cap;
@@ -994,7 +1209,7 @@ mod tests {
         let (vcs, cap) = (cfg.vcs_per_port(), cfg.buffers_per_vc as usize);
         let mesh = Mesh::new(3, 3);
         let node = mesh.node_at(1, 1);
-        let mut r = Router::new(&cfg, &mesh, node);
+        let mut r = router(&cfg, &mesh, node);
         // One full-depth packet per input VC, spread so that each output
         // port receives exactly 64: one per downstream VC, whose 255
         // credits carry it whole.
@@ -1012,7 +1227,7 @@ mod tests {
                     let dst = dsts[i % dsts.len()];
                     let mut f = flit(dst, kind, TrafficClass::Communication, vc as u8);
                     f.id = (i * cap + k) as u64;
-                    r.accept_flit(&mesh, &cfg, port, f, 0, cap);
+                    r.accept_flit(port, f, 0, cap);
                 }
             }
         }
@@ -1083,6 +1298,8 @@ mod tests {
         /// Output-cycles where more than one input port requested the
         /// same output in SA stage 2.
         contested: usize,
+        /// VA visits of a routed head whose vnet had no free output VC.
+        blocked: usize,
     }
 
     const LOCAL: usize = 4;
@@ -1120,6 +1337,7 @@ mod tests {
                 sa_in_rr: [0; 5],
                 sa_out_rr: [0; 5],
                 contested: 0,
+                blocked: 0,
             }
         }
 
@@ -1177,6 +1395,7 @@ mod tests {
                         let vnet_vcs = v.vnet * self.per_vnet..(v.vnet + 1) * self.per_vnet;
                         let Some(out_vc) = vnet_vcs.into_iter().find(|&o| self.out_free[out][o])
                         else {
+                            self.blocked += 1;
                             continue;
                         };
                         self.out_free[out][out_vc] = false;
@@ -1242,19 +1461,32 @@ mod tests {
 
     #[test]
     fn allocation_matches_a_naive_reference_router() {
-        for (stages, priority) in [(2, false), (2, true), (4, false), (4, true)] {
-            // Two vnets of two VCs, three-flit buffers, at the centre of a
-            // 3×3 mesh so that every port has a link.
+        // (vnets, VCs per vnet, pipeline stages, priority arbitration), at
+        // three-flit buffers: two vnets of two VCs (20 flat input VCs, one
+        // word); DAPPER's three vnets of five (75 flat VCs, two words); and
+        // 64 VCs per port (320 flat VCs, five words, the validated limit).
+        let shapes = [
+            (2, 2, 2, false),
+            (2, 2, 2, true),
+            (2, 2, 4, false),
+            (2, 2, 4, true),
+            (3, 5, 4, false),
+            (3, 5, 4, true),
+            (8, 8, 2, false),
+            (8, 8, 2, true),
+        ];
+        for (shape, (vnets, per_vnet, stages, priority)) in shapes.into_iter().enumerate() {
+            // At the centre of a 3×3 mesh, so that every port has a link.
             let cfg = NocConfig::default()
-                .with_vnets(2)
-                .with_vcs_per_vnet(2)
+                .with_vnets(vnets)
+                .with_vcs_per_vnet(per_vnet)
                 .with_buffers_per_vc(3)
                 .with_pipeline_stages(stages)
                 .with_priority_arbitration(priority);
             let (vcs, per_vnet, cap) =
                 (cfg.vcs_per_port(), cfg.vcs_per_vnet as usize, cfg.buffers_per_vc as usize);
             let mesh = Mesh::new(3, 3);
-            let mut r = Router::new(&cfg, &mesh, mesh.node_at(1, 1));
+            let mut r = router(&cfg, &mesh, mesh.node_at(1, 1));
             let mut model = RefRouter::new((1, 1), vcs, per_vnet, cap, u64::from(stages), priority);
             let mut rng = Rng::new(0x51AC_0018 ^ u64::from(stages) << 8 ^ u64::from(priority));
             // Flits of each input VC's current packet still to send, and
@@ -1333,7 +1565,7 @@ mod tests {
                         false,
                     );
                     f.set_vc(vc as u8);
-                    r.accept_flit(&mesh, &cfg, Dir::from_index(port), f, cycle, cap);
+                    r.accept_flit(Dir::from_index(port), f, cycle, cap);
                     model.accept(
                         port,
                         vc,
@@ -1365,14 +1597,15 @@ mod tests {
                     })
                     .collect();
                 let want = model.step(cycle, down);
-                assert_eq!(got, want, "cycle {cycle}, stages {stages}, priority {priority}");
+                assert_eq!(got, want, "cycle {cycle}, shape {shape}");
                 departed += got.len();
             }
             assert!(
                 departed > 5_000 && snack_departed > 1_000,
-                "{departed} departures, {snack_departed} snack"
+                "shape {shape}: {departed} departures, {snack_departed} snack"
             );
-            assert!(model.contested > 1_000, "{} contested outputs", model.contested);
+            assert!(model.contested > 1_000, "shape {shape}: {} contested outputs", model.contested);
+            assert!(model.blocked > 1_000, "shape {shape}: {} blocked heads", model.blocked);
         }
     }
 }

@@ -84,8 +84,12 @@ impl fmt::Display for Dir {
 /// paper reuses the baseline algorithm for SnackNoC instruction flits "as to
 /// not increase route computation overhead" (§III-B).
 pub fn xy_route(mesh: &Mesh, cur: NodeId, dst: NodeId) -> Dir {
-    let (cx, cy) = mesh.coords(cur);
-    let (dx, dy) = mesh.coords(dst);
+    xy_dir(mesh.coords(cur), mesh.coords(dst))
+}
+
+/// [`xy_route`] from `(x, y)` coordinates, for a router that looks them
+/// up instead of dividing.
+pub(crate) fn xy_dir<T: Ord>((cx, cy): (T, T), (dx, dy): (T, T)) -> Dir {
     if dx > cx {
         Dir::East
     } else if dx < cx {

@@ -55,6 +55,11 @@ if [ "${1:-}" = "guard" ]; then
   exit 0
 fi
 
+# The pairwise speed-comparison script is only run by hand; at least
+# keep it parseable.
+echo "+ bash -n scripts/pairwise.sh"
+bash -n scripts/pairwise.sh
+
 echo "+ cargo build --release --offline"
 cargo build --release --offline
 
