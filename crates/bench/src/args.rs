@@ -12,7 +12,8 @@
 //!
 //! [`write_or_exit`] is the report writer the `snack-*` binaries share:
 //! a report that cannot be written is an error (exit 1), never a panic
-//! or a silent success.
+//! or a silent success. [`CliArgs::report_path`] picks where a binary
+//! writes: only a default run may replace its committed capture.
 
 use snacknoc_workloads::kernels::Kernel;
 use std::fs::File;
@@ -183,11 +184,49 @@ impl CliArgs {
         }
     }
 
+    /// Where a binary writes its JSON report: the `--json` path when
+    /// given, else its committed capture `capture` — but only on a
+    /// default run, one with no option or switch besides `--json` and
+    /// those in `neutral` (options that leave the report unchanged, such
+    /// as a thread count). Any other run without `--json` writes nothing
+    /// (`None`), so a smoke or custom grid never replaces the capture.
+    pub fn report_path(&self, capture: &str, neutral: &[&str]) -> Option<String> {
+        if let Some(path) = self.str_opt("json") {
+            return Some(path.to_string());
+        }
+        let custom = self
+            .values
+            .iter()
+            .map(|(name, _)| name)
+            .chain(&self.switches)
+            .any(|name| !neutral.contains(&name.as_str()));
+        (!custom).then(|| capture.to_string())
+    }
+
     /// Prints `msg` and the usage string to stderr, then exits 2.
     pub fn fail(&self, msg: &str) -> ! {
         eprintln!("error: {msg}");
         eprintln!("{}", self.usage);
         std::process::exit(2);
+    }
+}
+
+/// Writes the report to `path` through [`write_or_exit`] and names it
+/// on stdout as `json: PATH`; with no path (a non-default run without
+/// `--json`, see [`CliArgs::report_path`]) writes nothing and says so.
+pub fn write_report(
+    bin: &str,
+    path: Option<&str>,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) {
+    match path {
+        Some(path) => {
+            write_or_exit(bin, path, write);
+            println!("json: {path}");
+        }
+        None => {
+            println!("json: not written (only a default run writes its capture; use --json PATH)");
+        }
     }
 }
 
@@ -253,6 +292,21 @@ mod tests {
         assert_eq!(a.positive_or("size", 1), 9);
         assert_eq!(a.positive_or("missing", 4), 4);
         assert_eq!(a.f64_or("missing", 1.5), 1.5);
+    }
+
+    #[test]
+    fn only_a_default_run_writes_the_committed_capture() {
+        let valued = ["size", "json", "threads"];
+        let path = |args: &[&str]| {
+            CliArgs::parse_from(args.iter().copied(), USAGE, &valued, &["smoke"])
+                .unwrap()
+                .report_path("BENCH_demo.json", &["threads"])
+        };
+        assert_eq!(path(&[]).as_deref(), Some("BENCH_demo.json"));
+        assert_eq!(path(&["--threads", "2"]).as_deref(), Some("BENCH_demo.json"));
+        assert_eq!(path(&["--smoke"]), None);
+        assert_eq!(path(&["--size", "8", "--threads", "2"]), None);
+        assert_eq!(path(&["--smoke", "--json", "out.json"]).as_deref(), Some("out.json"));
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! termination with a typed verdict, bit-exact outputs on completion,
 //! transient-loss recovery, consistent degradation reports, bounded
 //! watchdog retries, and bit-identity across the modes. Prints the
-//! per-cell table and writes `BENCH_chaos.json` (override with
-//! `--json <path>`); the simulation output is bit-identical for any
-//! `--threads` value.
+//! per-cell table. A default run (no option but `--threads`) writes
+//! `BENCH_chaos.json`; `--json <path>` writes any run's report there,
+//! and any other run without it writes none. The simulation output is
+//! bit-identical for any `--threads` value.
 //!
 //! ```text
 //! snack-chaos [--kernels all|sgemm,spmv,...] [--size N] [--seeds N]
@@ -28,7 +29,7 @@
 //! cells detected at least one loss — CI uses this via
 //! `scripts/verify.sh`.
 
-use snacknoc_bench::args::{write_or_exit, CliArgs};
+use snacknoc_bench::args::{write_report, CliArgs};
 use snacknoc_bench::chaos::{run_chaos, CellKind, ChaosSpec};
 use snacknoc_noc::Stepping;
 use snacknoc_workloads::kernels::Kernel;
@@ -56,7 +57,7 @@ fn main() {
         &["smoke"],
     );
     let smoke = args.switch("smoke");
-    let json_path = args.str_or("json", "BENCH_chaos.json");
+    let json_path = args.report_path("BENCH_chaos.json", &["threads"]);
     let threads = args.u64_or(
         "threads",
         std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
@@ -90,8 +91,7 @@ fn main() {
     let results = run_chaos(&spec);
     results.print_table();
 
-    write_or_exit("snack-chaos", &json_path, |w| results.write_json(w));
-    println!("json: {json_path}");
+    write_report("snack-chaos", json_path.as_deref(), |w| results.write_json(w));
 
     let degraded = results.degraded_completions();
     println!("degraded completions (remap/failover taken): {degraded}");

@@ -4,10 +4,11 @@
 //! think-heavy closed-loop platform scenario, and full
 //! `Platform::run_kernel` for three compiler kernels, each under the
 //! dense reference loop and serial stepping (the default: active sets
-//! plus clock jumps), and writes `BENCH_perf.json`
-//! (`snacknoc-perf-v4`) — the perf trajectory's committed baseline. The
-//! dense numbers in the same file *are* the baseline future PRs compare
-//! against.
+//! plus clock jumps). A default run (no options) writes `BENCH_perf.json`
+//! (`snacknoc-perf-v4`) — the perf trajectory's committed baseline;
+//! `--json <path>` writes any run's report there, and any other run
+//! without it writes none. The dense numbers in the same file *are* the
+//! baseline future PRs compare against.
 //!
 //! ```text
 //! snack-perf [--samples N] [--kernel-size N] [--seed N] [--json PATH] [--smoke]
@@ -22,7 +23,7 @@
 
 #![deny(clippy::unwrap_used)]
 
-use snacknoc_bench::args::{write_or_exit, CliArgs};
+use snacknoc_bench::args::{write_report, CliArgs};
 use snacknoc_bench::perf::{
     default_step_scenarios, host_threads, smoke_step_scenarios, time_closed_loop, time_kernel,
     time_step_scenario, PerfReport,
@@ -35,7 +36,7 @@ const USAGE: &str =
 fn main() {
     let args = CliArgs::parse(USAGE, &["samples", "kernel-size", "seed", "json"], &["smoke"]);
     let smoke = args.switch("smoke");
-    let json_path = args.str_or("json", "BENCH_perf.json");
+    let json_path = args.report_path("BENCH_perf.json", &[]);
     let samples = args.u64_or("samples", if smoke { 3 } else { 9 }).max(1) as u32;
     let seed = args.u64_or("seed", 42);
     let kernel_size = args.positive_or("kernel-size", if smoke { 10 } else { 24 });
@@ -62,8 +63,7 @@ fn main() {
     let report = PerfReport { step, kernels: kernel_results };
     report.print_tables();
 
-    write_or_exit("snack-perf", &json_path, |w| report.write_json(w));
-    println!("json: {json_path}");
+    write_report("snack-perf", json_path.as_deref(), |w| report.write_json(w));
 
     if let Some(speedup) = report.idle_speedup() {
         println!("idle-speedup: {speedup:.2}x (serial over dense baseline)");

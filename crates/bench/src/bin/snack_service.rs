@@ -4,9 +4,10 @@
 //! two per QoS class, on a two-CPM DAPPER mesh) across load levels, each
 //! level in **both stepping modes**, and reports per-class/per-tenant
 //! p50/p90/p99 latency, throughput, Jain fairness and typed admission
-//! rejections. Writes `BENCH_service.json` (override with
-//! `--json <path>`); the simulation output is bit-identical for any
-//! `--threads` value and any stepping mode.
+//! rejections. A default run (no option but `--threads`) writes
+//! `BENCH_service.json`; `--json <path>` writes any run's report there,
+//! and any other run without it writes none. The simulation output is
+//! bit-identical for any `--threads` value and any stepping mode.
 //!
 //! ```text
 //! snack-service [--loads 40,100,180] [--seed N] [--threads N]
@@ -22,7 +23,7 @@
 //! peak level rejects at least one submission — CI uses this via
 //! `scripts/verify.sh`.
 
-use snacknoc_bench::args::{write_or_exit, CliArgs};
+use snacknoc_bench::args::{write_report, CliArgs};
 use snacknoc_bench::service::{run_service_grid, ServiceGridSpec};
 use snacknoc_service::Stepping;
 
@@ -51,7 +52,7 @@ fn parse_loads(spec: &str) -> Vec<u32> {
 fn main() {
     let args = CliArgs::parse(USAGE, &["loads", "seed", "threads", "json"], &["smoke"]);
     let smoke = args.switch("smoke");
-    let json_path = args.str_or("json", "BENCH_service.json");
+    let json_path = args.report_path("BENCH_service.json", &["threads"]);
     let seed = args.u64_or("seed", 5);
     let threads = args.u64_or(
         "threads",
@@ -75,8 +76,7 @@ fn main() {
     let results = run_service_grid(&spec);
     results.print_table();
 
-    write_or_exit("snack-service", &json_path, |w| results.write_json(w));
-    println!("json: {json_path}");
+    write_report("snack-service", json_path.as_deref(), |w| results.write_json(w));
     println!(
         "qos-protected: {}  rejections-at-peak: {}",
         if results.qos_protected() { "yes" } else { "NO" },

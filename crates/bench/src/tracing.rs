@@ -132,12 +132,6 @@ impl TracedKernelRun {
         }
         out
     }
-
-    /// Sum of per-category critical-path attribution; equals
-    /// [`CriticalPath::total`] by construction when a path exists.
-    pub fn attributed_cycles(&self) -> Option<u64> {
-        self.critical_path.as_ref().map(CriticalPath::attributed_total)
-    }
 }
 
 #[cfg(test)]

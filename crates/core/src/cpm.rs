@@ -250,19 +250,6 @@ pub enum CpmState {
     Running,
 }
 
-/// The CPM rejected a submission because a kernel is already resident
-/// (paper: the CPM "delivers a busy response to the runtime").
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CpmBusy;
-
-impl fmt::Display for CpmBusy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cpm busy: a kernel is already resident")
-    }
-}
-
-impl std::error::Error for CpmBusy {}
-
 /// Why a kernel submission failed.
 #[derive(Clone, PartialEq, Debug)]
 #[non_exhaustive]
@@ -557,11 +544,6 @@ impl Cpm {
         }
     }
 
-    /// The active recovery configuration.
-    pub fn recovery_config(&self) -> RecoveryConfig {
-        self.recovery
-    }
-
     /// Watchdog/recovery counters.
     pub fn recovery_stats(&self) -> &RecoveryStats {
         &self.rec_stats
@@ -724,18 +706,6 @@ impl Cpm {
         self.overflow.len()
     }
 
-    /// Watchdog records whose retry budget is exhausted while dependents
-    /// are still outstanding — the signal that transient-loss recovery
-    /// alone can no longer finish the resident kernel (a permanently dead
-    /// producer or link). The platform's no-progress window surfaces this
-    /// as a kernel-level remap-and-retry escalation.
-    pub fn exhausted_retries(&self) -> u64 {
-        self.watch
-            .values()
-            .filter(|r| r.detected && r.outstanding > 0 && r.retries >= self.recovery.max_retries)
-            .count() as u64
-    }
-
     /// Abandons the resident kernel and returns to `Idle` — the
     /// platform's escalation path when an attempt stalls against a
     /// permanent fault. Clears the program, instruction buffer, result
@@ -769,10 +739,10 @@ impl Cpm {
         self.overflow.retain(|t| t.dep >> NAMESPACE_SHIFT != namespace);
     }
 
-    /// Re-tags this CPM's namespace (graceful degradation bumps the
-    /// namespace *epoch* on every resubmission so stragglers from an
-    /// aborted attempt can never be confused with the retry's tokens, and
-    /// failover re-homes a kernel onto a standby corner CPM).
+    /// Re-tags this CPM's namespace. The platform re-tags a CPM with a
+    /// fresh namespace *epoch* before every epoch submission
+    /// (`SnackPlatform::submit_kernel_epoch`), so stragglers from an
+    /// earlier kernel can never be confused with the new kernel's tokens.
     ///
     /// # Panics
     ///

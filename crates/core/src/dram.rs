@@ -37,26 +37,12 @@ impl Default for DramModel {
 impl DramModel {
     /// Cycles to fetch a batch of `items` sequential items.
     pub fn batch_latency(&self, items: usize) -> u64 {
-        self.latency_at_rate(items, self.items_per_cycle)
-    }
-
-    /// Cycles to fetch a batch of `items` via irregular indexed gathers.
-    pub fn irregular_batch_latency(&self, items: usize) -> u64 {
-        self.latency_at_rate(items, self.irregular_items_per_cycle)
-    }
-
-    fn latency_at_rate(&self, items: usize, rate: f64) -> u64 {
         if items == 0 {
             return 0;
         }
         let rows = items.div_ceil(self.row_items) as u64;
-        let stream = (items as f64 / rate).ceil() as u64;
+        let stream = (items as f64 / self.items_per_cycle).ceil() as u64;
         rows * self.access_latency + stream
-    }
-
-    /// Completion cycle of a batch fetch started at `now`.
-    pub fn batch_done(&self, now: u64, items: usize) -> u64 {
-        now + self.batch_latency(items)
     }
 
     /// Streaming cycles for `items` once the row pipeline is primed
@@ -79,11 +65,5 @@ mod tests {
         assert_eq!(d.batch_latency(64), 60 + 8);
         assert_eq!(d.batch_latency(128), 60 + 16);
         assert_eq!(d.batch_latency(129), 120 + 17, "second row pays another activate");
-    }
-
-    #[test]
-    fn batch_done_offsets_from_now() {
-        let d = DramModel::default();
-        assert_eq!(d.batch_done(1_000, 64), 1_068);
     }
 }

@@ -16,6 +16,8 @@
 //! * [`cpm`] — the central controller, congestion detection and overflow.
 //! * [`dram`] — the DDR3 batch-fetch timing model behind the CPM.
 //! * [`platform`] — the assembled system: NoC + CPM + RCUs + CMP workload.
+//! * [`lifecycle`] — [`SnackPlatform::run_kernel`], the kernel run loop
+//!   with graceful degradation, written against the platform's methods.
 //!
 //! ## Example
 //!
@@ -56,6 +58,7 @@
 pub mod cpm;
 pub mod dram;
 pub mod fixed;
+pub mod lifecycle;
 pub mod platform;
 pub mod rcu;
 pub mod token;
@@ -65,9 +68,10 @@ pub use cpm::{
 };
 pub use dram::DramModel;
 pub use fixed::Fixed;
+pub use lifecycle::{DegradationReport, KernelRun};
 pub use platform::{
-    DegradationReport, DegradedResource, KernelRun, MultiProgramRun, PlatformConfig,
-    PlatformConfigError, PlatformError, SnackPayload, SnackPlatform,
+    DegradedResource, MultiProgramRun, PlatformConfig, PlatformConfigError, PlatformError,
+    SnackPayload, SnackPlatform,
 };
 pub use rcu::{Emission, Rcu};
 pub use token::{

@@ -1,25 +1,34 @@
 //! The assembled SnackNoC platform: a mesh NoC whose routers carry RCUs,
 //! a CPM at a memory-controller node, and (optionally) a CMP workload
 //! sharing the network — the full system of paper Fig. 5.
+//!
+//! Submodules: `cycle` (the cycle engine), `ring` (ring-token transport)
+//! and the error and config types; [`SnackPlatform::run_kernel`] lives
+//! in [`crate::lifecycle`].
+
+mod config;
+mod cycle;
+mod error;
+mod ring;
+
+pub use config::{PlatformConfig, PlatformConfigError};
+pub use error::{DegradedResource, PlatformError};
 
 use crate::cpm::{
-    Cpm, CpmConfig, CpmConfigError, CpmEmission, CpmState, RecoveryConfig, RecoveryStats,
-    SubmitError, NAMESPACE_MASK, NAMESPACE_SHIFT,
+    Cpm, CpmConfig, CpmState, RecoveryConfig, RecoveryStats, SubmitError, NAMESPACE_SHIFT,
 };
 use crate::dram::DramModel;
 use crate::fixed::Fixed;
-use crate::token::{CompiledKernel, DataToken, Instruction, DATA_TOKEN_BYTES, INSTRUCTION_BYTES};
+use crate::lifecycle::KernelRun;
 use crate::rcu::{Emission, Rcu, RcuStats};
-use snacknoc_noc::routing::xy_route;
+use crate::token::{CompiledKernel, DataToken, Instruction};
 use snacknoc_noc::{
-    BitSet, ConfigError, FaultCounters, FaultPlan, FaultPlanError, LinkFaultKind, Mesh, NetStats,
-    Network, NocConfig, NodeId, Packet, PacketSpec, StallReport, Stepping, TrafficClass,
+    BitSet, FaultCounters, FaultPlan, FaultPlanError, Mesh, NetStats, Network, NocConfig, NodeId,
+    Packet, PacketSpec, StallReport,
 };
 use snacknoc_trace::{EventKind, TracerHandle};
 use snacknoc_workloads::coherence::{AccessPattern, CohMessage, CoherentEngine};
 use snacknoc_workloads::{BenchmarkProfile, CmpMessage, TrafficEngine};
-use std::collections::HashMap;
-use std::fmt;
 
 /// The payload carried by every packet on a SnackNoC platform network.
 #[derive(Clone, Debug)]
@@ -39,347 +48,6 @@ pub enum SnackPayload {
         /// Result value.
         value: Fixed,
     },
-}
-
-/// Error building a [`SnackPlatform`].
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub enum PlatformError {
-    /// Invalid NoC configuration.
-    Config(ConfigError),
-    /// The mesh has no Hamiltonian ring for transient data
-    /// (needs at least one even side).
-    Ring(snacknoc_noc::topology::RingError),
-    /// The configuration lacks the dedicated SnackNoC virtual network
-    /// (needs at least 3 vnets).
-    MissingSnackVnet,
-    /// A decentralized platform asked for more CPMs than the mesh has
-    /// memory-controller corners.
-    BadCpmCount {
-        /// CPMs requested.
-        requested: usize,
-        /// Corners available.
-        corners: usize,
-    },
-    /// The CPM configuration failed validation (bad hysteresis thresholds,
-    /// out-of-range fractions, or zero capacities).
-    CpmConfig(CpmConfigError),
-    /// An epoch-tagged submission ([`SnackPlatform::submit_kernel_epoch`])
-    /// asked for a namespace epoch outside the 8-bit namespace budget.
-    BadEpoch {
-        /// Epoch requested.
-        epoch: u32,
-        /// Epochs available per CPM on this platform
-        /// ([`SnackPlatform::namespace_epochs`]); valid epochs are
-        /// `0..max`.
-        max: u32,
-    },
-    /// The CPM rejected the kernel at submission time.
-    Submit(SubmitError),
-    /// The kernel made no forward progress for a full watchdog window and
-    /// was aborted. Carries a structured snapshot of where the network's
-    /// in-flight state was stuck.
-    KernelTimeout {
-        /// Cycles elapsed since submission when the platform gave up.
-        cycles: u64,
-        /// In-flight network state at abort time.
-        stall: Box<StallReport>,
-    },
-    /// Permanent faults exhausted every graceful-degradation avenue:
-    /// the named resource ran out before any remapped/failed-over attempt
-    /// could complete. Unlike [`PlatformError::KernelTimeout`] this is a
-    /// *verdict* — retrying on the same platform cannot succeed.
-    Unrecoverable {
-        /// The resource that ran out.
-        resource: DegradedResource,
-        /// Kernel-level submission attempts completed before giving up.
-        attempts: u32,
-        /// Cycles elapsed since the original submission.
-        cycles: u64,
-        /// The degradation work done before giving up: remaps, failovers,
-        /// watchdog retries and the cycles of every abandoned attempt
-        /// (`final_attempt_cycles` is 0, since none completed).
-        report: DegradationReport,
-        /// In-flight network state when the platform gave up.
-        stall: Box<StallReport>,
-    },
-}
-
-/// Which resource ran out when graceful degradation failed (the payload of
-/// [`PlatformError::Unrecoverable`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[non_exhaustive]
-pub enum DegradedResource {
-    /// Every candidate RCU node is permanently dead: there is nothing
-    /// left to remap kernel blocks onto.
-    Rcus,
-    /// The home CPM's node died and no live, idle standby corner CPM
-    /// remains to fail over to.
-    StandbyCpms,
-    /// The kernel-attempt budget ([`PlatformConfig::max_kernel_attempts`])
-    /// was spent without a completed run.
-    RetryBudget,
-}
-
-impl fmt::Display for DegradedResource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            DegradedResource::Rcus => "live RCUs",
-            DegradedResource::StandbyCpms => "standby CPMs",
-            DegradedResource::RetryBudget => "kernel retry budget",
-        };
-        f.write_str(s)
-    }
-}
-
-impl fmt::Display for PlatformError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlatformError::Config(e) => write!(f, "noc config: {e}"),
-            PlatformError::Ring(e) => write!(f, "transient ring: {e}"),
-            PlatformError::MissingSnackVnet => {
-                write!(f, "platform needs >= 3 vnets (requests, responses, snack)")
-            }
-            PlatformError::BadCpmCount { requested, corners } => {
-                write!(f, "requested {requested} cpms but the mesh has {corners} corners")
-            }
-            PlatformError::CpmConfig(e) => write!(f, "cpm config: {e}"),
-            PlatformError::BadEpoch { epoch, max } => {
-                write!(f, "namespace epoch {epoch} is outside 0..{max}")
-            }
-            PlatformError::Submit(e) => write!(f, "kernel submission: {e}"),
-            PlatformError::KernelTimeout { cycles, stall } => {
-                write!(f, "kernel timeout after {cycles} cycles: {stall}")
-            }
-            PlatformError::Unrecoverable { resource, attempts, cycles, stall, .. } => write!(
-                f,
-                "unrecoverable after {attempts} attempt(s) / {cycles} cycles: \
-                 out of {resource}: {stall}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PlatformError {}
-
-impl From<ConfigError> for PlatformError {
-    fn from(e: ConfigError) -> Self {
-        PlatformError::Config(e)
-    }
-}
-
-impl From<SubmitError> for PlatformError {
-    fn from(e: SubmitError) -> Self {
-        PlatformError::Submit(e)
-    }
-}
-
-impl From<CpmConfigError> for PlatformError {
-    fn from(e: CpmConfigError) -> Self {
-        PlatformError::CpmConfig(e)
-    }
-}
-
-/// Result of running one kernel to completion.
-#[derive(Clone, Debug)]
-pub struct KernelRun {
-    /// Kernel name.
-    pub name: String,
-    /// Cycles from submission to the final result writeback (the *final*
-    /// attempt only; abandoned graceful-degradation attempts are accounted
-    /// in [`DegradationReport::penalty_cycles`]).
-    pub cycles: u64,
-    /// The kernel outputs, in slot order.
-    pub outputs: Vec<Fixed>,
-    /// How the run coped with permanent faults — `None` for a clean run
-    /// on an undegraded platform.
-    pub degradation: Option<DegradationReport>,
-}
-
-/// How a kernel run completed *despite* permanent faults: the resources
-/// lost, the recovery work taken, and the latency penalty relative to a
-/// fault-free run. Attached to [`KernelRun::degradation`] whenever the
-/// platform was degraded or graceful degradation had to act.
-///
-/// Invariant: [`DegradationReport::total_cycles`] (`final_attempt_cycles +
-/// penalty_cycles`) equals the wall-clock cycles from the original
-/// submission to the final writeback.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct DegradationReport {
-    /// Permanently dead RCU nodes the final mapping avoided.
-    pub dead_rcus: usize,
-    /// Permanently dead links in the active fault plan.
-    pub dead_links: usize,
-    /// Attempts whose submitted kernel was remapped off dead RCUs
-    /// (including a proactive remap on the first attempt when deaths were
-    /// already visible at submission time).
-    pub remaps: u32,
-    /// Home-CPM failovers to a standby corner.
-    pub failovers: u32,
-    /// Watchdog re-issue attempts across all attempts (transient-loss
-    /// recovery work, *retries taken*).
-    pub watchdog_retries: u64,
-    /// Cycles burned by abandoned attempts — the latency penalty versus a
-    /// fault-free run that completes on its first attempt.
-    pub penalty_cycles: u64,
-    /// Cycles of the successful final attempt (equals
-    /// [`KernelRun::cycles`]).
-    pub final_attempt_cycles: u64,
-}
-
-impl DegradationReport {
-    /// Whether anything in the report is non-trivial (a clean run on an
-    /// undegraded platform reports nothing at all).
-    pub fn is_degraded(&self) -> bool {
-        self.dead_rcus > 0
-            || self.dead_links > 0
-            || self.remaps > 0
-            || self.failovers > 0
-            || self.penalty_cycles > 0
-    }
-
-    /// Submission-to-writeback wall clock: the final attempt plus every
-    /// abandoned attempt's penalty.
-    pub fn total_cycles(&self) -> u64 {
-        self.final_attempt_cycles + self.penalty_cycles
-    }
-}
-
-/// Platform-level runtime knobs: the hang detector's window and the
-/// graceful-degradation retry budget. Installed with
-/// [`SnackPlatform::set_platform_config`]; invalid values are rejected
-/// with a typed [`PlatformConfigError`] instead of silently misbehaving.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PlatformConfig {
-    /// Cycles of zero forward progress [`SnackPlatform::run_kernel`]
-    /// tolerates before aborting the attempt. Defaults to
-    /// [`SnackPlatform::NO_PROGRESS_WINDOW`]; chaos tests shrink it so
-    /// remap/failover escalation fires quickly, think-heavy closed-loop
-    /// runs may grow it. Must be at least
-    /// [`SnackPlatform::MIN_NO_PROGRESS_WINDOW`].
-    pub no_progress_window: u64,
-    /// Kernel-level submission attempts (the initial run plus
-    /// remap/failover retries) before `run_kernel` gives up with
-    /// [`PlatformError::Unrecoverable`]. At least 1, at most
-    /// [`PlatformConfig::MAX_KERNEL_ATTEMPTS`].
-    pub max_kernel_attempts: u32,
-    /// Per-kernel cycle budget: how long a single kernel may run from
-    /// submission before the caller should give up on it. Consumed by
-    /// the multi-tenant service loop as its abort deadline (a dispatched
-    /// kernel that outlives the cap is quarantined and counted against
-    /// its tenant) and available to any `run_kernel` caller as the
-    /// canonical budget instead of an ad-hoc magic number. Must be at
-    /// least [`PlatformConfig::no_progress_window`].
-    pub kernel_cycle_cap: u64,
-}
-
-impl Default for PlatformConfig {
-    fn default() -> Self {
-        PlatformConfig {
-            no_progress_window: SnackPlatform::NO_PROGRESS_WINDOW,
-            max_kernel_attempts: 4,
-            kernel_cycle_cap: SnackPlatform::KERNEL_CYCLE_CAP,
-        }
-    }
-}
-
-impl PlatformConfig {
-    /// Upper bound on [`PlatformConfig::max_kernel_attempts`]: the
-    /// namespace epoch tag (`home + cpm_count * epoch`) must fit the
-    /// 8-bit CPM namespace alongside up to 4 corner CPMs.
-    pub const MAX_KERNEL_ATTEMPTS: u32 = 32;
-
-    /// Checks the knobs: a window no smaller than
-    /// [`SnackPlatform::MIN_NO_PROGRESS_WINDOW`] (zero or tiny windows
-    /// would abort runs the watchdog was still legitimately recovering)
-    /// and an attempt budget in `1..=MAX_KERNEL_ATTEMPTS`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violation found.
-    pub fn validate(&self) -> Result<(), PlatformConfigError> {
-        if self.no_progress_window < SnackPlatform::MIN_NO_PROGRESS_WINDOW {
-            return Err(PlatformConfigError::WindowTooSmall {
-                window: self.no_progress_window,
-                min: SnackPlatform::MIN_NO_PROGRESS_WINDOW,
-            });
-        }
-        if self.max_kernel_attempts == 0 || self.max_kernel_attempts > Self::MAX_KERNEL_ATTEMPTS {
-            return Err(PlatformConfigError::BadAttemptBudget {
-                attempts: self.max_kernel_attempts,
-                max: Self::MAX_KERNEL_ATTEMPTS,
-            });
-        }
-        if self.kernel_cycle_cap < self.no_progress_window {
-            return Err(PlatformConfigError::CycleCapBelowWindow {
-                cap: self.kernel_cycle_cap,
-                window: self.no_progress_window,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// An invalid [`PlatformConfig`], rejected before installation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[non_exhaustive]
-pub enum PlatformConfigError {
-    /// The no-progress window is zero or smaller than the deepest
-    /// recovery backoff the watchdog may legitimately take.
-    WindowTooSmall {
-        /// The rejected window.
-        window: u64,
-        /// The smallest accepted window.
-        min: u64,
-    },
-    /// The kernel-attempt budget is zero or exceeds the namespace-epoch
-    /// bit budget.
-    BadAttemptBudget {
-        /// The rejected budget.
-        attempts: u32,
-        /// The largest accepted budget.
-        max: u32,
-    },
-    /// [`PlatformConfig::kernel_cycle_cap`] is smaller than the
-    /// no-progress window — the hang detector could never fire before
-    /// the cap, making the cap the *only* backstop and the window dead
-    /// configuration.
-    CycleCapBelowWindow {
-        /// The rejected cap.
-        cap: u64,
-        /// The configured no-progress window the cap must cover.
-        window: u64,
-    },
-}
-
-impl fmt::Display for PlatformConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlatformConfigError::WindowTooSmall { window, min } => {
-                write!(f, "no-progress window {window} is below the minimum {min}")
-            }
-            PlatformConfigError::BadAttemptBudget { attempts, max } => {
-                write!(f, "kernel attempt budget {attempts} is outside 1..={max}")
-            }
-            PlatformConfigError::CycleCapBelowWindow { cap, window } => {
-                write!(f, "cycle cap {cap} is below the no-progress window {window}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlatformConfigError {}
-
-/// How one graceful-degradation attempt of
-/// [`SnackPlatform::run_kernel`] ended.
-enum AttemptEnd {
-    /// Results written back.
-    Finished(KernelRun),
-    /// A full no-progress window elapsed with a frozen progress
-    /// signature.
-    Stalled,
-    /// The caller's overall `max_cycles` deadline was reached.
-    Deadline,
 }
 
 /// The CMP workload sharing the platform's NoC.
@@ -422,7 +90,9 @@ pub struct SnackPlatform {
     /// `ring_next[node]` = successor on the transient-data ring.
     ring_next: Vec<NodeId>,
     submitted_at: Vec<u64>,
-    nodes: Vec<NodeId>,
+    /// `next_epoch[i]`: the namespace epoch CPM `i`'s next
+    /// [`SnackPlatform::submit_kernel_epoch`] takes.
+    next_epoch: Vec<u32>,
     /// Ready RCUs: the RCUs the per-cycle loop ticks, in ascending index
     /// order. Every non-idle RCU is ready or parked, never both; an RCU
     /// in neither set is idle, and ticking it would be a pure no-op.
@@ -485,6 +155,7 @@ impl SnackPlatform {
             })
             .collect();
         platform.submitted_at = vec![0; cpm_count];
+        platform.next_epoch = vec![0; cpm_count];
         Ok(platform)
     }
 
@@ -518,7 +189,7 @@ impl SnackPlatform {
             engine: None,
             ring_next,
             submitted_at: vec![0],
-            nodes: mesh.nodes().collect(),
+            next_epoch: vec![0],
             snack_vnet,
             rcu_ready: BitSet::new(n),
             rcu_parked: BitSet::new(n),
@@ -569,6 +240,12 @@ impl SnackPlatform {
     /// window still report utilization samples.
     pub fn finalize_stats(&mut self) -> &NetStats {
         self.net.finalize_stats()
+    }
+
+    /// The network's in-flight state now: what a kernel timeout or an
+    /// unrecoverable verdict reports.
+    pub(crate) fn stall_report(&self) -> StallReport {
+        self.net.stall_report()
     }
 
     /// Installs a tracer; all subsequent instrumentation events from the
@@ -626,12 +303,6 @@ impl SnackPlatform {
         // Fresh RCUs are idle: neither ready nor parked.
         self.rcu_ready.clear();
         self.rcu_parked.clear();
-    }
-
-    /// Whether the platform was built for the dense reference loop: every
-    /// RCU ticks every cycle and the clock never jumps (DESIGN.md §12).
-    fn dense(&self) -> bool {
-        self.net.config().stepping == Stepping::Dense
     }
 
     /// Total packets injected into the underlying network.
@@ -712,7 +383,8 @@ impl SnackPlatform {
         self.submit_kernel_to(0, kernel)
     }
 
-    /// Submits a kernel to the `i`-th CPM of a decentralized platform.
+    /// Submits a kernel to the `i`-th CPM of a decentralized platform,
+    /// under the namespace that CPM already holds.
     ///
     /// # Errors
     ///
@@ -729,28 +401,23 @@ impl SnackPlatform {
         Ok(())
     }
 
-    /// Namespace epochs available per CPM: how many distinct epoch tags
-    /// (`ns = cpm + cpm_count * epoch`) fit the 8-bit namespace field.
-    /// The multi-tenant service layer wraps its per-CPM dispatch epoch
-    /// modulo this bound.
+    /// Namespace epochs available per CPM: how many distinct tags
+    /// `ns = cpm + cpm_count × epoch` fit the 8-bit namespace field.
+    /// Each CPM's epoch counter wraps at this bound.
     pub fn namespace_epochs(&self) -> u32 {
         (1u32 << (32 - NAMESPACE_SHIFT)) / self.cpms.len() as u32
     }
 
-    /// Submits a kernel to the `i`-th CPM under a fresh namespace epoch
-    /// (`ns = i + cpm_count * epoch`): the multi-submission hook for the
-    /// online service layer. Re-tagging the namespace before every
-    /// dispatch guarantees that stragglers from any earlier kernel on
-    /// this CPM — including one the service aborted with
-    /// [`SnackPlatform::abort_kernel_on`] — carry a retired epoch and are
-    /// quarantined at delivery, so concurrent tenants can never observe
-    /// each other's tokens.
+    /// Submits a kernel to the `i`-th CPM under that CPM's next namespace
+    /// epoch, re-tagging it `ns = i + cpm_count × epoch` (each CPM's
+    /// counter wraps at [`SnackPlatform::namespace_epochs`]). Every
+    /// `run_kernel` attempt and every service dispatch submits this way,
+    /// so stragglers of any earlier kernel on this CPM carry a retired
+    /// namespace and are quarantined at delivery.
     ///
     /// # Errors
     ///
-    /// [`PlatformError::BadEpoch`] when `epoch` exceeds
-    /// [`SnackPlatform::namespace_epochs`], [`PlatformError::Submit`] for
-    /// the CPM's busy/validation rejections.
+    /// The CPM's busy/validation rejections, which take no epoch.
     ///
     /// # Panics
     ///
@@ -758,19 +425,28 @@ impl SnackPlatform {
     pub fn submit_kernel_epoch(
         &mut self,
         i: usize,
-        epoch: u32,
         kernel: &CompiledKernel,
-    ) -> Result<(), PlatformError> {
-        let max = self.namespace_epochs();
-        if epoch >= max {
-            return Err(PlatformError::BadEpoch { epoch, max });
-        }
-        if self.cpms[i].state() != CpmState::Idle {
-            return Err(PlatformError::Submit(SubmitError::Busy));
-        }
+    ) -> Result<(), SubmitError> {
+        let epoch = self.next_epoch[i];
         let ns = i as u32 + self.cpms.len() as u32 * epoch;
-        self.cpms[i].set_namespace(ns);
-        self.submit_kernel_to(i, kernel).map_err(PlatformError::Submit)
+        // A busy CPM keeps its resident kernel's tag; the submission
+        // below then rejects (and counts) the busy attempt.
+        if self.cpms[i].state() == CpmState::Idle {
+            self.cpms[i].set_namespace(ns);
+        }
+        self.submit_kernel_to(i, kernel)?;
+        self.next_epoch[i] = (epoch + 1) % self.namespace_epochs();
+        Ok(())
+    }
+
+    /// The home CPM of a wire id (a dep, sub-block or output index whose
+    /// high bits carry the namespace `cpm + cpm_count × epoch`), and
+    /// whether that namespace is resident there; a non-resident one
+    /// belongs to a finished or aborted kernel, quarantined at delivery.
+    fn home_of(&self, wire: u32) -> (usize, bool) {
+        let ns = wire >> NAMESPACE_SHIFT;
+        let home = ns as usize % self.cpms.len();
+        (home, self.cpms[home].namespace() == ns)
     }
 
     /// Whether the `i`-th CPM's node is permanently dead at the current
@@ -785,15 +461,24 @@ impl SnackPlatform {
         self.node_dead(self.cpms[i].node(), self.net.cycle())
     }
 
+    /// The first CPM, in corner order, whose node is alive and which has
+    /// no kernel resident: where `run_kernel` fails a dead home over to,
+    /// and the slot the service layer dispatches its next job to.
+    pub fn first_live_idle_cpm(&self) -> Option<usize> {
+        (0..self.cpms.len())
+            .find(|&i| self.cpms[i].state() == CpmState::Idle && !self.cpm_node_dead(i))
+    }
+
     /// Aborts and quarantines the kernel resident on CPM `i`, returning
-    /// whether one was resident. The same quarantine `run_kernel` applies
-    /// to a stalled graceful-degradation attempt: the CPM is reset to
-    /// idle, the kernel's namespace is purged from every CPM's overflow
-    /// buffer and every RCU, and every RCU is woken. In-flight
-    /// stragglers keep the retired namespace and are dropped at delivery
-    /// once the next [`SnackPlatform::submit_kernel_epoch`] re-tags the
-    /// CPM. The service layer uses this to enforce its per-kernel cycle
-    /// budget ([`PlatformConfig::kernel_cycle_cap`]).
+    /// whether one was resident: the CPM is reset to idle, the kernel's
+    /// namespace is purged from every CPM's overflow buffer and every RCU,
+    /// and every RCU is woken (a purge can change what any RCU could
+    /// fire). In-flight stragglers keep the retired namespace and are
+    /// dropped at delivery once the next
+    /// [`SnackPlatform::submit_kernel_epoch`] re-tags the CPM.
+    /// `run_kernel` quarantines a stalled attempt this way, and the
+    /// service layer uses it to enforce its per-kernel cycle budget
+    /// ([`PlatformConfig::kernel_cycle_cap`]).
     ///
     /// # Panics
     ///
@@ -802,14 +487,6 @@ impl SnackPlatform {
         if self.cpms[i].state() == CpmState::Idle {
             return false;
         }
-        self.quarantine(i);
-        true
-    }
-
-    /// Aborts CPM `i`'s kernel and purges its namespace from every CPM's
-    /// overflow buffer and every RCU. A purge can change what any RCU
-    /// could fire, so it wakes them all.
-    fn quarantine(&mut self, i: usize) {
         let ns = self.cpms[i].namespace();
         self.cpms[i].abort();
         for c in &mut self.cpms {
@@ -819,45 +496,7 @@ impl SnackPlatform {
             r.abort_namespace(ns);
         }
         self.wake_all_rcus();
-    }
-
-    /// Wakes RCU `i` after an edge that may have made it fireable: an
-    /// accepted instruction or a capture. A parked RCU settles the stalls
-    /// it owes for the cycles before this one, then ticks again.
-    fn wake_rcu(&mut self, i: usize) {
-        if self.rcu_parked.remove(i) {
-            self.rcus[i].stats.stalled_cycles += self.owed_stalls(i, self.net.cycle());
-        }
-        self.rcu_ready.insert(i);
-    }
-
-    /// The one worklist rebuild: settles every parked RCU's owed stalls at
-    /// the current cycle, parks none, and makes exactly the non-idle RCUs
-    /// ready.
-    fn wake_all_rcus(&mut self) {
-        let now = self.net.cycle();
-        for i in 0..self.rcus.len() {
-            if self.rcu_parked.contains(i) {
-                self.rcus[i].stats.stalled_cycles += self.owed_stalls(i, now);
-            }
-            if self.rcus[i].is_idle() {
-                self.rcu_ready.remove(i);
-            } else {
-                self.rcu_ready.insert(i);
-            }
-        }
-        self.rcu_parked.clear();
-    }
-
-    /// Stalls parked RCU `i` owes at cycle `now`: one per cycle from
-    /// `parked_at[i]` up to `now`, or up to its node's death, since a dead
-    /// RCU never ticks.
-    fn owed_stalls(&self, i: usize, now: u64) -> u64 {
-        let node = self.nodes[i];
-        let until = self.net.fault_plan().map_or(now, |p| {
-            p.dead_rcus.iter().filter(|d| d.node == node).fold(now, |t, d| t.min(d.from))
-        });
-        until.saturating_sub(self.parked_at[i])
+        true
     }
 
     /// Kernels run to completion and collected across all CPMs
@@ -865,20 +504,6 @@ impl SnackPlatform {
     /// [`crate::cpm::CpmStats::kernels_completed`]).
     pub fn kernels_completed(&self) -> u64 {
         self.cpms.iter().map(|c| c.stats.kernels_completed).sum()
-    }
-
-    /// Advances the platform by one clock jump capped at `cap` when it is
-    /// quiescent (and not in dense mode), else by one step, and returns
-    /// the new cycle. This is the service loop's advance primitive: the
-    /// service passes its next scheduled event (pending arrival, abort
-    /// deadline, horizon) as the cap, so a jump never skips a cycle on
-    /// which the service must act, and every stepping mode observes
-    /// service events at identical cycles.
-    pub fn step_or_jump(&mut self, cap: u64) -> u64 {
-        if !self.maybe_jump(cap) {
-            self.step();
-        }
-        self.net.cycle()
     }
 
     /// Takes the finished kernel's outputs from the primary CPM.
@@ -942,6 +567,11 @@ impl SnackPlatform {
         self.net.set_fault_plan(plan)
     }
 
+    /// The installed fault plan, if any.
+    pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.net.fault_plan()
+    }
+
     /// Fault-injection counters accumulated by the network.
     pub fn fault_counters(&self) -> FaultCounters {
         self.net.fault_counters()
@@ -969,733 +599,13 @@ impl SnackPlatform {
         agg
     }
 
-    /// Advances the platform by one cycle: workload traffic, CPM issue,
-    /// RCU execution, one network step, and delivery dispatch.
-    pub fn step(&mut self) {
-        let now = self.net.cycle();
-        // CMP workload injections.
-        match &mut self.engine {
-            None => {}
-            Some(Workload::Phase(engine)) => {
-                engine.tick(now, &mut self.cmp_specs);
-                for spec in self.cmp_specs.drain(..) {
-                    let mapped = PacketSpec::new(
-                        spec.src,
-                        spec.dst,
-                        spec.vnet,
-                        spec.class,
-                        spec.size_bytes,
-                        SnackPayload::Cmp(spec.payload),
-                    );
-                    self.net.inject(mapped).expect("engine produces valid packets");
-                }
-            }
-            Some(Workload::Coherent(engine)) => {
-                for spec in engine.tick(now) {
-                    let mapped = PacketSpec::new(
-                        spec.src,
-                        spec.dst,
-                        spec.vnet,
-                        spec.class,
-                        spec.size_bytes,
-                        SnackPayload::Coh(spec.payload),
-                    );
-                    self.net.inject(mapped).expect("engine produces valid packets");
-                }
-            }
-        }
-        // CPM issue (1 flit/cycle each).
-        let dead_active = self.any_dead_nodes();
-        for c in 0..self.cpms.len() {
-            let node = self.cpms[c].node();
-            if dead_active && self.node_dead(node, now) {
-                // A dead corner node's CPM is frozen: no fetch, no issue,
-                // no watchdog sweeps. The router underneath keeps
-                // forwarding. All stepping modes skip it identically.
-                continue;
-            }
-            let congestion = self.net.useful_free_output_vcs(node);
-            // CPM decision events (overflow mode flips, watchdog loss
-            // declarations) are diffed across the tick. The pre/post state
-            // reads are gated on an enabled tracer so the disabled path
-            // does no extra work.
-            let traced = self.net.tracer().is_enabled();
-            let (was_overflow, prev_detected) = if traced {
-                (self.cpms[c].in_overflow(), self.cpms[c].recovery_stats().detected)
-            } else {
-                (false, 0)
-            };
-            let emission = self.cpms[c].tick(now, congestion);
-            if traced {
-                let now_overflow = self.cpms[c].in_overflow();
-                if now_overflow != was_overflow {
-                    let (free, total) = congestion;
-                    self.net.tracer_mut().record_with(now, || {
-                        if now_overflow {
-                            EventKind::CpmOverflowEnter {
-                                cpm: c as u32,
-                                free: free as u32,
-                                total: total as u32,
-                            }
-                        } else {
-                            EventKind::CpmOverflowExit {
-                                cpm: c as u32,
-                                free: free as u32,
-                                total: total as u32,
-                            }
-                        }
-                    });
-                }
-                let detected = self.cpms[c].recovery_stats().detected;
-                if detected > prev_detected {
-                    self.net.tracer_mut().record_with(now, || EventKind::WatchdogDetect {
-                        cpm: c as u32,
-                        losses: detected - prev_detected,
-                    });
-                }
-            }
-            match emission {
-                Some(CpmEmission::Instructions(packet)) => {
-                    let dst = packet[0].pe;
-                    self.net.tracer_mut().record_with(now, || EventKind::CpmIssue {
-                        cpm: c as u32,
-                        pe: dst.index() as u32,
-                        count: packet.len() as u32,
-                    });
-                    let bytes = INSTRUCTION_BYTES * packet.len() as u32;
-                    let spec = PacketSpec::new(
-                        node,
-                        dst,
-                        self.snack_vnet,
-                        TrafficClass::SnackInstruction,
-                        bytes,
-                        SnackPayload::Instructions(packet),
-                    )
-                    .with_protected();
-                    self.net.inject(spec).expect("valid instruction packet");
-                }
-                Some(CpmEmission::ReplayToken(token)) => {
-                    self.net.tracer_mut().record_with(now, || EventKind::CpmRefill {
-                        cpm: c as u32,
-                        dep: token.dep,
-                    });
-                    self.launch_token(node, token);
-                }
-                Some(CpmEmission::RequestRetransmit { dep, producer, remaining }) => {
-                    self.net.tracer_mut().record_with(now, || EventKind::WatchdogRetransmit {
-                        cpm: c as u32,
-                        dep,
-                        producer: producer.index() as u32,
-                    });
-                    // The watchdog asks the producing RCU to re-issue from
-                    // its retained copy. We model the request as arriving
-                    // instantly (a single control flit on the protected
-                    // class); the re-issued token pays full ring transit.
-                    // A dead producer's retained state is gone with it: the
-                    // request goes unanswered, the watchdog burns its
-                    // bounded retries, and the platform's no-progress
-                    // window escalates to a kernel-level remap.
-                    if dead_active && self.node_dead(producer, now) {
-                        // Unanswered by design.
-                    } else if let Some(token) =
-                        self.rcus[producer.index()].retransmit(dep, remaining)
-                    {
-                        self.launch_token(producer, token);
-                    }
-                }
-                None => {}
-            }
-        }
-        // RCU execution. Fault-stall plans charge `stalled_cycles` to
-        // *every* stalled RCU, idle or not, so they force the full loop,
-        // which settles parked RCUs first and then ticks every RCU, as
-        // dense stepping always does; otherwise only ready RCUs tick.
-        #[cfg(debug_assertions)]
-        self.check_rcu_sets();
-        let has_stalls =
-            self.net.fault_plan().is_some_and(|p| !p.rcu_stalls.is_empty());
-        if has_stalls || self.dense() {
-            self.wake_all_rcus();
-            for i in 0..self.rcus.len() {
-                if dead_active && self.node_dead(self.nodes[i], now) {
-                    // A dead RCU never ticks (and never accrues stall
-                    // statistics): its pending work freezes in place until
-                    // the platform's escalation path purges it.
-                    continue;
-                }
-                if has_stalls {
-                    let node = self.nodes[i];
-                    let stalled = self
-                        .net
-                        .fault_plan()
-                        .is_some_and(|p| p.rcu_stalled(node, now));
-                    if stalled {
-                        self.rcus[i].stats.stalled_cycles += 1;
-                        continue;
-                    }
-                }
-                self.tick_rcu(i, now);
-            }
-        } else {
-            // Tick the ready set in index order (matching the dense loop).
-            // An RCU that goes idle leaves it; one whose tick stalled
-            // parks. Ticks cannot wake an RCU, so the walk only removes
-            // the RCU it just ticked.
-            let mut at = 0;
-            while let Some(i) = self.rcu_ready.next_from(at) {
-                at = i + 1;
-                // Dead RCUs are skipped (identically to the dense loop);
-                // their frozen pending work keeps them ready until
-                // escalation purges it.
-                if dead_active && self.node_dead(self.nodes[i], now) {
-                    continue;
-                }
-                let stalls = self.rcus[i].stats.stalled_cycles;
-                self.tick_rcu(i, now);
-                if self.rcus[i].is_idle() {
-                    self.rcu_ready.remove(i);
-                } else if self.rcus[i].stats.stalled_cycles > stalls {
-                    self.rcu_ready.remove(i);
-                    self.rcu_parked.insert(i);
-                    self.parked_at[i] = now + 1;
-                }
-            }
-        }
-        // The network cycle.
-        self.net.step();
-        // Deliveries, in node order, on cycles that ejected anything.
-        if self.net.has_ejected() {
-            self.dispatch_deliveries(dead_active);
-        }
-    }
-
-    /// Hands every packet the network ejected this cycle to its consumer,
-    /// node by node in index order, through the reused `delivered` buffer.
-    fn dispatch_deliveries(&mut self, dead_active: bool) {
-        let now = self.net.cycle();
-        let mut delivered = std::mem::take(&mut self.delivered);
-        for i in 0..self.nodes.len() {
-            if !self.net.has_ejected() {
-                break;
-            }
-            let node = self.nodes[i];
-            self.net.drain_ejected_into(node, &mut delivered);
-            for pkt in delivered.drain(..) {
-                let corrupted = pkt.corrupted;
-                match pkt.payload {
-                    SnackPayload::Cmp(msg) => {
-                        if let Some(Workload::Phase(engine)) = &mut self.engine {
-                            engine.deliver(now, node, msg);
-                        }
-                    }
-                    SnackPayload::Coh(msg) => {
-                        if let Some(Workload::Coherent(engine)) = &mut self.engine {
-                            engine.deliver(now, node, msg);
-                        }
-                    }
-                    SnackPayload::Instructions(instrs) => {
-                        // Stale instruction packets from an aborted
-                        // attempt's epoch are quarantined, and packets
-                        // that arrive at a node that has since died are
-                        // dropped (the kernel stalls, then escalates to
-                        // remap-and-retry). On a healthy platform every
-                        // namespace matches its issuing CPM, so neither
-                        // branch ever fires.
-                        let ns = instrs[0].sub_block >> NAMESPACE_SHIFT;
-                        let stale =
-                            self.cpms[ns as usize % self.cpms.len()].namespace() != ns;
-                        if stale || (dead_active && self.node_dead(node, now)) {
-                            continue;
-                        }
-                        for ins in instrs {
-                            debug_assert_eq!(ins.pe, node, "instruction routed to its PE");
-                            self.net.tracer_mut().record_with(now, || EventKind::RcuIssue {
-                                node: i as u32,
-                                sub_block: ins.sub_block,
-                                seq: ins.seq,
-                            });
-                            self.rcus[i].accept_instruction(ins);
-                        }
-                        // Wake edge: the RCU has new work to try.
-                        self.wake_rcu(i);
-                    }
-                    SnackPayload::Data(token) => {
-                        // Quarantine first: tokens from an aborted
-                        // attempt's stale epoch, or homed to a CPM whose
-                        // node has died, are dropped — their kernel is
-                        // gone (or about to be resubmitted under a fresh
-                        // namespace) and a late straggler must never be
-                        // confused with the retry's tokens.
-                        let ns = token.dep >> NAMESPACE_SHIFT;
-                        let home = ns as usize % self.cpms.len();
-                        if self.cpms[home].namespace() != ns
-                            || (dead_active && self.node_dead(self.cpms[home].node(), now))
-                        {
-                            continue;
-                        }
-                        // A corrupted ring hop damages the token's value; the
-                        // checksum (sealed over dep/seq/value, not the
-                        // in-flight dependent count) is the single detection
-                        // path — corrupt tokens are quarantined and reported
-                        // to the owning CPM's watchdog instead of poisoning
-                        // downstream captures.
-                        let token = if corrupted { token.with_damaged_value() } else { token };
-                        if token.checksum_ok() {
-                            self.ring_pass(node, token);
-                        } else {
-                            self.cpms[home].note_corrupt(token.dep, now);
-                        }
-                    }
-                    SnackPayload::Result { index, value } => {
-                        let ns = index >> NAMESPACE_SHIFT;
-                        let home = ns as usize % self.cpms.len();
-                        // Same quarantine as data tokens: stale-epoch
-                        // results and results homed to a dead CPM are
-                        // dropped, never written into a live kernel's FIFO.
-                        if self.cpms[home].namespace() != ns
-                            || (dead_active && self.node_dead(self.cpms[home].node(), now))
-                        {
-                            continue;
-                        }
-                        self.cpms[home].accept_result(index & NAMESPACE_MASK, value, now);
-                    }
-                }
-            }
-        }
-        self.delivered = delivered;
-    }
-
-    /// Ticks RCU `i` through the reused emission scratch buffer and
-    /// dispatches its completions (ring tokens, result packets). Shared
-    /// by the dense and active-set RCU loops so both produce identical
-    /// emission order with zero steady-state allocation.
-    fn tick_rcu(&mut self, i: usize, now: u64) {
-        let mut emissions = std::mem::take(&mut self.emit_scratch);
-        debug_assert!(emissions.is_empty());
-        self.rcus[i].tick_into(now, i as u32, self.net.tracer_mut(), &mut emissions);
-        let node = self.nodes[i];
-        for emission in emissions.drain(..) {
-            match emission {
-                Emission::Token(token) => self.launch_token(node, token),
-                Emission::Output { index, value } => {
-                    // The namespace in the index's high bits routes the
-                    // result home to the CPM that issued the kernel
-                    // (modulo the CPM count: epoch-bumped namespaces from
-                    // graceful degradation still resolve to their home).
-                    let home = (index >> NAMESPACE_SHIFT) as usize % self.cpms.len();
-                    let spec = PacketSpec::new(
-                        node,
-                        self.cpms[home].node(),
-                        self.snack_vnet,
-                        TrafficClass::SnackData,
-                        DATA_TOKEN_BYTES,
-                        SnackPayload::Result { index, value },
-                    )
-                    .with_protected();
-                    self.net.inject(spec).expect("valid result packet");
-                }
-            }
-        }
-        self.emit_scratch = emissions;
-    }
-
-    /// Checks the RCU sets against a full scan: every non-idle RCU is
-    /// ready or parked, never both, and no parked RCU could fire.
-    #[cfg(debug_assertions)]
-    fn check_rcu_sets(&self) {
-        for (i, rcu) in self.rcus.iter().enumerate() {
-            let (ready, parked) = (self.rcu_ready.contains(i), self.rcu_parked.contains(i));
-            assert!(!(ready && parked), "RCU {i} is both ready and parked");
-            assert!(rcu.is_idle() || ready || parked, "busy RCU {i} is neither ready nor parked");
-            assert!(!parked || !rcu.can_fire(), "parked RCU {i} has a fireable instruction");
-        }
-    }
-
-    /// Attempts a clock jump: if the platform is provably quiescent at the
-    /// current cycle, every component reports its next wake and the clock
-    /// jumps to the earliest one (capped at `cap`). Returns whether a jump
-    /// happened; `false` means the caller must take a real
-    /// [`SnackPlatform::step`]. Dense mode never jumps.
-    ///
-    /// Cost: while the network holds any work the attempt is a few word
-    /// tests of the network's worklists. A quiescent network adds one
-    /// poll of the workload engine (O(1) for the phase model), of each
-    /// CPM, and of each ready RCU — an idle or parked RCU has no wake.
-    ///
-    /// Soundness: a jump from `now` to `to` is taken only when every
-    /// skipped [`SnackPlatform::step`] in `now..to` would have been a
-    /// no-op — network quiescent (nothing buffered, in flight, or queued
-    /// at an NI), the workload engine's next response/think-expiry at or
-    /// past `to`, every CPM's next effectful tick at or past `to` (the
-    /// ALO congestion signal is frozen while the network is quiescent, so
-    /// polling it once is sound), every RCU idle, parked or busy until at
-    /// least `to`, no RCU-stall fault window open or opening before `to`,
-    /// and no fault-plan link-window edge before `to`. A parked RCU
-    /// stalls on every skipped cycle, and it owes those stalls lazily:
-    /// its next wake or any [`SnackPlatform::rcu_stats`] read counts them.
-    /// The skipped cycles' only other observable effect — idle statistics
-    /// accounting — is replayed in bulk by
-    /// [`snacknoc_noc::Network::advance_idle_to`].
-    fn maybe_jump(&mut self, cap: u64) -> bool {
-        let now = self.net.cycle();
-        if self.dense() || cap <= now || !self.net.is_quiescent() {
-            return false;
-        }
-        // Fold every component's next wake into `to`. Any wake at (or
-        // before) `now` means the next step is not a no-op: no jump.
-        let mut to = cap;
-        let engine_wake = match &self.engine {
-            None => None,
-            Some(Workload::Phase(e)) => e.next_event_cycle(),
-            Some(Workload::Coherent(e)) => e.next_event_cycle(),
-        };
-        if let Some(w) = engine_wake {
-            if w <= now {
-                return false;
-            }
-            to = to.min(w);
-        }
-        let dead_active = self.any_dead_nodes();
-        for c in 0..self.cpms.len() {
-            // Dead CPMs never tick (see `step`), so they never bound a
-            // jump either.
-            if dead_active && self.node_dead(self.cpms[c].node(), now) {
-                continue;
-            }
-            let congestion = self.net.useful_free_output_vcs(self.cpms[c].node());
-            match self.cpms[c].next_wake(now, congestion) {
-                Some(w) if w <= now => return false,
-                Some(w) => to = to.min(w),
-                None => {}
-            }
-        }
-        if let Some(plan) = self.net.fault_plan() {
-            if !plan.rcu_stalls.is_empty() {
-                if plan.any_rcu_stalled(now) {
-                    // Stalled RCUs are charged `stalled_cycles` every
-                    // cycle of the window: stepping is mandatory.
-                    return false;
-                }
-                if let Some(s) = plan.next_rcu_stall_start_after(now) {
-                    to = to.min(s);
-                }
-            }
-        }
-        // Parked RCUs stall every skipped cycle and owe those stalls
-        // lazily, so only ready RCUs bound the jump.
-        for i in self.rcu_ready.iter() {
-            // Dead RCUs never tick, so their frozen pending work must not
-            // pin the clock (it would otherwise report a wake at `now`
-            // forever and forbid every jump).
-            if dead_active && self.node_dead(self.nodes[i], now) {
-                continue;
-            }
-            match self.rcus[i].next_wake(now) {
-                Some(w) if w <= now => return false,
-                Some(w) => to = to.min(w),
-                None => {}
-            }
-        }
-        if let Some(w) = self.net.next_wake() {
-            to = to.min(w);
-        }
-        self.net.advance_idle_to(to);
-        true
-    }
-
-    /// Steps until the clock reaches `target`, jumping across provably
-    /// dead stretches unless in dense mode.
-    pub fn step_until(&mut self, target: u64) {
-        while self.net.cycle() < target {
-            if !self.maybe_jump(target) {
-                self.step();
-            }
-        }
-    }
-
-    /// Runs `cycles` cycles (jumping across provably dead stretches,
-    /// landing on exactly the same cycle and statistics as stepping).
-    pub fn run(&mut self, cycles: u64) {
-        self.step_until(self.net.cycle() + cycles);
-    }
-
-    /// Submits `kernel` and steps until its results are written back,
-    /// gracefully degrading around permanent faults.
-    ///
-    /// With no permanent faults this is a single attempt. With a fault
-    /// plan declaring dead RCUs, dead links, or dead CPM nodes, the run
-    /// becomes an *attempt loop* (bounded by
-    /// [`PlatformConfig::max_kernel_attempts`]):
-    ///
-    /// * a dead home-CPM node triggers failover to the first live, idle
-    ///   standby corner CPM (the standby inherits the recovery policy);
-    /// * kernel blocks mapped to dead RCUs are remapped round-robin onto
-    ///   live nodes before submission;
-    /// * an attempt that stalls for a full no-progress window against a
-    ///   permanent fault is aborted and quarantined (its namespace epoch
-    ///   is retired so in-flight stragglers can never pollute the retry)
-    ///   and the kernel is resubmitted remapped.
-    ///
-    /// A run that needed any of this (or merely ran on a degraded
-    /// platform) carries a [`DegradationReport`] in
-    /// [`KernelRun::degradation`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates CPM submission errors as [`PlatformError::Submit`].
-    /// If the kernel does not finish within `max_cycles`, or stalls with
-    /// no permanent fault to route around, returns
-    /// [`PlatformError::KernelTimeout`] with a [`StallReport`] snapshot.
-    /// If permanent faults exhaust a degradation resource — no live RCU
-    /// to remap onto, no live standby CPM, or the attempt budget — returns
-    /// [`PlatformError::Unrecoverable`] naming the exhausted resource.
-    /// Never hangs: every attempt is bounded by the validated no-progress
-    /// window.
-    pub fn run_kernel(
-        &mut self,
-        kernel: &CompiledKernel,
-        max_cycles: u64,
-    ) -> Result<KernelRun, PlatformError> {
-        let overall_start = self.net.cycle();
-        let deadline = overall_start + max_cycles;
-        let base_retries = self.recovery_stats().retries;
-        let mut report = DegradationReport::default();
-        let mut home = 0usize;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let now = self.net.cycle();
-            // Home-CPM failover: a dead home node can neither fetch,
-            // issue, nor collect results — move the kernel to the first
-            // live, idle standby corner before (re)submitting.
-            if self.node_dead(self.cpms[home].node(), now) {
-                let standby = (0..self.cpms.len()).find(|&i| {
-                    !self.node_dead(self.cpms[i].node(), now)
-                        && self.cpms[i].state() == CpmState::Idle
-                });
-                let Some(standby) = standby else {
-                    return Err(self.unrecoverable(
-                        DegradedResource::StandbyCpms,
-                        attempt - 1,
-                        overall_start,
-                        report,
-                        base_retries,
-                    ));
-                };
-                self.net.tracer_mut().record_with(now, || EventKind::CpmFailover {
-                    from: home as u32,
-                    to: standby as u32,
-                });
-                // Retained-state handoff: the standby inherits the dead
-                // home's recovery policy so watchdog behaviour survives
-                // the move.
-                let policy = self.cpms[home].recovery_config();
-                self.cpms[standby].enable_recovery(policy);
-                home = standby;
-                report.failovers += 1;
-            }
-            // Remap off permanently dead RCUs: nodes already dead at
-            // submission time are guaranteed stalls, and nodes that died
-            // mid-attempt get their blocks moved on the retry. The
-            // translation is always derived from the *original* kernel,
-            // so repeated remaps never chain.
-            let dead =
-                self.net.fault_plan().map_or_else(Vec::new, |p| p.dead_rcu_nodes_at(now));
-            let prepared: CompiledKernel;
-            let to_run: &CompiledKernel = if dead.is_empty() {
-                kernel
-            } else {
-                let live: Vec<NodeId> =
-                    self.nodes.iter().copied().filter(|n| !dead.contains(n)).collect();
-                if live.is_empty() {
-                    return Err(self.unrecoverable(
-                        DegradedResource::Rcus,
-                        attempt - 1,
-                        overall_start,
-                        report,
-                        base_retries,
-                    ));
-                }
-                // Dead PEs rehome round-robin over the live set, in
-                // first-use order for determinism.
-                let mut translate: HashMap<NodeId, NodeId> = HashMap::new();
-                let mut rr = 0usize;
-                for ins in &kernel.instructions {
-                    if dead.contains(&ins.pe) && !translate.contains_key(&ins.pe) {
-                        translate.insert(ins.pe, live[rr % live.len()]);
-                        rr += 1;
-                    }
-                }
-                if translate.is_empty() {
-                    kernel
-                } else {
-                    let moved = kernel
-                        .instructions
-                        .iter()
-                        .filter(|i| translate.contains_key(&i.pe))
-                        .count();
-                    report.remaps += 1;
-                    self.net.tracer_mut().record_with(now, || EventKind::KernelRemap {
-                        cpm: home as u32,
-                        attempt,
-                        moved: moved as u32,
-                    });
-                    prepared = kernel.remapped(&translate);
-                    &prepared
-                }
-            };
-            // Epoch bump on every resubmission: stragglers from aborted
-            // attempts stay behind a retired namespace. Home resolution is
-            // namespace mod CPM count, so the bumped tag still routes here.
-            if attempt > 1 {
-                let epoch = attempt - 1;
-                let ns = home as u32 + self.cpms.len() as u32 * epoch;
-                self.cpms[home].set_namespace(ns);
-            }
-            self.submit_kernel_to(home, to_run).map_err(PlatformError::Submit)?;
-            let attempt_start = self.net.cycle();
-            match self.run_attempt(home, deadline) {
-                AttemptEnd::Finished(run) => {
-                    report.final_attempt_cycles = run.cycles;
-                    self.settle_report(&mut report, base_retries);
-                    let degradation = report.is_degraded().then_some(report);
-                    return Ok(KernelRun { degradation, ..run });
-                }
-                AttemptEnd::Deadline => {
-                    return Err(PlatformError::KernelTimeout {
-                        cycles: self.net.cycle() - overall_start,
-                        stall: Box::new(self.net.stall_report()),
-                    });
-                }
-                AttemptEnd::Stalled => {
-                    let now = self.net.cycle();
-                    let permanent =
-                        self.net.fault_plan().is_some_and(|p| p.has_permanent_faults());
-                    if !permanent {
-                        // Transient-only stall: nothing to remap around —
-                        // the pre-degradation timeout semantics hold.
-                        return Err(PlatformError::KernelTimeout {
-                            cycles: now - overall_start,
-                            stall: Box::new(self.net.stall_report()),
-                        });
-                    }
-                    report.penalty_cycles += now - attempt_start;
-                    self.quarantine(home);
-                    if attempt >= self.pcfg.max_kernel_attempts {
-                        return Err(self.unrecoverable(
-                            DegradedResource::RetryBudget,
-                            attempt,
-                            overall_start,
-                            report,
-                            base_retries,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Completes `report` at the end of a run: the watchdog retries taken
-    /// since the run began at `base_retries`, and the dead RCUs and links
-    /// of the installed plan now.
-    fn settle_report(&self, report: &mut DegradationReport, base_retries: u64) {
-        let now = self.net.cycle();
-        report.watchdog_retries = self.recovery_stats().retries - base_retries;
-        if let Some(p) = self.net.fault_plan() {
-            report.dead_rcus = p.dead_rcu_nodes_at(now).len();
-            report.dead_links =
-                p.links.iter().filter(|l| matches!(l.kind, LinkFaultKind::Dead)).count();
-        }
-    }
-
-    /// The verdict of a run that ran out of `resource` after `attempts`
-    /// attempts, carrying its settled degradation `report`.
-    fn unrecoverable(
-        &self,
-        resource: DegradedResource,
-        attempts: u32,
-        overall_start: u64,
-        mut report: DegradationReport,
-        base_retries: u64,
-    ) -> PlatformError {
-        self.settle_report(&mut report, base_retries);
-        PlatformError::Unrecoverable {
-            resource,
-            attempts,
-            cycles: self.net.cycle() - overall_start,
-            report,
-            stall: Box::new(self.net.stall_report()),
-        }
-    }
-
-    /// Steps (and jumps) until the kernel resident on CPM `home`
-    /// finishes, stalls for a full no-progress window, or reaches the
-    /// overall `deadline`. The stall cycle is
-    /// `last_change + no_progress_window` exactly, in every stepping mode:
-    /// clock jumps are capped there, so the hang detector observes the
-    /// same cycle it would have fired at under dense stepping.
-    fn run_attempt(&mut self, home: usize, deadline: u64) -> AttemptEnd {
-        let window = self.pcfg.no_progress_window;
-        let mut last_sig = self.progress_signature();
-        let mut last_change = self.net.cycle();
-        while self.net.cycle() < deadline {
-            if self.net.cycle() - last_change >= window {
-                return AttemptEnd::Stalled;
-            }
-            if self.maybe_jump(deadline.min(last_change + window)) {
-                // A jump can land exactly on the final-writeback deadline:
-                // poll completion so the run ends at the same cycle dense
-                // stepping ends at.
-                if let Some(run) = self.take_kernel_results_from(home) {
-                    return AttemptEnd::Finished(run);
-                }
-                continue;
-            }
-            self.step();
-            if let Some(run) = self.take_kernel_results_from(home) {
-                return AttemptEnd::Finished(run);
-            }
-            let sig = self.progress_signature();
-            if sig != last_sig {
-                last_sig = sig;
-                last_change = self.net.cycle();
-            } else if self.net.cycle() - last_change >= window {
-                return AttemptEnd::Stalled;
-            }
-        }
-        AttemptEnd::Deadline
-    }
-
-    /// Default for [`PlatformConfig::no_progress_window`]: how long
-    /// `run_kernel` tolerates zero forward progress before aborting an
-    /// attempt. Generous enough to cover the deepest recovery backoff
-    /// (`max_retries * backoff` plus a full ring circulation) at default
-    /// settings.
-    pub const NO_PROGRESS_WINDOW: u64 = 50_000;
-
-    /// Smallest accepted [`PlatformConfig::no_progress_window`]: it must
-    /// comfortably exceed the deepest default recovery backoff
-    /// (`max_retries * backoff = 1024` cycles) plus a full ring
-    /// circulation, or the hang detector would abort runs the watchdog
-    /// was still legitimately recovering.
-    pub const MIN_NO_PROGRESS_WINDOW: u64 = 2_048;
-
-    /// Default for [`PlatformConfig::kernel_cycle_cap`]: the per-kernel
-    /// cycle budget historically hardcoded at `run_kernel` call sites
-    /// (generous enough for every paper kernel at its simulated size,
-    /// including watchdog recovery and graceful-degradation retries).
-    pub const KERNEL_CYCLE_CAP: u64 = 50_000_000;
-
-    /// The deadline of [`SnackPlatform::run_multiprogram_capped`]:
-    /// effectively unbounded, so the workload's completion ends the run.
-    pub const MULTIPROGRAM_CYCLE_CAP: u64 = u64::MAX / 2;
-
     /// A deterministic fingerprint of kernel-level forward progress:
     /// instruction issue, RCU execution and captures, overflow absorption
     /// and replay, recovery activity, and pending result count. Network
     /// injections are deliberately *excluded* — a token circling the ring
-    /// without ever being captured is not progress.
-    fn progress_signature(&self) -> u64 {
+    /// without ever being captured is not progress. `run_kernel`'s hang
+    /// detector reads it every advance, so it sums the counters directly.
+    pub(crate) fn progress_signature(&self) -> u64 {
         let mut sig = 0u64;
         for r in &self.rcus {
             sig = sig.wrapping_add(r.stats.executed).wrapping_add(r.stats.captures);
@@ -1741,9 +651,7 @@ impl SnackPlatform {
             // Jump across workload think-time gaps (a fresh submission
             // parks a wake at `now` via the CPM's fetch path, so a jump
             // never skips kernel work).
-            if !self.maybe_jump(deadline) {
-                self.step();
-            }
+            self.step_or_jump(deadline);
             if let Some(run) = self.take_kernel_results() {
                 kernels_completed += 1;
                 kernel_cycles_sum += run.cycles;
@@ -1774,138 +682,15 @@ impl SnackPlatform {
     pub fn run_multiprogram_capped(&mut self, kernel: Option<&CompiledKernel>) -> MultiProgramRun {
         self.run_multiprogram(kernel, Self::MULTIPROGRAM_CYCLE_CAP)
     }
-
-    /// Launches a data token from `node` to the next node on the static
-    /// ring, detouring around faulted-down ring links when a fault plan is
-    /// active.
-    fn launch_token(&mut self, node: NodeId, token: DataToken) {
-        debug_assert!(token.dependents > 0, "dead token launched");
-        let now = self.net.cycle();
-        let ns = token.dep >> NAMESPACE_SHIFT;
-        let home = ns as usize % self.cpms.len();
-        // Registry bookkeeping only for the epoch actually resident on
-        // the home CPM — a straggler from an aborted attempt must not
-        // plant a watch record in the retry's registry.
-        if self.cpms[home].namespace() == ns {
-            self.cpms[home].note_token(&token, node, now);
-        }
-        let mut next = self.ring_next[node.index()];
-        if let Some(plan) = self.net.fault_plan() {
-            if plan
-                .links
-                .iter()
-                .any(|l| matches!(l.kind, LinkFaultKind::Down | LinkFaultKind::Dead))
-            {
-                // Graceful ring degradation: if the deterministic route to
-                // the ring successor crosses a severed link right now, skip
-                // ahead to the first successor whose route is fully live.
-                // Skipped nodes are safe — a circulating token revisits
-                // them on a later lap once the link heals, and permanently
-                // unreachable captures are the watchdog's job.
-                let mesh = *self.net.mesh();
-                let route_blocked = |dst: NodeId| -> bool {
-                    let mut cur = node;
-                    while cur != dst {
-                        let dir = xy_route(&mesh, cur, dst);
-                        if plan.link_is_down(cur, dir, now) {
-                            return true;
-                        }
-                        match mesh.neighbor(cur, dir) {
-                            Some(nb) => cur = nb,
-                            None => return true,
-                        }
-                    }
-                    false
-                };
-                let mut candidate = next;
-                for _ in 0..mesh.node_count() {
-                    if candidate != node && !route_blocked(candidate) {
-                        next = candidate;
-                        break;
-                    }
-                    candidate = self.ring_next[candidate.index()];
-                }
-            }
-        }
-        self.net.tracer_mut().record_with(now, || EventKind::TokenLaunch {
-            dep: token.dep,
-            seq: token.seq,
-            from: node.index() as u32,
-            to: next.index() as u32,
-        });
-        let spec = PacketSpec::new(
-            node,
-            next,
-            self.snack_vnet,
-            TrafficClass::SnackData,
-            DATA_TOKEN_BYTES,
-            SnackPayload::Data(token),
-        );
-        self.net.inject(spec).expect("valid token packet");
-    }
-
-    /// Handles a ring token arriving at `node`: CPM overflow absorption,
-    /// RCU inspection, then retirement or the next hop.
-    fn ring_pass(&mut self, node: NodeId, token: DataToken) {
-        let now = self.net.cycle();
-        let dep = token.dep;
-        // A dead node's compute is gone but its router forwards: the token
-        // passes straight through — no CPM absorption, no RCU capture.
-        let dead_here = self.node_dead(node, now);
-        let cpm_here =
-            if dead_here { None } else { self.cpms.iter().position(|c| c.node() == node) };
-        let mut token = if let Some(ci) = cpm_here {
-            match self.cpms[ci].maybe_absorb(token, now) {
-                Some(t) => t,
-                None => {
-                    // Parked in the overflow buffer.
-                    self.net
-                        .tracer_mut()
-                        .record_with(now, || EventKind::CpmSpill { cpm: ci as u32, dep });
-                    return;
-                }
-            }
-        } else {
-            token
-        };
-        let before = token.dependents;
-        if !dead_here {
-            self.rcus[node.index()].observe_token(&mut token);
-        }
-        let home = ((token.dep >> NAMESPACE_SHIFT) as usize) % self.cpms.len();
-        let captured = before - token.dependents;
-        if captured > 0 {
-            // Wake edge: the capture may have readied an operand.
-            self.wake_rcu(node.index());
-            self.net.tracer_mut().record_with(now, || EventKind::RcuCapture {
-                node: node.index() as u32,
-                dep,
-                captured,
-            });
-            self.cpms[home].note_captures(token.dep, captured, now);
-        }
-        // A copy retires when its own countdown hits zero — or, with the
-        // watchdog enabled, as soon as the home CPM's record says every
-        // dependent has been served. The latter catches duplicates from
-        // false-positive loss declarations: the original and the replay
-        // each capture a subset, so neither copy's own counter reaches
-        // zero even though the dep is fully settled.
-        if token.dependents > 0 && !self.cpms[home].token_settled(token.dep) {
-            self.launch_token(node, token);
-        } else {
-            self.net.tracer_mut().record_with(now, || EventKind::TokenRetire {
-                dep,
-                node: node.index() as u32,
-            });
-            self.cpms[home].note_retired(token.dep, now);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpm::CpmConfigError;
     use crate::token::{Op, Operand, ResultDest};
+    use snacknoc_noc::{LinkFaultKind, Stepping};
+    use std::fmt;
 
     fn imm(v: f64) -> Operand {
         Operand::Imm(Fixed::from_f64(v))
@@ -2488,6 +1273,39 @@ mod tests {
             "timeout = brief issue burst + one full dead window, got {}",
             dense.0
         );
+    }
+
+    /// An attempt whose stall cycle is also the caller's deadline stalls
+    /// in both modes: dense stepping steps onto that cycle and serial
+    /// stepping jumps onto it, and both read the no-progress window
+    /// before the deadline. With a one-attempt budget the stall is the
+    /// retry-budget verdict, not a plain timeout.
+    #[test]
+    fn a_stall_on_the_deadline_cycle_is_a_stall_in_both_modes() {
+        let run = |mode: Stepping, max_cycles: u64| {
+            let mut p = platform_in(mode);
+            let mesh = *p.mesh();
+            // The producer dies before its instructions arrive: the
+            // consumer parks, the network drains, and serial stepping
+            // crosses the whole window in jumps.
+            p.set_fault_plan(FaultPlan::seeded(5).with_dead_rcu(mesh.node_at(1, 1), 1)).unwrap();
+            p.set_platform_config(PlatformConfig {
+                no_progress_window: 3_000,
+                max_kernel_attempts: 1,
+                ..PlatformConfig::default()
+            })
+            .unwrap();
+            match p.run_kernel(&cross_pe_kernel(&mesh), max_cycles) {
+                Err(PlatformError::Unrecoverable { resource, cycles, .. }) => {
+                    assert_eq!(resource, DegradedResource::RetryBudget);
+                    (cycles, mode_fingerprint(&mut p))
+                }
+                other => panic!("expected Unrecoverable, got {other:?}"),
+            }
+        };
+        let (stall, _) = modes_match_dense(|mode| run(mode, 200_000));
+        assert!(stall >= 3_000, "one full window, got {stall}");
+        modes_match_dense(|mode| run(mode, stall));
     }
 
     /// Recovery-watchdog sweep deadlines are component wakes — jumping

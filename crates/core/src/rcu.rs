@@ -133,11 +133,6 @@ impl Rcu {
         }
     }
 
-    /// Number of instructions waiting in the ordered instruction buffer.
-    pub fn pending_instructions(&self) -> usize {
-        self.pending.values().map(|b| b.len()).sum()
-    }
-
     /// Whether the RCU has nothing queued, staged, or in flight.
     pub fn is_idle(&self) -> bool {
         self.pending.is_empty() && self.staged.is_empty()

@@ -4,7 +4,7 @@
 //! service loop that accepts kernel submissions from many simulated
 //! tenants, classes them by QoS, admits or rejects them against bounded
 //! per-class queues, dispatches them onto the platform's CPM slots under
-//! namespace-epoch isolation, and accounts per-tenant SLO latency,
+//! the platform's per-CPM namespace epochs, and accounts per-tenant SLO latency,
 //! throughput and fairness.
 //!
 //! The paper pitches the communication layer as a *platform* for offloaded

@@ -5,7 +5,7 @@ use crate::qos::{AdmissionError, ClassPolicy, QosClass};
 use crate::tenant::{Arrivals, TenantSpec};
 use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::{
-    CompiledKernel, CpmState, PlatformConfig, PlatformConfigError, PlatformError, SnackPlatform,
+    CompiledKernel, PlatformConfig, PlatformConfigError, PlatformError, SnackPlatform,
 };
 use snacknoc_noc::{FaultPlan, FaultPlanError, LatencyHistogram, NocConfig};
 use snacknoc_prng::Rng;
@@ -406,7 +406,6 @@ pub fn run_service(spec: &ServiceSpec) -> Result<ServiceReport, ServiceError> {
 
     let n = spec.tenants.len();
     let cpms = platform.cpm_count();
-    let epochs_max = platform.namespace_epochs();
     let kernel_cap = spec.platform.kernel_cycle_cap;
     let drain_deadline = spec.horizon.saturating_add(spec.drain);
 
@@ -430,7 +429,6 @@ pub fn run_service(spec: &ServiceSpec) -> Result<ServiceReport, ServiceError> {
     let mut queues: [VecDeque<Job>; 3] = [VecDeque::new(), VecDeque::new(), VecDeque::new()];
     let mut running: Vec<Option<Job>> = vec![None; cpms];
     let mut dispatch_at = vec![0u64; cpms];
-    let mut epoch = vec![0u32; cpms];
     let mut seq = 0u64;
     let mut reports: Vec<TenantReport> = spec.tenants.iter().map(TenantReport::new).collect();
     let mut violations: Vec<String> = Vec::new();
@@ -525,12 +523,9 @@ pub fn run_service(spec: &ServiceSpec) -> Result<ServiceReport, ServiceError> {
         // (4) Dispatch: fill idle live CPM slots from the class-queue
         // heads. Effective rank = class rank minus one step per full
         // aging threshold waited; ties broken by global submission order
-        // (FIFO within a class by construction).
-        while let Some(slot) = (0..cpms).find(|&i| {
-            running[i].is_none()
-                && platform.cpm_at(i).state() == CpmState::Idle
-                && !platform.cpm_node_dead(i)
-        }) {
+        // (FIFO within a class by construction). A CPM is idle exactly
+        // while `running` holds no job for it.
+        while let Some(slot) = platform.first_live_idle_cpm() {
             let mut best: Option<(i64, u64, usize)> = None;
             for (c, q) in queues.iter().enumerate() {
                 let Some(job) = q.front() else { continue };
@@ -542,15 +537,14 @@ pub fn run_service(spec: &ServiceSpec) -> Result<ServiceReport, ServiceError> {
             }
             let Some((_, _, c)) = best else { break };
             let Some(job) = queues[c].pop_front() else { break };
-            match platform.submit_kernel_epoch(slot, epoch[slot], &kernels[job.tenant]) {
+            match platform.submit_kernel_epoch(slot, &kernels[job.tenant]) {
                 Ok(()) => {
-                    epoch[slot] = (epoch[slot] + 1) % epochs_max;
                     dispatch_at[slot] = now;
                     running[slot] = Some(job);
                 }
                 Err(e) => {
-                    // Admission checked the slot was idle and the epoch
-                    // in range — a rejection here is a real bug.
+                    // The slot is idle, so only a kernel that fails
+                    // validation can be rejected — a real bug.
                     violations.push(format!("dispatch to cpm {slot} failed at cycle {now}: {e}"));
                     reports[job.tenant].aborted += 1;
                     rearm(&mut arrivals, job.tenant, now, spec.horizon);

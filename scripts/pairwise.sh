@@ -6,23 +6,32 @@
 #                            [--seconds S]
 #
 # BASE is any git revision. The other side is this checkout's working
-# tree ("head"), uncommitted edits included. BASE is checked out with
-# `git worktree` in a temporary directory, and snack_bench is built on
+# tree ("head"), uncommitted edits included. BASE is exported with
+# `git archive` into a temporary directory, and snack_bench is built on
 # each side (release, offline, separate target directories). Then, per
 # workload, the two builds run in alternating order, `--pairs` times:
 # pair k runs head first when k is even and base first when k is odd.
 #
-# For each workload and end-to-end metric (sim_cycles_per_s, wall_s,
-# setup_s, peak_rss_mb) it prints each side's median and [25th, 75th]
-# percentiles, the head/base ratio of the medians and the pairs head won
-# (higher cycles/s, lower time and memory), then whether every pair's
-# `--json` counts and failed_frac matched. It exits 1 if any pair's
-# counts differ.
+# For each workload and end-to-end metric of BENCHMARK.json (setup_s,
+# wall_s, sim_cycles_per_s, peak_rss_mb) it prints each side's median
+# and [25th, 75th] percentiles, the head/base ratio of the medians, the
+# pairs head won (higher cycles/s, lower time and memory) and a verdict
+# against the metric's `bound`:
+#
+#   REGRESSED   the head median is worse than the base median by more
+#               than the bound (a relative change);
+#   unresolved  otherwise, but the base's interquartile range, relative
+#               to its median, is wider than the bound, so the runs
+#               cannot show a regression of that size;
+#   ok          neither.
+#
+# Then it says whether every pair's `--json` counts and failed_frac
+# matched. It exits 1 if any row is REGRESSED or any pair's counts differ.
 #
 # Defaults: every workload, seed 42, 10 pairs, 20 s per run (BENCHMARK.json's
 # run_seconds). PAIRWISE_WORK=DIR keeps the builds and per-run JSON in DIR
 # (reused by later runs) instead of a temporary directory removed at exit.
-# Needs only git, cargo and awk.
+# Needs only git, tar, cargo and awk.
 
 set -euo pipefail
 
@@ -61,15 +70,26 @@ fi
 tree="$work/base-tree"
 
 cleanup() {
-  git -C "$repo" worktree remove --force "$tree" >/dev/null 2>&1 || true
-  git -C "$repo" worktree prune
+  rm -rf "$tree"
   [ -n "${PAIRWISE_WORK:-}" ] || rm -rf "$work"
 }
 trap cleanup EXIT
 
-git -C "$repo" worktree remove --force "$tree" >/dev/null 2>&1 || true
 rm -rf "$tree"
-git -C "$repo" worktree add --detach --quiet "$tree" "$base_sha"
+mkdir -p "$tree"
+git -C "$repo" archive "$base_sha" | tar -x -C "$tree"
+
+# One line per end-to-end metric of BENCHMARK.json: its name, 1 when
+# lower values are better (else 0), and its regression bound.
+metrics=$(awk '
+  /"end_to_end"/ { on = 1; next }
+  on && /\]/ { exit }
+  on && /"name"/ {
+    match($0, /"name": "[^"]*"/); name = substr($0, RSTART + 9, RLENGTH - 10)
+    match($0, /"bound": [0-9.]+/); bound = substr($0, RSTART + 9, RLENGTH - 9)
+    print name, ($0 ~ /"better": "lower"/), bound
+  }' "$repo/BENCHMARK.json")
+[ -n "$metrics" ] || { echo "no end_to_end metrics in BENCHMARK.json" >&2; exit 2; }
 
 build() { # SIDE SOURCE-ROOT
   echo "building $1 ($2)" >&2
@@ -101,9 +121,10 @@ counts() {
 }
 
 # Reads lines "base head" of metric $2 and prints the summary row for
-# workload $1; $3 is 1 when lower values are better.
+# workload $1, ending in its verdict; $3 is 1 when lower values are
+# better, $4 the metric's bound.
 summarize() {
-  awk -v w="$1" -v metric="$2" -v lower="$3" '
+  awk -v w="$1" -v metric="$2" -v lower="$3" -v bound="$4" '
     function sort(a, n,   i, j, t) {
       for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t }
     }
@@ -114,13 +135,16 @@ summarize() {
     { n++; b[n] = $1; h[n] = $2; if (lower ? $2 < $1 : $2 > $1) won++ }
     END {
       sort(b, n); sort(h, n)
-      printf "%-16s %-16s base %.6g [%.6g, %.6g]  head %.6g [%.6g, %.6g]  ratio %.3f  head won %d/%d\n",
-        w, metric, q(b, n, .5), q(b, n, .25), q(b, n, .75), q(h, n, .5), q(h, n, .25), q(h, n, .75),
-        q(h, n, .5) / q(b, n, .5), won + 0, n
+      base = q(b, n, .5); head = q(h, n, .5)
+      worse = (lower ? head - base : base - head) / base
+      verdict = worse > bound ? "REGRESSED" : (q(b, n, .75) - q(b, n, .25)) / base > bound ? "unresolved" : "ok"
+      printf "%-16s %-16s base %.6g [%.6g, %.6g]  head %.6g [%.6g, %.6g]  ratio %.3f  head won %d/%d  %s\n",
+        w, metric, base, q(b, n, .25), q(b, n, .75), head, q(h, n, .25), q(h, n, .75),
+        head / base, won + 0, n, verdict
     }'
 }
 
-mismatch=0
+status=0
 for w in ${workloads//,/ }; do
   runs="$work/runs/$w-s$seed"
   mkdir -p "$runs"
@@ -135,14 +159,16 @@ for w in ${workloads//,/ }; do
     done
     if [ "$(counts "$runs/base-$k.json")" != "$(counts "$runs/head-$k.json")" ]; then
       same=no
-      mismatch=1
+      status=1
     fi
   done
-  for m in sim_cycles_per_s:0 wall_s:1 setup_s:1 peak_rss_mb:1; do
-    for ((k = 0; k < pairs; k++)); do
-      echo "$(metric "$runs/base-$k.json" "${m%:*}") $(metric "$runs/head-$k.json" "${m%:*}")"
-    done | summarize "$w" "${m%:*}" "${m#*:}"
-  done
+  while read -r name lower bound; do
+    row=$(for ((k = 0; k < pairs; k++)); do
+      echo "$(metric "$runs/base-$k.json" "$name") $(metric "$runs/head-$k.json" "$name")"
+    done | summarize "$w" "$name" "$lower" "$bound")
+    echo "$row"
+    if [[ $row == *REGRESSED ]]; then status=1; fi
+  done <<< "$metrics"
   echo "$w: seed $seed, $pairs pairs of ${seconds}s, counts identical in every pair: $same"
 done
-exit "$mismatch"
+exit "$status"

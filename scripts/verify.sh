@@ -92,8 +92,9 @@ chaos_json=$(mktemp)
 service_json=$(mktemp)
 chaos_capture=$(mktemp)
 service_capture=$(mktemp)
+capture_dir=$(mktemp -d)
 trap 'rm -f "$trace_json" "$perf_json" "$chaos_json" "$service_json" \
-  "$chaos_capture" "$service_capture"' EXIT
+  "$chaos_capture" "$service_capture"; rm -rf "$capture_dir"' EXIT
 
 # A report that cannot be written is an error, not a silent success: a
 # write to a full device must exit 1 with a message naming the path.
@@ -366,6 +367,22 @@ awk '
     if (!peak) { print "ERROR: no rejections_at_peak in snack-service JSON" > "/dev/stderr"; exit 1 }
     if (!fair) { print "ERROR: no fairness fields in snack-service JSON" > "/dev/stderr"; exit 1 }
   }' "$service_json"
+
+# Only a default run may write a committed capture: the three smokes,
+# run without --json from an empty directory, must leave it empty, so a
+# smoke or custom grid can never replace a BENCH_*.json the gates above
+# and below compare against.
+echo "+ snack-chaos / snack-service / snack-perf --smoke write no capture without --json"
+repo_root=$PWD
+for bin in snack-chaos snack-service snack-perf; do
+  (cd "$capture_dir" && cargo run --release --offline -q --manifest-path "$repo_root/Cargo.toml" \
+    -p snacknoc-bench --bin "$bin" -- --smoke >/dev/null)
+done
+written=$(find "$capture_dir" -name 'BENCH_*.json')
+if [ -n "$written" ]; then
+  echo "ERROR: a --smoke run without --json wrote a capture: $written" >&2
+  exit 1
+fi
 
 # The served-system captures are pure functions of the code: snack-chaos
 # and snack-service with default arguments must regenerate the committed

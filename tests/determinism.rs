@@ -368,7 +368,7 @@ fn parked_rcus_match_dense_under_token_drops() {
 /// path, the namespace-epoch bump, and the escalation deadline (which
 /// clock jumps must land on exactly).
 #[test]
-fn remap_and_failover_are_bit_identical_across_modes_and_shards() {
+fn remap_and_failover_are_bit_identical_across_modes() {
     use snacknoc::core::{PlatformConfig, RecoveryConfig};
     use snacknoc::noc::FaultPlan;
     use snacknoc_bench::perf::stats_fingerprint;

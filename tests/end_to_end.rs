@@ -3,8 +3,13 @@
 //! headline properties end to end.
 
 use snacknoc::compiler::{build, sim_size, Context, MapperConfig};
-use snacknoc::core::{CpmState, SnackPlatform};
-use snacknoc::noc::{NocConfig, NocPreset};
+use snacknoc::core::cpm::NAMESPACE_SHIFT;
+use snacknoc::core::{
+    CompiledKernel, CpmState, Fixed, Instruction, Op, Operand, PlatformConfig, ResultDest,
+    SnackPlatform,
+};
+use snacknoc::noc::{FaultPlan, Mesh, NocConfig, NocPreset};
+use snacknoc::trace::{EventKind, TracerHandle};
 use snacknoc::workloads::kernels::Kernel;
 use snacknoc::workloads::suite::{profile, Benchmark};
 
@@ -82,6 +87,95 @@ fn cpm_is_busy_while_a_kernel_is_resident_and_recovers() {
     }
     assert_eq!(p.cpm().state(), CpmState::Idle);
     p.submit_kernel(&kernel).expect("idle again");
+}
+
+/// out0 = (1 + 2) * 4 on two RCUs: the producer at (1,1) sends its sum
+/// over the ring to the consumer at (2,3).
+fn cross_pe_kernel(mesh: &Mesh) -> CompiledKernel {
+    let imm = |v| Operand::Imm(Fixed::from_f64(v));
+    let instruction = |op, pe, vl, vr, dest, sub_block| Instruction {
+        op,
+        pe,
+        vl,
+        vr,
+        dest,
+        sub_block,
+        seq: 0,
+        ends_block: true,
+    };
+    CompiledKernel {
+        name: "cross".into(),
+        num_outputs: 1,
+        irregular_fetch: false,
+        instructions: vec![
+            instruction(
+                Op::Add,
+                mesh.node_at(1, 1),
+                imm(1.0),
+                imm(2.0),
+                ResultDest::Token { dep: 0, dependents: 1 },
+                0,
+            ),
+            instruction(
+                Op::Mul,
+                mesh.node_at(2, 3),
+                Operand::Dep(0),
+                imm(4.0),
+                ResultDest::Output { index: 0 },
+                1,
+            ),
+        ],
+    }
+}
+
+#[test]
+fn every_kernel_attempt_runs_under_a_fresh_namespace() {
+    // Two run_kernel calls on one platform, each forced into one
+    // quarantined retry: the consumer RCU dies at cycle 1, then the
+    // producer dies one cycle after the second call submits. Every
+    // attempt must take its own namespace epoch, or a straggler of an
+    // abandoned attempt (or of the earlier call) could pass for a live
+    // token of the next one.
+    let mut p = platform(NocConfig::default());
+    p.set_platform_config(PlatformConfig { no_progress_window: 3_000, ..PlatformConfig::default() })
+        .expect("valid window");
+    p.set_tracer(TracerHandle::ring(1 << 16));
+    let mesh = *p.mesh();
+    let kernel = cross_pe_kernel(&mesh);
+    let consumer_dead = FaultPlan::seeded(13).with_dead_rcu(mesh.node_at(2, 3), 1);
+    p.set_fault_plan(consumer_dead.clone()).expect("valid plan");
+    let first = p.run_kernel(&kernel, 200_000).expect("the retry remaps off the dead consumer");
+    let producer_dies = p.cycle() + 1;
+    p.set_fault_plan(consumer_dead.with_dead_rcu(mesh.node_at(1, 1), producer_dies))
+        .expect("valid plan");
+    let second = p.run_kernel(&kernel, 200_000).expect("the retry remaps off both corpses");
+    for run in [&first, &second] {
+        assert_eq!(run.outputs, vec![Fixed::from_f64(12.0)]);
+        let d = run.degradation.expect("both runs degraded");
+        assert!(d.penalty_cycles >= 3_000, "one attempt stalled out its window: {d:?}");
+    }
+    // The namespaces each submission's instructions were issued under,
+    // one list per attempt.
+    let tracer = p.take_tracer().take_ring().expect("ring tracer installed");
+    let mut attempts: Vec<Vec<u32>> = Vec::new();
+    for event in tracer.merged_events() {
+        match event.kind {
+            EventKind::KernelSubmit { .. } => attempts.push(Vec::new()),
+            EventKind::RcuIssue { sub_block, .. } => {
+                let ns = sub_block >> NAMESPACE_SHIFT;
+                let issued = attempts.last_mut().expect("issued after a submission");
+                if !issued.contains(&ns) {
+                    issued.push(ns);
+                }
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(
+        attempts,
+        [[0], [1], [2], [3]],
+        "each of the four attempts issues under its own epoch"
+    );
 }
 
 #[test]
